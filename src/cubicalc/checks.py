@@ -111,6 +111,11 @@ class _LawRun:
             self.report.witness = witness_factory()
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _points_equal(a: dict, b: dict) -> bool:
     if a.keys() != b.keys():
         return False
@@ -120,6 +125,7 @@ def _points_equal(a: dict, b: dict) -> bool:
 def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
                         samples: int = 50) -> list[CheckReport]:
     """Category (and groupoid) axioms of one edge on exact random samples."""
+    _require_samples(samples)
     e = p.edges[key] if not isinstance(key, EdgeCat) else key
     attach_generic_params(e)
     rng = random.Random(seed)
@@ -240,6 +246,7 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
                samples: int = 50) -> list[CheckReport]:
     """Double-category laws of one face: commuting projections and units,
     functoriality of projections and units, and the interchange law."""
+    _require_samples(samples)
     i, j, ei_bot, ei_top, ej_bot, ej_top = p.face_frame(face)
     for e in (ei_bot, ei_top, ej_bot, ej_top):
         attach_generic_params(e)
@@ -321,6 +328,7 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
                    samples: int = 50) -> list[CheckReport]:
     """Verify that a family of vertex maps commutes with source, target, unit
     and composition on every edge (sampled, exact)."""
+    _require_samples(samples)
     rng = random.Random(seed)
     ring = src.ring
     out = []
@@ -363,6 +371,7 @@ def check_presentation(p: NFoldPresentation, seed: int = 0,
                        samples: int = 50) -> list[CheckReport]:
     """Run the edge-category axioms on every edge and the double-category
     laws on every face of a presentation."""
+    _require_samples(samples)
     out = []
     for key in sorted(p.edges, key=_edge_sort_key):
         out.extend(check_edge_category(p, key, seed=seed, samples=samples))

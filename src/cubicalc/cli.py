@@ -47,6 +47,23 @@ def _parse_scalars(ring, text, expect: int | None = None):
     return vals
 
 
+def _parse_directions(text: str) -> tuple:
+    """--N: distinct positive directions, e.g. "1,3"."""
+    try:
+        N = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"--N must be a comma list of integers, got {text!r}") from None
+    if min(N) < 1 or len(set(N)) != len(N):
+        raise UsageError(f"--N must list distinct positive directions, got {text!r}")
+    return N
+
+
+def _require_positive(name: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _emit(args, payload_text: str, payload_json):
     if args.format == "json":
         print(json.dumps(payload_json, indent=2, sort_keys=True))
@@ -85,15 +102,19 @@ def cmd_derive(args) -> int:
     ring = ring_from_spec(args.ring)
     f = parse(_read_expr(args), ring)
     if args.N:
-        N = tuple(int(x) for x in args.N.split(","))
+        N = _parse_directions(args.N)
     else:
-        N = tuple(range(1, (args.n or 1) + 1))
-    law = derive_law_full(f, N)
+        n = 1 if args.n is None else _require_positive("--n", args.n)
+        N = tuple(range(1, n + 1))
     if args.alpha is not None:
         alpha = frozenset(int(c) for c in args.alpha) if args.alpha != "0" \
             else frozenset()
+        if not alpha <= set(N):
+            raise UsageError(f"--alpha {args.alpha} is not a subset of the "
+                             f"directions {','.join(map(str, N))}")
     else:
         alpha = frozenset(N)
+    law = derive_law_full(f, N)
     m = law.vertex_maps[alpha]
     text = m.fmt(monomial_order=monomial_key)
     _emit(args, text, {
@@ -109,7 +130,7 @@ def cmd_table(args) -> int:
     ring = ring_from_spec(args.ring)
     if not args.N:
         raise UsageError("--N is required for tables")
-    N = tuple(int(x) for x in args.N.split(","))
+    N = _parse_directions(args.N)
     kind = args.construction
     if kind not in ("gfull", "scaleoid"):
         raise UsageError("tables exist for --construction gfull|scaleoid")
@@ -133,7 +154,8 @@ _CONSTRUCTIONS = ("pg", "sa", "gsy", "gfull", "scaleoid", "tangent", "goverline"
 
 def cmd_check(args) -> int:
     ring = ring_from_spec(args.ring)
-    n = args.n or 2
+    n = _require_positive("--n", args.n)
+    _require_positive("--samples", args.samples)
     kind = args.construction
     if kind == "pg":
         pres = pair_groupoid(n, args.vdim, ring)

@@ -7,6 +7,8 @@ maps, laws and difference quotients in the package are PolyMaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .rings import Ring, RingError
@@ -25,13 +27,12 @@ class ExactDivisionError(PolyError):
 class Poly:
     """Sparse polynomial: {exponent tuple: coefficient}, zero coeffs never stored."""
 
-    __slots__ = ("ring", "arity", "terms", "_compiled")
+    __slots__ = ("ring", "arity", "terms")
 
     def __init__(self, ring: Ring, arity: int, terms: dict | None = None):
         self.ring = ring
         self.arity = arity
         self.terms = {}
-        self._compiled = None
         if terms:
             for exps, c in terms.items():
                 if len(exps) != arity:
@@ -145,31 +146,7 @@ class Poly:
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, values: Sequence) -> Any:
-        r = self.ring
-        if self._compiled is None:
-            maxe = [0] * self.arity
-            for e in self.terms:
-                for i, k in enumerate(e):
-                    if k > maxe[i]:
-                        maxe[i] = k
-            compiled = tuple(
-                (c, tuple((i, k) for i, k in enumerate(e) if k))
-                for e, c in self.terms.items())
-            self._compiled = (maxe, compiled)
-        maxe, compiled = self._compiled
-        powers = []
-        for i in range(self.arity):
-            row = [r.one()]
-            for _ in range(maxe[i]):
-                row.append(r.mul(row[-1], values[i]))
-            powers.append(row)
-        acc = r.zero()
-        for c, factors in compiled:
-            m = c
-            for i, k in factors:
-                m = r.mul(m, powers[i][k])
-            acc = r.add(acc, m)
-        return acc
+        return _Kernel((self,))(self.ring, values)[0]
 
     def subst(self, images: Sequence["Poly"], arity: int) -> "Poly":
         """Substitute images[i] (all over a common new variable list) for x_i."""
@@ -205,23 +182,6 @@ class Poly:
             e2[i] -= 1
             terms[tuple(e2)] = c
         out = Poly(self.ring, self.arity)
-        out.terms = terms
-        return out
-
-    def drop_vars(self, keep: Sequence[int]) -> "Poly":
-        """Restrict to a sub-variable list; dropped variables must not occur."""
-        pos = {old: new for new, old in enumerate(keep)}
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(keep)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if i not in pos:
-                    raise PolyError(f"variable {i} occurs but is being dropped")
-                ne[pos[i]] = k
-            terms[tuple(ne)] = c
-        out = Poly(self.ring, len(keep))
         out.terms = terms
         return out
 
@@ -271,6 +231,67 @@ class Poly:
         out = parts[0]
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
+        return out
+
+
+class _Kernel:
+    """Exact integer evaluator of a list of polynomials over Q or Z/m.
+
+    Built once in O(terms): each component keeps the lcm L of its coefficient
+    denominators and, per term, the integer c*L with the positions of its
+    powers in a flat row of the used variables.  For inputs p_i/q_i and
+    D = prod q_i^maxe_i, a component's value is N/(D*L) with
+    N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i); the ring turns that
+    ratio into its scalar with `Ring.from_ratio`.
+    """
+
+    __slots__ = ("tops", "comps")
+
+    def __init__(self, polys: Sequence[Poly]):
+        exps = [e for poly in polys for e in poly.terms]
+        maxe = [max(col) for col in zip(*exps)]
+        self.tops = tuple((i, k) for i, k in enumerate(maxe) if k)
+        # power k of variable i sits at offset[i] + k of the flat rows
+        offset = [0] * len(maxe)
+        at = 0
+        for i, k in self.tops:
+            offset[i] = at
+            at += k + 1
+        comps = []
+        for poly in polys:
+            den = lcm(*(c.denominator for c in poly.terms.values()))
+            comps.append((den, tuple(
+                (c.numerator * (den // c.denominator),
+                 tuple(offset[i] + k for i, k in enumerate(e) if k))
+                for e, c in poly.terms.items())))
+        self.comps = tuple(comps)
+
+    def __call__(self, ring: Ring, values: Sequence) -> list:
+        nums = []
+        dens = []
+        D = 1
+        for i, top in self.tops:
+            x = values[i]
+            p, q = x.numerator, x.denominator
+            pk = qk = 1
+            for _ in range(top):
+                nums.append(pk)
+                dens.append(qk)
+                pk *= p
+                qk *= q
+            nums.append(pk)
+            dens.append(qk)
+            D *= qk
+        out = []
+        for den, terms in self.comps:
+            N = 0
+            for c, idx in terms:
+                d = 1
+                for j in idx:
+                    c *= nums[j]
+                    d *= dens[j]
+                N += c * (D // d)
+            out.append(ring.from_ratio(N, D * den))
         return out
 
 
@@ -327,7 +348,7 @@ class PolyRing(Ring):
         return hash((self.kind, self.base, self.arity))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyMap:
     """Polynomial map between labelled coordinate spaces (exact, immutable)."""
 
@@ -337,10 +358,10 @@ class PolyMap:
     out_labels: tuple | None = None
 
     def __post_init__(self):
-        self.in_labels = tuple(self.in_labels)
-        self.comps = tuple(self.comps)
+        object.__setattr__(self, "in_labels", tuple(self.in_labels))
+        object.__setattr__(self, "comps", tuple(self.comps))
         if self.out_labels is not None:
-            self.out_labels = tuple(self.out_labels)
+            object.__setattr__(self, "out_labels", tuple(self.out_labels))
             if len(self.out_labels) != len(self.comps):
                 raise PolyError("out_labels / components length mismatch")
         if len(set(self.in_labels)) != len(self.in_labels):
@@ -387,7 +408,11 @@ class PolyMap:
     def eval(self, values: Sequence) -> list:
         if len(values) != self.in_arity:
             raise PolyError(f"expected {self.in_arity} values, got {len(values)}")
-        return [c.eval(values) for c in self.comps]
+        return self._kernel(self.ring, values)
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        return _Kernel(self.comps)
 
     def eval_labeled(self, values: Mapping[Label, Any]) -> dict:
         vals = [values[l] for l in self.in_labels]
@@ -454,17 +479,6 @@ class PolyMap:
         if self.out_labels is not None:
             outs = tuple(out_map(l) for l in self.out_labels) if out_map else self.out_labels
         return PolyMap(self.ring, ins, self.comps, outs)
-
-    def stack(self, other: "PolyMap") -> "PolyMap":
-        """Juxtapose outputs of two maps over the same input labels."""
-        if other.in_labels != self.in_labels:
-            other = other.extend_inputs(self.in_labels) \
-                if set(other.in_labels) <= set(self.in_labels) else other
-        if other.in_labels != self.in_labels:
-            raise PolyError("stack requires a common domain")
-        return PolyMap(self.ring, self.in_labels, self.comps + other.comps,
-                       None if self.out_labels is None or other.out_labels is None
-                       else self.out_labels + other.out_labels)
 
     def add(self, other: "PolyMap") -> "PolyMap":
         if other.in_labels != self.in_labels:

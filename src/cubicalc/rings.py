@@ -30,6 +30,10 @@ class Ring:
     def from_int(self, k: int) -> Scalar:
         raise NotImplementedError
 
+    def from_ratio(self, num: int, den: int) -> Scalar:
+        """The scalar num/den of two integers, den > 0."""
+        raise NotImplementedError
+
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         raise NotImplementedError
 
@@ -87,6 +91,9 @@ class Rationals(Ring):
 
     def from_int(self, k):
         return Fraction(k)
+
+    def from_ratio(self, num, den):
+        return Fraction(num, den)
 
     def add(self, a, b):
         return a + b
@@ -148,6 +155,11 @@ class IntegersMod(Ring):
 
     def from_int(self, k):
         return k % self.m
+
+    def from_ratio(self, num, den):
+        if den != 1:
+            num *= self.inv(den % self.m)
+        return num % self.m
 
     def add(self, a, b):
         return (a + b) % self.m

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubicalc.cli import run
 
 
@@ -95,3 +97,55 @@ def test_mod_ring_cli(capsys):
     assert run(["eval", "--expr", "f(x)=x^2", "--order", "1", "--point", "1",
                 "--v", "1", "--t", "1", "--ring", "mod:5"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def _usage_error(capsys, argv) -> str:
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_check_rejects_no_samples(capsys):
+    for samples in ("0", "-3"):
+        err = _usage_error(capsys, ["check", "--construction", "gsy", "--n", "1",
+                                    "--samples", samples])
+        assert "--samples" in err
+
+
+def test_checkers_reject_no_samples():
+    from cubicalc.checks import (check_edge_category, check_face,
+                                 check_morphism, check_presentation)
+    from cubicalc.constructions import pair_groupoid
+
+    p = pair_groupoid(2)
+    edge = next(iter(p.edges))
+    face = next(iter(p.faces))
+    for call in (lambda: check_presentation(p, samples=0),
+                 lambda: check_edge_category(p, edge, samples=0),
+                 lambda: check_face(p, face, samples=-1),
+                 lambda: check_morphism(p, p, {}, samples=0)):
+        with pytest.raises(ValueError, match="samples"):
+            call()
+
+
+def test_derive_alpha_outside_directions(capsys):
+    err = _usage_error(capsys, ["derive", "--expr", "f(x)=x^3", "--N", "1,2",
+                                "--alpha", "5"])
+    assert "--alpha" in err
+
+
+def test_derive_and_check_reject_n_zero(capsys):
+    assert "--n" in _usage_error(capsys, ["derive", "--expr", "f(x)=x^2",
+                                          "--n", "0"])
+    assert "--n" in _usage_error(capsys, ["check", "--construction", "gsy",
+                                          "--n", "0"])
+
+
+def test_table_rejects_repeated_directions(capsys):
+    assert "--N" in _usage_error(capsys, ["table", "--construction", "gfull",
+                                          "--N", "1,1"])
+    assert "--N" in _usage_error(capsys, ["derive", "--expr", "f(x)=x^2",
+                                          "--N", "2,2"])

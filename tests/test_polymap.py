@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicalc.parser import ParseError, parse
-from cubicalc.polymap import ExactDivisionError, PolyMap
+from cubicalc.polymap import ExactDivisionError, Poly, PolyMap
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
@@ -107,3 +107,101 @@ def test_polymap_add_scale():
     g = parse("g(x) = x")
     s = f.add(g).scale(Fraction(2))
     assert s.eval([Fraction(3)]) == [24]
+
+
+def reference_eval(poly: Poly, values) -> object:
+    """The evaluator the integer kernel replaced: a power table per variable
+    and one ring operation per multiply and add."""
+    r = poly.ring
+    powers = []
+    for x in values:
+        row = [r.one()]
+        for _ in range(max((e[len(powers)] for e in poly.terms), default=0)):
+            row.append(r.mul(row[-1], x))
+        powers.append(row)
+    acc = r.zero()
+    for e, c in poly.terms.items():
+        m = c
+        for i, k in enumerate(e):
+            if k:
+                m = r.mul(m, powers[i][k])
+        acc = r.add(acc, m)
+    return acc
+
+
+KERNEL_RINGS = (QQ, IntegersMod(2 ** 31 - 1), IntegersMod(6))
+
+
+def _coefficient(ring, num: int, den: int):
+    if ring is QQ:
+        return Fraction(num, den)
+    while not ring.is_unit(ring.from_int(den)):
+        den += 1
+    return ring.div(ring.from_int(num), ring.from_int(den))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small map (arity <= 4, degree <= 5), its ring and an input point."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    arity = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 5), min_size=arity, max_size=arity).filter(
+        lambda e: sum(e) <= 5).map(tuple)
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6))
+    comps = []
+    for _ in range(draw(st.integers(0, 3))):
+        table = draw(st.dictionaries(exps, coeff, max_size=6))
+        comps.append(Poly(ring, arity, {e: _coefficient(ring, *c)
+                                        for e, c in table.items()}))
+    if ring is QQ:
+        scalar = st.one_of(st.integers(-9, 9),
+                           st.fractions(min_value=-9, max_value=9,
+                                        max_denominator=7))
+    else:
+        scalar = st.integers(-2 * ring.m, 2 * ring.m)
+    point = draw(st.lists(scalar, min_size=arity, max_size=arity))
+    return ring, PolyMap(ring, tuple(f"x{i}" for i in range(arity)), comps), point
+
+
+def _assert_kernel_matches(f: PolyMap, point) -> None:
+    want = [reference_eval(c, point) for c in f.comps]
+    for got in (f.eval(point), [c.eval(point) for c in f.comps]):
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+    if f.ring is QQ:
+        assert all(type(x) is Fraction for x in want)
+    else:
+        assert all(type(x) is int and 0 <= x < f.ring.m for x in want)
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_reference(case):
+    ring, f, point = case
+    _assert_kernel_matches(f, point)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS)
+def test_kernel_zero_constant_and_unused_variables(ring):
+    labels = ("x", "y", "z")
+    zero = Poly.zero(ring, 3)
+    const = Poly.const(ring, 3, ring.from_int(-5))
+    only_y = Poly(ring, 3, {(0, 2, 0): ring.from_int(3), (0, 0, 0): ring.one()})
+    f = PolyMap(ring, labels, (zero, const, only_y))
+    points = [[0, 0, 0], [-4, 2, 7], [3, -1, -2]]
+    if ring is QQ:
+        points += [[Fraction(-1, 3), Fraction(5, 2), Fraction(7, 4)],
+                   [2, Fraction(-3, 5), 1]]
+    for point in points:
+        _assert_kernel_matches(f, point)
+    assert PolyMap(ring, labels, ()).eval([1, 2, 3]) == []
+
+
+def test_polymap_is_frozen():
+    import dataclasses
+
+    f = parse("f(x) = x^2")
+    assert f.eval([Fraction(3)]) == [9]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.comps = parse("g(x) = x").comps
+    assert f.eval([Fraction(3)]) == [9]
