@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Verbs: slope, derive, table, check, eval.  Exit codes: 0 success, 1 check
-failure (with a witness report), 2 usage or parse error.  Output is plain
+failure (with a witness report), 2 usage or parse error, 3 internal error (a
+broken invariant such as an inexact slope division).  Output is plain
 text or JSON (--format); everything is exact and deterministically ordered.
 """
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .constructions import (gfull, gsy, pair_groupoid, scaled_action,
 from .derive import display_label, monomial_key, vlab, tlab
 from .laws import derive_law_full
 from .parser import ParseError, parse
-from .polymap import PolyError
+from .polymap import ExactDivisionError, PolyError
 from .presentation import SamplingError
 from .rings import RingError, ring_from_spec
 from .slopes import slope, sym_slope_closed, sym_slope_iterated
@@ -319,6 +320,9 @@ def run(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
+    except ExactDivisionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, ParseError, RingError, PolyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -196,23 +196,3 @@ def extend_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
         out_exprs[with_tag(tg, tlab({j}))] = Poly.var(
             ring, n, pos[with_tag(src_tag, tlab({j}))])
     return PolyMap.from_label_exprs(ring, new_in, out_exprs)
-
-
-def retag(m: PolyMap, in_tags: dict | None = None, out_tags: dict | None = None) -> PolyMap:
-    """Re-tag label groups, e.g. rename copy "a" to copy "c"."""
-
-    def mk(table):
-        def f(l):
-            tg = tag_of(l)
-            if table and tg in table:
-                inner = l[1] if isinstance(l, tuple) else l
-                return with_tag(table[tg], inner)
-            return l
-        return f
-
-    return m.rename(mk(in_tags) if in_tags else None, mk(out_tags) if out_tags else None)
-
-
-def tag_map(m: PolyMap, tag) -> PolyMap:
-    """Put every (untagged) label of a map under one tag."""
-    return m.rename(lambda l: with_tag(tag, l), lambda l: with_tag(tag, l))

@@ -11,7 +11,8 @@ Grammar (whitespace insignificant, UTF-8):
     rational := int ("/" nat)?
 
 Division is only allowed inside rational literals; anything else is rejected
-as non-polynomial.
+as non-polynomial.  Exponents above MAX_EXPONENT are rejected before any power
+is built.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ class _Tok:
 
 
 _OPS = set("()+-*/^=,")
+MAX_EXPONENT = 64
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -189,8 +191,12 @@ class _Parser:
             t = self.peek()
             if t.kind != "num":
                 self.fail("expected a natural number exponent")
+            k = int(t.text)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {t.text} exceeds the maximum "
+                                 f"{MAX_EXPONENT}", t.line, t.col)
             self.next()
-            base = base ** int(t.text)
+            base = base ** k
         return base
 
     def parse_base(self) -> Poly:

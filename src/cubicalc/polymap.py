@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from operator import add as _add_ints
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .rings import Ring, RingError
@@ -82,19 +83,8 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        r = self.ring
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                p = r.mul(c1, c2)
-                s = r.add(terms.get(e, r.zero()), p)
-                if r.is_zero(s):
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = Poly(r, self.arity)
-        out.terms = terms
+        out = Poly(self.ring, self.arity)
+        out.terms = _mul_into({}, self.ring, self.terms, other.terms)
         return out
 
     def __pow__(self, k: int) -> "Poly":
@@ -149,22 +139,83 @@ class Poly:
         return _Kernel((self,))(self.ring, values)[0]
 
     def subst(self, images: Sequence["Poly"], arity: int) -> "Poly":
-        """Substitute images[i] (all over a common new variable list) for x_i."""
-        r = self.ring
+        """Substitute images[i] (all over a common new variable list) for x_i.
+
+        The result is summed into one term dict in place.  When every image
+        has at most one term (a variable, a scaled monomial, a constant or
+        zero), each term of self maps to one term and no product is expanded.
+        """
         if len(images) != self.arity:
             raise PolyError("substitution image count mismatch")
-        cache: list[list[Poly]] = [[Poly.const(r, arity, r.one())] for _ in range(self.arity)]
-        acc = Poly.zero(r, arity)
+        if all(len(im.terms) <= 1 for im in images):
+            terms = self._subst_monomial(images, arity)
+        else:
+            terms = self._subst_expand(images, arity)
+        out = Poly(self.ring, arity)
+        out.terms = terms
+        return out
+
+    def _subst_monomial(self, images: Sequence["Poly"], arity: int) -> dict:
+        r = self.ring
+        add, mul, is_zero = r.add, r.mul, r.is_zero
+        one = r.one()
+        # per image: None for zero, else (sparse exponents, coefficient
+        # powers or None when the coefficient is one)
+        specs = []
+        for im in images:
+            if not im.terms:
+                specs.append(None)
+                continue
+            (f, a), = im.terms.items()
+            powers = None if is_zero(r.sub(a, one)) else [one, a]
+            specs.append((tuple((j, k) for j, k in enumerate(f) if k), powers))
+        acc: dict = {}
         for e, c in self.terms.items():
-            m = Poly.const(r, arity, c)
+            out = [0] * arity
             for i, k in enumerate(e):
                 if not k:
                     continue
-                row = cache[i]
+                spec = specs[i]
+                if spec is None:
+                    break
+                for j, f in spec[0]:
+                    out[j] += k * f
+                powers = spec[1]
+                if powers is not None:
+                    while len(powers) <= k:
+                        powers.append(mul(powers[-1], powers[1]))
+                    c = mul(c, powers[k])
+            else:
+                e_out = tuple(out)
+                old = acc.get(e_out)
+                if old is not None:
+                    c = add(old, c)
+                if is_zero(c):
+                    acc.pop(e_out, None)
+                else:
+                    acc[e_out] = c
+        return acc
+
+    def _subst_expand(self, images: Sequence["Poly"], arity: int) -> dict:
+        r = self.ring
+        zero = (0,) * arity
+        unit = {zero: r.one()}
+        rows = [[unit] for _ in images]  # rows[i][k]: terms of images[i]**k
+        acc: dict = {}
+        for e, c in self.terms.items():
+            # c times the powers, the last product summed straight into acc
+            prod = {zero: c}
+            last = unit
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                row = rows[i]
                 while len(row) <= k:
-                    row.append(row[-1] * images[i])
-                m = m * row[k]
-            acc = acc + m
+                    row.append(_mul_into({}, r, row[-1], images[i].terms))
+                if last is not unit:
+                    prod = _mul_into({}, r, prod, last)
+                last = row[k]
+            _mul_into(acc, r, prod, last)
         return acc
 
     def divide_by_var(self, i: int, allow_remainder: bool = False) -> "Poly":
@@ -232,6 +283,27 @@ class Poly:
         for p in parts[1:]:
             out += " - " + p[1:] if p.startswith("-") else " + " + p
         return out
+
+
+def _mul_into(acc: dict, ring: Ring, a: dict, b: dict) -> dict:
+    """Add the product of the term dicts a and b into acc, in place.
+
+    A coefficient that is zero in the ring is never stored: sums may cancel,
+    and over Z/m a product of nonzero coefficients may vanish.
+    """
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(_add_ints, e1, e2))
+            p = mul(c1, c2)
+            old = acc.get(e)
+            if old is not None:
+                p = add(old, p)
+            if is_zero(p):
+                acc.pop(e, None)
+            else:
+                acc[e] = p
+    return acc
 
 
 class _Kernel:
@@ -498,9 +570,12 @@ class PolyMap:
 
     def equals(self, other: "PolyMap") -> bool:
         """Symbolic equality: same in/out label sets, equal components."""
-        if set(self.in_labels) != set(other.in_labels):
+        if self.in_labels == other.in_labels:
+            aligned = other
+        elif set(self.in_labels) == set(other.in_labels):
+            aligned = other.reorder_inputs(self.in_labels)
+        else:
             return False
-        aligned = other.reorder_inputs(self.in_labels)
         if self.out_labels is not None and aligned.out_labels is not None:
             if set(self.out_labels) != set(aligned.out_labels):
                 return False

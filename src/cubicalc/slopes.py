@@ -136,14 +136,6 @@ def full_slope(f: PolyMap, n: int) -> PolyMap:
     return m.restrict_outputs(keep)
 
 
-def full_vertex_map(f: PolyMap, n: int) -> PolyMap:
-    """The whole top-vertex map (all v-blocks and scale slots), cubic labels."""
-    m = _cubic_base(f)
-    for j in range(1, n + 1):
-        m = derive_polymap(m, j, with_s=False)
-    return m
-
-
 def sym_slope_iterated(f: PolyMap, n: int) -> PolyMap:
     """f^[n]_{t_1..t_n}: iterate the slope with each scale frozen.
 

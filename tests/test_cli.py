@@ -149,3 +149,37 @@ def test_table_rejects_repeated_directions(capsys):
                                           "--N", "1,1"])
     assert "--N" in _usage_error(capsys, ["derive", "--expr", "f(x)=x^2",
                                           "--N", "2,2"])
+
+
+def test_exponent_above_the_bound_is_a_parse_error(capsys, monkeypatch):
+    from cubicalc.polymap import Poly
+
+    def no_power(self, k):
+        raise AssertionError("the power must not be built")
+
+    monkeypatch.setattr(Poly, "__pow__", no_power)
+    err = _usage_error(capsys, ["slope", "--expr", "f(x)=x^99999999999"])
+    assert "exponent 99999999999 exceeds the maximum 64" in err
+    assert "column 8" in err
+
+
+def test_exponent_at_the_bound_parses():
+    from cubicalc.parser import MAX_EXPONENT, parse
+
+    f = parse(f"f(x) = x^{MAX_EXPONENT}")
+    assert f.eval([2]) == [2 ** MAX_EXPONENT]
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    import cubicalc.cli
+    from cubicalc.polymap import ExactDivisionError
+
+    def broken_slope(f):
+        raise ExactDivisionError("monomial (1, 0) not divisible by variable 1")
+
+    monkeypatch.setattr(cubicalc.cli, "slope", broken_slope)
+    assert run(["slope", "--expr", "f(x) = x^2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: monomial (1, 0)")
+    assert "Traceback" not in captured.err

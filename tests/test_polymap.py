@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicalc.parser import ParseError, parse
-from cubicalc.polymap import ExactDivisionError, Poly, PolyMap
+from cubicalc.polymap import ExactDivisionError, Poly, PolyMap, PolyRing
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
@@ -83,6 +83,8 @@ def test_map_equality_across_input_orders():
     f = PolyMap(QQ, ("x", "y"), (parse("f(x,y) = x + 2*y").comps[0],), ("w",))
     g = f.reorder_inputs(("y", "x"))
     assert f.equals(g)
+    assert f.equals(PolyMap(QQ, ("x", "y"),
+                            (parse("f(x,y) = 2*y + x").comps[0],), ("w",)))
     assert not f.equals(PolyMap(QQ, ("x", "y"),
                                 (parse("f(x,y) = x + y").comps[0],), ("w",)))
 
@@ -205,3 +207,113 @@ def test_polymap_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.comps = parse("g(x) = x").comps
     assert f.eval([Fraction(3)]) == [9]
+
+
+def reference_subst(poly: Poly, images, arity: int) -> Poly:
+    """The substitution the in-place accumulator replaced: whole-polynomial
+    products per variable and one polynomial sum per term."""
+    r = poly.ring
+    cache = [[Poly.const(r, arity, r.one())] for _ in range(poly.arity)]
+    acc = Poly.zero(r, arity)
+    for e, c in poly.terms.items():
+        m = Poly.const(r, arity, c)
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            row = cache[i]
+            while len(row) <= k:
+                row.append(row[-1] * images[i])
+            m = m * row[k]
+        acc = acc + m
+    return acc
+
+
+def _exponents(arity: int, degree: int):
+    return st.lists(st.integers(0, degree), min_size=arity,
+                    max_size=arity).filter(lambda e: sum(e) <= degree).map(tuple)
+
+
+@st.composite
+def subst_images(draw, ring, arity: int):
+    """One image over `arity` variables: a variable, a constant, zero, a
+    scaled monomial or a linear form x + t*v."""
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd))
+    var = st.integers(0, arity - 1).map(lambda j: Poly.var(ring, arity, j))
+    kind = draw(st.sampled_from(("var", "const", "zero", "monomial", "linear")))
+    if kind == "var":
+        return draw(var)
+    if kind == "const":
+        return Poly.const(ring, arity, draw(coeff))
+    if kind == "zero":
+        return Poly.zero(ring, arity)
+    if kind == "monomial":
+        return Poly(ring, arity, {draw(_exponents(arity, 2)): draw(coeff)})
+    return draw(var) + draw(var) * draw(var).scale(draw(coeff))
+
+
+@st.composite
+def subst_cases(draw):
+    """A polynomial (arity <= 4, degree <= 4), images over a target arity
+    <= 4 and the ring.  With `cancel`, two inputs get the same image and the
+    polynomial carries P - P(x_j <-> x_i), so the whole of that part cancels."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    arity = draw(st.integers(1, 4))
+    target = draw(st.integers(1, 4))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6))
+    table = draw(st.dictionaries(_exponents(arity, 4), coeff, max_size=6))
+    poly = Poly(ring, arity, {e: _coefficient(ring, *c) for e, c in table.items()})
+    images = [draw(subst_images(ring, target)) for _ in range(arity)]
+    if arity > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(arity)))[:2]
+        images[j] = images[i]
+        swapped = {}
+        for e, c in poly.terms.items():
+            e = list(e)
+            e[i], e[j] = e[j], e[i]
+            swapped[tuple(e)] = c
+        poly = poly - Poly(ring, arity, swapped)
+        poly = poly + Poly(ring, arity, {e: _coefficient(ring, *c) for e, c in
+                                         draw(st.dictionaries(_exponents(arity, 4),
+                                                              coeff, max_size=2)).items()})
+    return ring, poly, images, target
+
+
+def _assert_subst_matches(poly: Poly, images, target: int) -> Poly:
+    got = poly.subst(images, target)
+    assert got == reference_subst(poly, images, target)
+    assert not any(got.ring.is_zero(c) for c in got.terms.values())
+    return got
+
+
+@given(subst_cases(), st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_subst_matches_reference(case, point):
+    ring, poly, images, target = case
+    got = _assert_subst_matches(poly, images, target)
+    # and, independently of every product loop, it commutes with evaluation
+    point = [ring.from_int(x) for x in point[:target]]
+    assert got.eval(point) == poly.eval([im.eval(point) for im in images])
+
+
+def test_subst_monomial_image_coefficients_vanish_mod_6():
+    ring = IntegersMod(6)
+    # x0*x1 -> 6*y0*y1, 3*x0 -> 6*y0 and 2*x1^3 -> 54*y1^3 all vanish
+    poly = Poly(ring, 2, {(1, 1): 1, (1, 0): 3, (0, 3): 2, (0, 2): 1, (0, 0): 5})
+    images = [Poly(ring, 2, {(1, 0): 2}), Poly(ring, 2, {(0, 1): 3})]
+    got = _assert_subst_matches(poly, images, 2)
+    assert got.terms == {(0, 2): 3, (0, 0): 5}
+
+
+def test_subst_over_polynomial_coefficients():
+    base = IntegersMod(6)
+    coeffs = PolyRing(base, 1)
+    a = Poly.var(base, 1, 0)
+    two = coeffs.from_int(2)
+    poly = Poly(coeffs, 2, {(2, 1): a, (0, 1): two, (1, 0): coeffs.from_int(3)})
+    monomial = [Poly(coeffs, 2, {(0, 1): a}), Poly(coeffs, 2, {(1, 0): two})]
+    linear = [Poly.var(coeffs, 2, 0) + Poly.var(coeffs, 2, 1).scale(a),
+              Poly.const(coeffs, 2, coeffs.from_int(3))]
+    for images in (monomial, linear):
+        _assert_subst_matches(poly, images, 2)
+
