@@ -191,12 +191,13 @@ class _Parser:
             t = self.peek()
             if t.kind != "num":
                 self.fail("expected a natural number exponent")
-            k = int(t.text)
-            if k > MAX_EXPONENT:
+            # compare digits first: int() refuses literals over 4300 digits
+            digits = t.text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent {t.text} exceeds the maximum "
                                  f"{MAX_EXPONENT}", t.line, t.col)
             self.next()
-            base = base ** k
+            base = base ** int(digits)
         return base
 
     def parse_base(self) -> Poly:

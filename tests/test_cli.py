@@ -161,6 +161,9 @@ def test_exponent_above_the_bound_is_a_parse_error(capsys, monkeypatch):
     err = _usage_error(capsys, ["slope", "--expr", "f(x)=x^99999999999"])
     assert "exponent 99999999999 exceeds the maximum 64" in err
     assert "column 8" in err
+    for exponent in ("65", "0065", "9" * 5000):
+        err = _usage_error(capsys, ["slope", "--expr", f"f(x)=x^{exponent}"])
+        assert "exceeds the maximum 64 at line 1, column 8" in err
 
 
 def test_exponent_at_the_bound_parses():
@@ -168,6 +171,7 @@ def test_exponent_at_the_bound_parses():
 
     f = parse(f"f(x) = x^{MAX_EXPONENT}")
     assert f.eval([2]) == [2 ** MAX_EXPONENT]
+    assert parse("f(x) = x^0064 + x^00") == f.add(parse("f(x) = 1"))
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
