@@ -116,12 +116,6 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be at least 1, got {samples}")
 
 
-def _points_equal(a: dict, b: dict) -> bool:
-    if a.keys() != b.keys():
-        return False
-    return all(a[k] == b[k] for k in a)
-
-
 def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
                         samples: int = 50) -> list[CheckReport]:
     """Category (and groupoid) axioms of one edge on exact random samples."""
@@ -141,37 +135,36 @@ def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
 
     for y in e.cod.sample(rng, samples):
         zy = _ev(e.unit, y)
-        unit_st.check(_points_equal(_ev(e.source, zy), y)
-                      and _points_equal(_ev(e.target, zy), y),
+        unit_st.check(_ev(e.source, zy) == y and _ev(e.target, zy) == y,
                       lambda y=y: {"object": _fmt_point(y, ring)})
 
     for pair in _sample_via_param(e.pair_param, e.dom, rng, samples):
         a, b = pair["a"], pair["b"]
         wit = lambda a=a, b=b: {"left": _fmt_point(a, ring), "right": _fmt_point(b, ring)}
         c = _ev_tagged(e.compose, {"a": a, "b": b})
-        comp_st.check(_points_equal(_ev(e.source, c), _ev(e.source, b))
-                      and _points_equal(_ev(e.target, c), _ev(e.target, a)), wit)
+        comp_st.check(_ev(e.source, c) == _ev(e.source, b)
+                      and _ev(e.target, c) == _ev(e.target, a), wit)
         za = _ev(e.unit, _ev(e.source, a))
         zb = _ev(e.unit, _ev(e.target, b))
-        unit_abs.check(_points_equal(_ev_tagged(e.compose, {"a": a, "b": za}), a)
-                       and _points_equal(_ev_tagged(e.compose, {"a": zb, "b": b}), b), wit)
+        unit_abs.check(_ev_tagged(e.compose, {"a": a, "b": za}) == a
+                       and _ev_tagged(e.compose, {"a": zb, "b": b}) == b, wit)
         if inv_laws is not None:
             ia = _ev(e.inverse, a)
             inv_laws.check(
-                _points_equal(_ev(e.source, ia), _ev(e.target, a))
-                and _points_equal(_ev(e.target, ia), _ev(e.source, a))
-                and _points_equal(_ev_tagged(e.compose, {"a": ia, "b": a}),
-                                  _ev(e.unit, _ev(e.source, a)))
-                and _points_equal(_ev_tagged(e.compose, {"a": a, "b": ia}),
-                                  _ev(e.unit, _ev(e.target, a))),
+                _ev(e.source, ia) == _ev(e.target, a)
+                and _ev(e.target, ia) == _ev(e.source, a)
+                and (_ev_tagged(e.compose, {"a": ia, "b": a})
+                     == _ev(e.unit, _ev(e.source, a)))
+                and (_ev_tagged(e.compose, {"a": a, "b": ia})
+                     == _ev(e.unit, _ev(e.target, a))),
                 lambda a=a: {"element": _fmt_point(a, ring)})
 
     for trip in _sample_via_param(e.triple_param, e.dom, rng, samples):
         a, b, c = trip["a"], trip["b"], trip["c"]
         ab = _ev_tagged(e.compose, {"a": a, "b": b})
         bc = _ev_tagged(e.compose, {"a": b, "b": c})
-        assoc.check(_points_equal(_ev_tagged(e.compose, {"a": ab, "b": c}),
-                                  _ev_tagged(e.compose, {"a": a, "b": bc})),
+        assoc.check(_ev_tagged(e.compose, {"a": ab, "b": c})
+                    == _ev_tagged(e.compose, {"a": a, "b": bc}),
                     lambda a=a, b=b, c=c: {"a": _fmt_point(a, ring),
                                            "b": _fmt_point(b, ring),
                                            "c": _fmt_point(c, ring)})
@@ -268,13 +261,13 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
                 down_j = _ev(m_j, a)          # at gamma+i
                 mj_bot = ej_bot.source if m_j is ej_top.source else ej_bot.target
                 mi_bot = ei_bot.source if m_i is ei_top.source else ei_bot.target
-                ok = ok and _points_equal(_ev(mj_bot, down_i), _ev(mi_bot, down_j))
+                ok = ok and _ev(mj_bot, down_i) == _ev(mi_bot, down_j)
         proj_comm.check(ok, lambda a=a: {"element": _fmt_point(a, ring)})
 
     for y in ei_bot.cod.sample(rng, samples):
         via_i = _ev(ej_top.unit, _ev(ei_bot.unit, y))
         via_j = _ev(ei_top.unit, _ev(ej_bot.unit, y))
-        unit_comm.check(_points_equal(via_i, via_j),
+        unit_comm.check(via_i == via_j,
                         lambda y=y: {"object": _fmt_point(y, ring)})
 
     # projections are morphisms: pi_sigma^{j-top}(a *_i b) equals
@@ -288,7 +281,7 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
             for m in (proj_edge.source, proj_edge.target):
                 lhs = _ev(m, comp)
                 rhs = _ev_tagged(img_edge.compose, {"a": _ev(m, a), "b": _ev(m, b)})
-                ok = ok and _points_equal(lhs, rhs)
+                ok = ok and lhs == rhs
             proj_fun.check(ok, lambda a=a, b=b: {"left": _fmt_point(a, ring),
                                                  "right": _fmt_point(b, ring)})
 
@@ -300,7 +293,7 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
             lhs = _ev(unit_edge.unit, _ev_tagged(pair_edge.compose, {"a": u, "b": v}))
             rhs = _ev_tagged(top_edge.compose, {"a": _ev(unit_edge.unit, u),
                                                 "b": _ev(unit_edge.unit, v)})
-            unit_fun.check(_points_equal(lhs, rhs),
+            unit_fun.check(lhs == rhs,
                            lambda u=u, v=v: {"left": _fmt_point(u, ring),
                                              "right": _fmt_point(v, ring)})
 
@@ -315,7 +308,7 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
         ac = _ev_tagged(ej_top.compose, {"a": a, "b": c})
         bd = _ev_tagged(ej_top.compose, {"a": b, "b": d})
         rhs = _ev_tagged(ei_top.compose, {"a": ac, "b": bd})
-        inter.check(_points_equal(lhs, rhs),
+        inter.check(lhs == rhs,
                     lambda a=a, b=b, c=c, d=d: {
                         "a": _fmt_point(a, ring), "b": _fmt_point(b, ring),
                         "c": _fmt_point(c, ring), "d": _fmt_point(d, ring)})
@@ -344,18 +337,18 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
         for a in e.dom.sample(rng, samples):
             fa = _ev(f_hi, a)
             st_run.check(
-                _points_equal(_ev(e2.source, fa), _ev(f_lo, _ev(e.source, a)))
-                and _points_equal(_ev(e2.target, fa), _ev(f_lo, _ev(e.target, a))),
+                _ev(e2.source, fa) == _ev(f_lo, _ev(e.source, a))
+                and _ev(e2.target, fa) == _ev(f_lo, _ev(e.target, a)),
                 lambda a=a: {"element": _fmt_point(a, ring)})
         for y in e.cod.sample(rng, samples):
             z_run.check(
-                _points_equal(_ev(e2.unit, _ev(f_lo, y)), _ev(f_hi, _ev(e.unit, y))),
+                _ev(e2.unit, _ev(f_lo, y)) == _ev(f_hi, _ev(e.unit, y)),
                 lambda y=y: {"object": _fmt_point(y, ring)})
         for pair in _sample_via_param(e.pair_param, e.dom, rng, samples):
             a, b = pair["a"], pair["b"]
             lhs = _ev(f_hi, _ev_tagged(e.compose, {"a": a, "b": b}))
             rhs = _ev_tagged(e2.compose, {"a": _ev(f_hi, a), "b": _ev(f_hi, b)})
-            c_run.check(_points_equal(lhs, rhs),
+            c_run.check(lhs == rhs,
                         lambda a=a, b=b: {"left": _fmt_point(a, ring),
                                           "right": _fmt_point(b, ring)})
         out.extend((st_run.report, z_run.report, c_run.report))

@@ -8,6 +8,7 @@ text or JSON (--format); everything is exact and deterministically ordered.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -315,10 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: parse_args keeps no
+    state between calls, and argparse looks up sys.stderr when it prints."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ExactDivisionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

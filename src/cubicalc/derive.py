@@ -22,9 +22,23 @@ KIND_MONOMIAL_RANK = {"t": 0, "s": 1, "v": 2}
 
 @dataclass(frozen=True)
 class CoordLabel:
+    """A coordinate label.  Its hash is computed once, when it is built: a
+    label is hashed on every dict lookup of a sampled check.  Pickling
+    rebuilds the label through its constructor, so the cached hash, which
+    depends on the process's str hashes, is never carried over."""
+
     kind: str
     index: frozenset
     comp: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.index, self.comp)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return CoordLabel, (self.kind, self.index, self.comp)
 
     def display(self) -> str:
         base = self.kind + subset_label(self.index)

@@ -325,7 +325,7 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
     composable pairs (exact rational arithmetic)."""
     import random
 
-    from .checks import (_ev, _ev_tagged, _fmt_point, _LawRun, _points_equal,
+    from .checks import (_ev, _ev_tagged, _fmt_point, _LawRun,
                          _sample_via_param)
 
     ring = plaw.ring
@@ -345,12 +345,12 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
             fa = plaw.vertex_value(e.hi, a)
             fb = plaw.vertex_value(e.hi, b)
             st_run.check(
-                _points_equal(_ev(e2.source, fa), plaw.vertex_value(e.lo, _ev(e.source, a)))
-                and _points_equal(_ev(e2.target, fa), plaw.vertex_value(e.lo, _ev(e.target, a))),
+                _ev(e2.source, fa) == plaw.vertex_value(e.lo, _ev(e.source, a))
+                and _ev(e2.target, fa) == plaw.vertex_value(e.lo, _ev(e.target, a)),
                 lambda a=a: {"element": _fmt_point(a, ring)})
             lhs = plaw.vertex_value(e.hi, _ev_tagged(e.compose, {"a": a, "b": b}))
             rhs = _ev_tagged(e2.compose, {"a": fa, "b": fb})
-            c_run.check(_points_equal(lhs, rhs),
+            c_run.check(lhs == rhs,
                         lambda a=a, b=b: {"left": _fmt_point(a, ring),
                                           "right": _fmt_point(b, ring)})
         out.extend((st_run.report, c_run.report))

@@ -309,18 +309,22 @@ def _mul_into(acc: dict, ring: Ring, a: dict, b: dict) -> dict:
 class _Kernel:
     """Exact integer evaluator of a list of polynomials over Q or Z/m.
 
-    Built once in O(terms): each component keeps the lcm L of its coefficient
-    denominators and, per term, the integer c*L with the positions of its
-    powers in a flat row of the used variables.  For inputs p_i/q_i and
-    D = prod q_i^maxe_i, a component's value is N/(D*L) with
-    N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i); the ring turns that
-    ratio into its scalar with `Ring.from_ratio`.
+    Built once in O(terms).  A component that is one input variable with
+    coefficient one is copied: its value is that input, through
+    `Ring.from_rational`.  Every other component keeps the lcm L of its
+    coefficient denominators and, per term, the integer c*L with the
+    positions of its powers in a flat row of the variables those components
+    use.  For inputs p_i/q_i and D = prod q_i^maxe_i, such a component's
+    value is N/(D*L) with N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i);
+    the ring turns that ratio into its scalar with `Ring.from_ratio`.
     """
 
     __slots__ = ("tops", "comps")
 
     def __init__(self, polys: Sequence[Poly]):
-        exps = [e for poly in polys for e in poly.terms]
+        copied = [_bare_var(poly) for poly in polys]
+        exps = [e for poly, var in zip(polys, copied) if var is None
+                for e in poly.terms]
         maxe = [max(col) for col in zip(*exps)]
         self.tops = tuple((i, k) for i, k in enumerate(maxe) if k)
         # power k of variable i sits at offset[i] + k of the flat rows
@@ -330,9 +334,12 @@ class _Kernel:
             offset[i] = at
             at += k + 1
         comps = []
-        for poly in polys:
+        for poly, var in zip(polys, copied):
+            if var is not None:
+                comps.append((var, 0, ()))
+                continue
             den = lcm(*(c.denominator for c in poly.terms.values()))
-            comps.append((den, tuple(
+            comps.append((None, den, tuple(
                 (c.numerator * (den // c.denominator),
                  tuple(offset[i] + k for i, k in enumerate(e) if k))
                 for e, c in poly.terms.items())))
@@ -355,7 +362,10 @@ class _Kernel:
             dens.append(qk)
             D *= qk
         out = []
-        for den, terms in self.comps:
+        for i, den, terms in self.comps:
+            if i is not None:
+                out.append(ring.from_rational(values[i]))
+                continue
             N = 0
             for c, idx in terms:
                 d = 1
@@ -365,6 +375,16 @@ class _Kernel:
                 N += c * (D // d)
             out.append(ring.from_ratio(N, D * den))
         return out
+
+
+def _bare_var(poly: Poly) -> int | None:
+    """The index i when poly is exactly x_i with coefficient one, else None."""
+    if len(poly.terms) != 1:
+        return None
+    (e, c), = poly.terms.items()
+    if c != 1 or sum(e) != 1:
+        return None
+    return e.index(1)
 
 
 class PolyRing(Ring):

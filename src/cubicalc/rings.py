@@ -34,6 +34,10 @@ class Ring:
         """The scalar num/den of two integers, den > 0."""
         raise NotImplementedError
 
+    def from_rational(self, x) -> Scalar:
+        """The scalar of an exact rational x (an int or a Fraction)."""
+        return self.from_ratio(x.numerator, x.denominator)
+
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         raise NotImplementedError
 
@@ -94,6 +98,9 @@ class Rationals(Ring):
 
     def from_ratio(self, num, den):
         return Fraction(num, den)
+
+    def from_rational(self, x):
+        return x if type(x) is Fraction else Fraction(x.numerator, x.denominator)
 
     def add(self, a, b):
         return a + b

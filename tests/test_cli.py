@@ -187,3 +187,31 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error: monomial (1, 0)")
     assert "Traceback" not in captured.err
+
+
+def test_requests_in_one_process_share_the_parser(capsys):
+    from cubicalc.cli import _parser
+
+    argv = ["check", "--construction", "pg", "--n", "1", "--samples", "3"]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--n", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cubicalc check")
+        assert captured.err.rstrip().endswith(
+            "error: the following arguments are required: --construction")
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "PG^1: 5 laws checked, all pass\n"
+        assert captured.err == ""
+    assert _parser() is _parser()
+
+
+def test_check_rejects_dimension_above_bound(capsys):
+    from cubicalc.hypercube import MAX_DIM
+
+    err = _usage_error(capsys, ["check", "--construction", "pg",
+                                "--n", str(MAX_DIM + 1)])
+    assert f"dimension must be in 0..{MAX_DIM}, got {MAX_DIM + 1}" in err

@@ -152,6 +152,10 @@ def kernel_cases(draw):
     coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6))
     comps = []
     for _ in range(draw(st.integers(0, 3))):
+        # most components evaluated in a sampled check are one bare variable
+        if draw(st.booleans()):
+            comps.append(Poly.var(ring, arity, draw(st.integers(0, arity - 1))))
+            continue
         table = draw(st.dictionaries(exps, coeff, max_size=6))
         comps.append(Poly(ring, arity, {e: _coefficient(ring, *c)
                                         for e, c in table.items()}))
@@ -197,6 +201,31 @@ def test_kernel_zero_constant_and_unused_variables(ring):
     for point in points:
         _assert_kernel_matches(f, point)
     assert PolyMap(ring, labels, ()).eval([1, 2, 3]) == []
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS)
+def test_kernel_copies_bare_variables(ring):
+    labels = ("x", "y", "z")
+    x, y, z = (Poly.var(ring, 3, i) for i in range(3))
+    bare = PolyMap(ring, labels, (z, x, z))
+    assert bare._kernel.tops == ()
+    mixed = PolyMap(ring, labels, (y, x * x + z.scale(ring.from_int(3)), x, y * z))
+    if ring is QQ:
+        points = [[Fraction(-1, 3), 2, Fraction(7, 4)], [0, -5, Fraction(5, 2)]]
+    else:
+        m = ring.m
+        points = [[-1, -m - 2, 3 * m + 1], [m, 2 * m - 1, -m]]
+    for point in points:
+        for f in (bare, mixed):
+            _assert_kernel_matches(f, point)
+    if ring is QQ:
+        a, b = Fraction(-1, 3), 2
+        got = mixed.eval([b, a, Fraction(7, 4)])
+        assert got[0] is a
+        assert type(got[2]) is Fraction and got[2] == b
+    else:
+        assert bare.eval([-1, -ring.m - 2, 3 * ring.m + 1]) == [
+            1, ring.m - 1, 1]
 
 
 def test_polymap_is_frozen():

@@ -226,3 +226,43 @@ def test_tangent_module_structure_via_scalar_action():
     assert src.name.startswith("Gsy^2_{0,0}") and dst.name.startswith("Gsy^2_{0,0}")
     reports = check_morphism(src, dst, maps, seed=8, samples=20)
     assert reports_ok(reports), first_failure(reports).to_json()
+
+
+def test_coord_label_hash_is_cached_and_not_pickled():
+    import dataclasses
+    import pickle
+
+    from cubicalc.derive import CoordLabel, display_label, partner, tlab
+
+    direct = vlab({1, 2}, 1)
+    routes = (partner(vlab({2}, 1), 1),
+              dataclasses.replace(vlab({3}), index=frozenset({1, 2}), comp=1),
+              CoordLabel("v", frozenset({2, 1}), 1))
+    table = {direct: "found"}
+    tagged = {("a", direct): "found"}
+    for other in routes:
+        assert other == direct and hash(other) == hash(direct)
+        assert table[other] == "found" and tagged[("a", other)] == "found"
+    assert tlab({1}) != vlab({1}) and partner(tlab(()), 1) == tlab({1})
+
+    # a stale cached hash must not survive a round trip: the label is rebuilt
+    stale = CoordLabel("v", frozenset({1, 2}), 1)
+    object.__setattr__(stale, "_hash", 0)
+    data = pickle.dumps(stale)
+    assert b"_hash" not in data
+    back = pickle.loads(data)
+    assert back == direct and hash(back) == hash(direct) and back in table
+
+    assert repr(direct) == "v12_1" and display_label(("b", direct)) == "b.v12_1"
+    assert repr(vlab(())) == "v0" and tlab({2}).display() == "t2"
+
+
+def test_vertex_enumeration_is_bounded():
+    from cubicalc.hypercube import MAX_DIM, HypercubeError
+    from cubicalc.presentation import subsets_presentation_vertices
+
+    assert len(subsets_presentation_vertices(0)) == 1
+    assert len(subsets_presentation_vertices(3)) == 8
+    for n in (-1, MAX_DIM + 1):
+        with pytest.raises(HypercubeError, match="dimension"):
+            subsets_presentation_vertices(n)
