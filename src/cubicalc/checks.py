@@ -3,6 +3,11 @@
 Every check evaluates exact ring arithmetic on sampled composable tuples; a
 pass is an identity on the sampled set, never an approximation.  Reports are
 JSON-able: law, location, status, witness, samples, seed.
+
+Points are positional: a point is the list of its values in its schema's
+`labels` order, and a tagged pair, triple or quadruple is the concatenation
+of its copies.  Each check resolves the maps it evaluates to positions once
+(`_plan`); labels come back only in witnesses.
 """
 from __future__ import annotations
 
@@ -10,9 +15,9 @@ import random
 from dataclasses import dataclass
 
 from .derive import display_label, tag_of
-from .polymap import PolyMap
-from .presentation import (EdgeCat, NFoldPresentation, SamplingError,
-                           attach_generic_params)
+from .polymap import PolyError, PolyMap
+from .presentation import (LEFT, RIGHT, EdgeCat, NFoldPresentation,
+                           SamplingError, attach_generic_params, tagged)
 
 
 @dataclass
@@ -47,37 +52,62 @@ def first_failure(reports):
     return None
 
 
-def _fmt_point(point: dict, ring) -> dict:
+def _fmt_point(labels, point: list, ring) -> dict:
     return {display_label(l): ring.fmt(v) for l, v in sorted(
-        point.items(), key=lambda kv: display_label(kv[0]))}
+        zip(labels, point), key=lambda kv: display_label(kv[0]))}
 
 
-def _ev(m: PolyMap, point: dict) -> dict:
-    return m.eval_labeled(point)
+def _plan(m: PolyMap, layout, order):
+    """`m` resolved once against positional points: the returned function
+    takes a point that lists its values in `layout` order and returns m's
+    value listed in `order`.  It gathers m's inputs from the point, calls
+    `m.eval` and permutes the outputs; an identity step is skipped."""
+    layout, order = tuple(layout), tuple(order)
+    if m.out_labels is None or len(m.out_labels) != len(order) \
+            or set(m.out_labels) != set(order):
+        raise PolyError(f"map outputs {m.out_labels} do not match {order}")
+    gather = perm = None
+    if m.in_labels != layout:
+        at = {l: i for i, l in enumerate(layout)}
+        gather = [at[l] for l in m.in_labels]
+    if m.out_labels != order:
+        at = {l: i for i, l in enumerate(m.out_labels)}
+        perm = [at[l] for l in order]
+    ev = m.eval
+    if gather is None and perm is None:
+        return ev
+
+    def run(point):
+        out = ev(point if gather is None else [point[i] for i in gather])
+        return out if perm is None else [out[i] for i in perm]
+    return run
 
 
-def _ev_tagged(m: PolyMap, points: dict) -> dict:
-    vals = {}
-    for l in m.in_labels:
-        tg = tag_of(l)
-        inner = l[1] if tg is not None else l
-        vals[l] = points[tg][inner]
-    return m.eval_labeled(vals)
+def _tuple_layout(tags, schema) -> tuple:
+    """The labels of a tagged tuple: the concatenation of one copy of the
+    schema labels per tag."""
+    return tuple(l for tag in tags for l in tagged(tag, schema.labels))
 
 
-def _split_tags(point: dict) -> dict:
-    out: dict = {}
-    for l, v in point.items():
-        tg = tag_of(l)
-        inner = l[1] if tg is not None else l
-        out.setdefault(tg, {})[inner] = v
-    return out
+def _edge_plans(e: EdgeCat) -> tuple:
+    """Source, target, unit and compose of an edge, on the positional points
+    of its own schemas."""
+    dom, cod = e.dom.labels, e.cod.labels
+    return (_plan(e.source, dom, cod), _plan(e.target, dom, cod),
+            _plan(e.unit, cod, dom),
+            _plan(e.compose, _tuple_layout((LEFT, RIGHT), e.dom), dom))
 
 
-def _sample_via_param(param: PolyMap, schema, rng, count, span=2, max_tries=5000):
-    """Evaluate a composability parameterization at random points; each tagged
-    copy must satisfy the morphism-schema constraints."""
+def _sample_tuples(param: PolyMap, schema, tags, rng, count, span=2,
+                   max_tries=5000) -> list[list]:
+    """Evaluate a composability parameterization at random points.  A tuple
+    is the concatenation of its tagged copies, in `tags` order; each copy
+    must satisfy the schema constraints."""
     ring = schema.ring
+    units = [(l[1] if tag_of(l) is not None else l) in schema.unit_labels
+             for l in param.in_labels]
+    ev = _plan(param, param.in_labels, _tuple_layout(tags, schema))
+    k = schema.dim()
     out = []
     tries = 0
     while len(out) < count:
@@ -85,15 +115,9 @@ def _sample_via_param(param: PolyMap, schema, rng, count, span=2, max_tries=5000
             raise SamplingError(
                 f"parameter sampling exhausted after {tries} tries")
         tries += 1
-        vals = {}
-        for l in param.in_labels:
-            inner = l[1] if tag_of(l) is not None else l
-            if inner in schema.unit_labels:
-                vals[l] = ring.rand_unit(rng, span)
-            else:
-                vals[l] = ring.rand(rng, span)
-        tup = _split_tags(param.eval_labeled(vals))
-        if all(schema.satisfies(pt) for pt in tup.values()):
+        tup = ev([ring.rand_unit(rng, span) if u else ring.rand(rng, span)
+                  for u in units])
+        if all(schema.satisfies(tup[j * k:(j + 1) * k]) for j in range(len(tags))):
             out.append(tup)
     return out
 
@@ -125,49 +149,50 @@ def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
     rng = random.Random(seed)
     ring = p.ring
     loc = _edge_loc(e)
+    dom, cod = e.dom.labels, e.cod.labels
+    k = len(dom)
+    source, target, unit, compose = _edge_plans(e)
+    inverse = _plan(e.inverse, dom, dom) if e.inverse is not None else None
 
     unit_st = _LawRun("unit-source-target", loc, seed)
     comp_st = _LawRun("compose-source-target", loc, seed)
     unit_abs = _LawRun("unit-absorption", loc, seed)
     assoc = _LawRun("associativity", loc, seed)
-    inv_laws = _LawRun("inverse", loc, seed) if e.inverse is not None else None
+    inv_laws = _LawRun("inverse", loc, seed) if inverse is not None else None
     runs = [unit_st, comp_st, unit_abs, assoc] + ([inv_laws] if inv_laws else [])
 
     for y in e.cod.sample(rng, samples):
-        zy = _ev(e.unit, y)
-        unit_st.check(_ev(e.source, zy) == y and _ev(e.target, zy) == y,
-                      lambda y=y: {"object": _fmt_point(y, ring)})
+        zy = unit(y)
+        unit_st.check(source(zy) == y and target(zy) == y,
+                      lambda y=y: {"object": _fmt_point(cod, y, ring)})
 
-    for pair in _sample_via_param(e.pair_param, e.dom, rng, samples):
-        a, b = pair["a"], pair["b"]
-        wit = lambda a=a, b=b: {"left": _fmt_point(a, ring), "right": _fmt_point(b, ring)}
-        c = _ev_tagged(e.compose, {"a": a, "b": b})
-        comp_st.check(_ev(e.source, c) == _ev(e.source, b)
-                      and _ev(e.target, c) == _ev(e.target, a), wit)
-        za = _ev(e.unit, _ev(e.source, a))
-        zb = _ev(e.unit, _ev(e.target, b))
-        unit_abs.check(_ev_tagged(e.compose, {"a": a, "b": za}) == a
-                       and _ev_tagged(e.compose, {"a": zb, "b": b}) == b, wit)
-        if inv_laws is not None:
-            ia = _ev(e.inverse, a)
+    for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):
+        a, b = pair[:k], pair[k:]
+        wit = lambda a=a, b=b: {"left": _fmt_point(dom, a, ring),
+                                "right": _fmt_point(dom, b, ring)}
+        c = compose(pair)
+        comp_st.check(source(c) == source(b) and target(c) == target(a), wit)
+        za = unit(source(a))
+        zb = unit(target(b))
+        unit_abs.check(compose(a + za) == a and compose(zb + b) == b, wit)
+        if inverse is not None:
+            ia = inverse(a)
             inv_laws.check(
-                _ev(e.source, ia) == _ev(e.target, a)
-                and _ev(e.target, ia) == _ev(e.source, a)
-                and (_ev_tagged(e.compose, {"a": ia, "b": a})
-                     == _ev(e.unit, _ev(e.source, a)))
-                and (_ev_tagged(e.compose, {"a": a, "b": ia})
-                     == _ev(e.unit, _ev(e.target, a))),
-                lambda a=a: {"element": _fmt_point(a, ring)})
+                source(ia) == target(a)
+                and target(ia) == source(a)
+                and compose(ia + a) == unit(source(a))
+                and compose(a + ia) == unit(target(a)),
+                lambda a=a: {"element": _fmt_point(dom, a, ring)})
 
-    for trip in _sample_via_param(e.triple_param, e.dom, rng, samples):
-        a, b, c = trip["a"], trip["b"], trip["c"]
-        ab = _ev_tagged(e.compose, {"a": a, "b": b})
-        bc = _ev_tagged(e.compose, {"a": b, "b": c})
-        assoc.check(_ev_tagged(e.compose, {"a": ab, "b": c})
-                    == _ev_tagged(e.compose, {"a": a, "b": bc}),
-                    lambda a=a, b=b, c=c: {"a": _fmt_point(a, ring),
-                                           "b": _fmt_point(b, ring),
-                                           "c": _fmt_point(c, ring)})
+    for trip in _sample_tuples(e.triple_param, e.dom, (LEFT, RIGHT, "c"), rng,
+                               samples):
+        a, b, c = trip[:k], trip[k:2 * k], trip[2 * k:]
+        ab = compose(trip[:2 * k])
+        bc = compose(trip[k:])
+        assoc.check(compose(ab + c) == compose(a + bc),
+                    lambda a=a, b=b, c=c: {"a": _fmt_point(dom, a, ring),
+                                           "b": _fmt_point(dom, b, ring),
+                                           "c": _fmt_point(dom, c, ring)})
 
     return [r.report for r in runs]
 
@@ -246,6 +271,16 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
     rng = random.Random(seed)
     ring = p.ring
     loc = f"face {_vertex_label(face[0])}>{_vertex_label(face[1])}"
+    # the four vertex schemas: alpha on top, gamma+j below it in direction
+    # i, gamma+i below it in direction j, gamma at the bottom
+    top, at_gj, at_gi, bottom = ei_top.dom, ei_top.cod, ej_top.cod, ei_bot.cod
+
+    def move(m, frm, to):
+        return _plan(m, frm.labels, to.labels)
+
+    def composer(edge, schema):
+        return _plan(edge.compose, _tuple_layout((LEFT, RIGHT), schema),
+                     schema.labels)
 
     proj_comm = _LawRun("projections-commute", loc, seed)
     unit_comm = _LawRun("units-commute", loc, seed)
@@ -253,65 +288,74 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
     unit_fun = _LawRun("unit-functorial", loc, seed)
     inter = _LawRun("interchange", loc, seed)
 
-    for a in ei_top.dom.sample(rng, samples):
+    # down in direction i then j equals down in j then i, for the source or
+    # the target in each direction
+    squares = [(move(m_i, top, at_gj), move(mj_bot, at_gj, bottom),
+                move(m_j, top, at_gi), move(mi_bot, at_gi, bottom))
+               for m_i, mi_bot in ((ei_top.source, ei_bot.source),
+                                   (ei_top.target, ei_bot.target))
+               for m_j, mj_bot in ((ej_top.source, ej_bot.source),
+                                   (ej_top.target, ej_bot.target))]
+    for a in top.sample(rng, samples):
         ok = True
-        for m_i in (ei_top.source, ei_top.target):
-            for m_j in (ej_top.source, ej_top.target):
-                down_i = _ev(m_i, a)          # at gamma+j
-                down_j = _ev(m_j, a)          # at gamma+i
-                mj_bot = ej_bot.source if m_j is ej_top.source else ej_bot.target
-                mi_bot = ei_bot.source if m_i is ei_top.source else ei_bot.target
-                ok = ok and _ev(mj_bot, down_i) == _ev(mi_bot, down_j)
-        proj_comm.check(ok, lambda a=a: {"element": _fmt_point(a, ring)})
+        for down_i, then_j, down_j, then_i in squares:
+            ok = ok and then_j(down_i(a)) == then_i(down_j(a))
+        proj_comm.check(ok, lambda a=a: {"element": _fmt_point(top.labels, a, ring)})
 
-    for y in ei_bot.cod.sample(rng, samples):
-        via_i = _ev(ej_top.unit, _ev(ei_bot.unit, y))
-        via_j = _ev(ei_top.unit, _ev(ej_bot.unit, y))
-        unit_comm.check(via_i == via_j,
-                        lambda y=y: {"object": _fmt_point(y, ring)})
+    up_i = move(ei_bot.unit, bottom, at_gi)
+    up_i_j = move(ej_top.unit, at_gi, top)
+    up_j = move(ej_bot.unit, bottom, at_gj)
+    up_j_i = move(ei_top.unit, at_gj, top)
+    for y in bottom.sample(rng, samples):
+        unit_comm.check(up_i_j(up_i(y)) == up_j_i(up_j(y)),
+                        lambda y=y: {"object": _fmt_point(bottom.labels, y, ring)})
 
     # projections are morphisms: pi_sigma^{j-top}(a *_i b) equals
     # pi_sigma^{j-top}(a) *_{i-bot} pi_sigma^{j-top}(b), and with i, j swapped.
-    for pair_edge, proj_edge, img_edge in ((ei_top, ej_top, ei_bot),
-                                           (ej_top, ei_top, ej_bot)):
-        for pair in _sample_via_param(pair_edge.pair_param, pair_edge.dom, rng, samples):
-            a, b = pair["a"], pair["b"]
-            comp = _ev_tagged(pair_edge.compose, {"a": a, "b": b})
+    k = top.dim()
+    for pair_edge, proj_edge, img_edge, side in ((ei_top, ej_top, ei_bot, at_gi),
+                                                 (ej_top, ei_top, ej_bot, at_gj)):
+        compose = composer(pair_edge, top)
+        img_compose = composer(img_edge, side)
+        projs = [move(m, top, side) for m in (proj_edge.source, proj_edge.target)]
+        for pair in _sample_tuples(pair_edge.pair_param, top, (LEFT, RIGHT),
+                                   rng, samples):
+            a, b = pair[:k], pair[k:]
+            comp = compose(pair)
             ok = True
-            for m in (proj_edge.source, proj_edge.target):
-                lhs = _ev(m, comp)
-                rhs = _ev_tagged(img_edge.compose, {"a": _ev(m, a), "b": _ev(m, b)})
-                ok = ok and lhs == rhs
-            proj_fun.check(ok, lambda a=a, b=b: {"left": _fmt_point(a, ring),
-                                                 "right": _fmt_point(b, ring)})
+            for m in projs:
+                ok = ok and m(comp) == img_compose(m(a) + m(b))
+            proj_fun.check(ok, lambda a=a, b=b: {
+                "left": _fmt_point(top.labels, a, ring),
+                "right": _fmt_point(top.labels, b, ring)})
 
     # units are morphisms: z^{j-top}(u *_{i-bot} v) = z^{j-top}(u) *_{i-top} z^{j-top}(v)
-    for unit_edge, pair_edge, top_edge in ((ej_top, ei_bot, ei_top),
-                                           (ei_top, ej_bot, ej_top)):
-        for pair in _sample_via_param(pair_edge.pair_param, pair_edge.dom, rng, samples):
-            u, v = pair["a"], pair["b"]
-            lhs = _ev(unit_edge.unit, _ev_tagged(pair_edge.compose, {"a": u, "b": v}))
-            rhs = _ev_tagged(top_edge.compose, {"a": _ev(unit_edge.unit, u),
-                                                "b": _ev(unit_edge.unit, v)})
-            unit_fun.check(lhs == rhs,
-                           lambda u=u, v=v: {"left": _fmt_point(u, ring),
-                                             "right": _fmt_point(v, ring)})
+    for unit_edge, pair_edge, top_edge, side in ((ej_top, ei_bot, ei_top, at_gi),
+                                                 (ei_top, ej_bot, ej_top, at_gj)):
+        compose = composer(pair_edge, side)
+        top_compose = composer(top_edge, top)
+        up = move(unit_edge.unit, side, top)
+        n = side.dim()
+        for pair in _sample_tuples(pair_edge.pair_param, side, (LEFT, RIGHT),
+                                   rng, samples):
+            u, v = pair[:n], pair[n:]
+            unit_fun.check(up(compose(pair)) == top_compose(up(u) + up(v)),
+                           lambda u=u, v=v: {
+                               "left": _fmt_point(side.labels, u, ring),
+                               "right": _fmt_point(side.labels, v, ring)})
 
     quad_param = p.quad_params.get(face)
     if quad_param is None:
         quad_param = generic_quad_param(p, face)
-    for q in _sample_via_param(quad_param, ei_top.dom, rng, samples):
-        a, b, c, d = q["a"], q["b"], q["c"], q["d"]
-        ab = _ev_tagged(ei_top.compose, {"a": a, "b": b})
-        cd = _ev_tagged(ei_top.compose, {"a": c, "b": d})
-        lhs = _ev_tagged(ej_top.compose, {"a": ab, "b": cd})
-        ac = _ev_tagged(ej_top.compose, {"a": a, "b": c})
-        bd = _ev_tagged(ej_top.compose, {"a": b, "b": d})
-        rhs = _ev_tagged(ei_top.compose, {"a": ac, "b": bd})
-        inter.check(lhs == rhs,
-                    lambda a=a, b=b, c=c, d=d: {
-                        "a": _fmt_point(a, ring), "b": _fmt_point(b, ring),
-                        "c": _fmt_point(c, ring), "d": _fmt_point(d, ring)})
+    compose_i = composer(ei_top, top)
+    compose_j = composer(ej_top, top)
+    for q in _sample_tuples(quad_param, top, "abcd", rng, samples):
+        a, b, c, d = q[:k], q[k:2 * k], q[2 * k:3 * k], q[3 * k:]
+        lhs = compose_j(compose_i(a + b) + compose_i(c + d))
+        rhs = compose_i(compose_j(a + c) + compose_j(b + d))
+        inter.check(lhs == rhs, lambda a=a, b=b, c=c, d=d: {
+            tag: _fmt_point(top.labels, x, ring)
+            for tag, x in (("a", a), ("b", b), ("c", c), ("d", d))})
 
     return [r.report for r in (proj_comm, unit_comm, proj_fun, unit_fun, inter)]
 
@@ -328,29 +372,30 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
     for key, e in sorted(src.edges.items(), key=lambda kv: _edge_sort_key(kv[0])):
         attach_generic_params(e)
         e2 = dst.edges[key]
-        f_hi = vertex_maps[e.hi]
-        f_lo = vertex_maps[e.lo]
+        dom, cod = e.dom.labels, e.cod.labels
+        dom2, cod2 = e2.dom.labels, e2.cod.labels
+        k = len(dom)
+        f_hi = _plan(vertex_maps[e.hi], dom, dom2)
+        f_lo = _plan(vertex_maps[e.lo], cod, cod2)
+        source, target, unit, compose = _edge_plans(e)
+        source2, target2, unit2, compose2 = _edge_plans(e2)
         loc = _edge_loc(e)
         st_run = _LawRun("morphism-source-target", loc, seed)
         z_run = _LawRun("morphism-unit", loc, seed)
         c_run = _LawRun("morphism-compose", loc, seed)
         for a in e.dom.sample(rng, samples):
-            fa = _ev(f_hi, a)
+            fa = f_hi(a)
             st_run.check(
-                _ev(e2.source, fa) == _ev(f_lo, _ev(e.source, a))
-                and _ev(e2.target, fa) == _ev(f_lo, _ev(e.target, a)),
-                lambda a=a: {"element": _fmt_point(a, ring)})
+                source2(fa) == f_lo(source(a)) and target2(fa) == f_lo(target(a)),
+                lambda a=a: {"element": _fmt_point(dom, a, ring)})
         for y in e.cod.sample(rng, samples):
-            z_run.check(
-                _ev(e2.unit, _ev(f_lo, y)) == _ev(f_hi, _ev(e.unit, y)),
-                lambda y=y: {"object": _fmt_point(y, ring)})
-        for pair in _sample_via_param(e.pair_param, e.dom, rng, samples):
-            a, b = pair["a"], pair["b"]
-            lhs = _ev(f_hi, _ev_tagged(e.compose, {"a": a, "b": b}))
-            rhs = _ev_tagged(e2.compose, {"a": _ev(f_hi, a), "b": _ev(f_hi, b)})
-            c_run.check(lhs == rhs,
-                        lambda a=a, b=b: {"left": _fmt_point(a, ring),
-                                          "right": _fmt_point(b, ring)})
+            z_run.check(unit2(f_lo(y)) == f_hi(unit(y)),
+                        lambda y=y: {"object": _fmt_point(cod, y, ring)})
+        for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):
+            a, b = pair[:k], pair[k:]
+            c_run.check(f_hi(compose(pair)) == compose2(f_hi(a) + f_hi(b)),
+                        lambda a=a, b=b: {"left": _fmt_point(dom, a, ring),
+                                          "right": _fmt_point(dom, b, ring)})
         out.extend((st_run.report, z_run.report, c_run.report))
     return out
 

@@ -27,6 +27,11 @@ from .tables import edge_table, render_rows, vertex_table
 from .twotyped import g_overline
 
 
+# largest `eval --digits`: rendering scales by 10**digits, so the cost of one
+# value grows with the digits asked for
+MAX_DIGITS = 1000
+
+
 class UsageError(ValueError):
     pass
 
@@ -60,10 +65,15 @@ def _parse_directions(text: str) -> tuple:
     return N
 
 
-def _require_positive(name: str, value: int) -> int:
-    if value < 1:
-        raise UsageError(f"{name} must be at least 1, got {value}")
+def _require_range(name: str, value: int, least: int, most: int | None = None) -> int:
+    if value < least or (most is not None and value > most):
+        bound = f"at least {least}" if most is None else f"between {least} and {most}"
+        raise UsageError(f"{name} must be {bound}, got {value}")
     return value
+
+
+def _require_positive(name: str, value: int) -> int:
+    return _require_range(name, value, 1)
 
 
 def _emit(args, payload_text: str, payload_json):
@@ -158,6 +168,7 @@ def cmd_check(args) -> int:
     ring = ring_from_spec(args.ring)
     n = _require_positive("--n", args.n)
     _require_positive("--samples", args.samples)
+    _require_range("--vdim", args.vdim, 0)
     kind = args.construction
     if kind == "pg":
         pres = pair_groupoid(n, args.vdim, ring)
@@ -216,7 +227,9 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     ring = ring_from_spec(args.ring)
     f = parse(_read_expr(args), ring)
-    n = args.order
+    n = _require_positive("--order", args.order)
+    if args.digits is not None:
+        _require_range("--digits", args.digits, 0, MAX_DIGITS)
     p = f.in_arity
     point = _parse_scalars(ring, args.point, p)
     t = _parse_scalars(ring, args.t, n)

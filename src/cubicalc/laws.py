@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .checks import CheckReport, check_morphism
+from .checks import (CheckReport, _edge_plans, _fmt_point, _LawRun,
+                     _sample_tuples, check_morphism)
 from .constructions import gfull, gsy, gsy_scalar_action, _subsets, _tprod
 from .derive import (CoordLabel, derive_polymap, extend_polymap, schema_key,
                      tlab, vlab)
 from .extension import ExtElement, eval_over_extension
 from .polymap import Poly, PolyMap, PolyRing
-from .presentation import NFoldPresentation, attach_generic_params
+from .presentation import LEFT, RIGHT, NFoldPresentation, attach_generic_params
 from .rings import QQ, Ring, RingError
 from .slopes import sym_slope_iterated
 
@@ -325,8 +326,9 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
     composable pairs (exact rational arithmetic)."""
     import random
 
-    from .checks import (_ev, _ev_tagged, _fmt_point, _LawRun,
-                         _sample_via_param)
+    def law_at(vertex, labels, point, order):
+        value = plaw.vertex_value(vertex, dict(zip(labels, point)))
+        return [value[l] for l in order]
 
     ring = plaw.ring
     src = gsy(plaw.n, list(plaw.t), vdim=in_dim, ring=ring)
@@ -337,22 +339,26 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
                                                 sorted(k[0]))):
         e = attach_generic_params(src.edges[key])
         e2 = dst.edges[key]
+        dom, cod = e.dom.labels, e.cod.labels
+        dom2, cod2 = e2.dom.labels, e2.cod.labels
+        k = len(dom)
+        source, target, _, compose = _edge_plans(e)
+        source2, target2, _, compose2 = _edge_plans(e2)
         loc = f"edge {sorted(key[0])}>{sorted(key[1])}"
         st_run = _LawRun("finite-law-source-target", loc, seed)
         c_run = _LawRun("finite-law-compose", loc, seed)
-        for pair in _sample_via_param(e.pair_param, e.dom, rng, samples):
-            a, b = pair["a"], pair["b"]
-            fa = plaw.vertex_value(e.hi, a)
-            fb = plaw.vertex_value(e.hi, b)
+        for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):
+            a, b = pair[:k], pair[k:]
+            fa = law_at(e.hi, dom, a, dom2)
+            fb = law_at(e.hi, dom, b, dom2)
             st_run.check(
-                _ev(e2.source, fa) == plaw.vertex_value(e.lo, _ev(e.source, a))
-                and _ev(e2.target, fa) == plaw.vertex_value(e.lo, _ev(e.target, a)),
-                lambda a=a: {"element": _fmt_point(a, ring)})
-            lhs = plaw.vertex_value(e.hi, _ev_tagged(e.compose, {"a": a, "b": b}))
-            rhs = _ev_tagged(e2.compose, {"a": fa, "b": fb})
-            c_run.check(lhs == rhs,
-                        lambda a=a, b=b: {"left": _fmt_point(a, ring),
-                                          "right": _fmt_point(b, ring)})
+                source2(fa) == law_at(e.lo, cod, source(a), cod2)
+                and target2(fa) == law_at(e.lo, cod, target(a), cod2),
+                lambda a=a: {"element": _fmt_point(dom, a, ring)})
+            lhs = law_at(e.hi, dom, compose(pair), dom2)
+            c_run.check(lhs == compose2(fa + fb),
+                        lambda a=a, b=b: {"left": _fmt_point(dom, a, ring),
+                                          "right": _fmt_point(dom, b, ring)})
         out.extend((st_run.report, c_run.report))
     return out
 

@@ -31,14 +31,17 @@ class BoxConstraint:
     lo: object
     hi: object
 
-    def holds(self, point: dict) -> bool:
-        vals = self.expr.eval([point[l] for l in self.expr.in_labels])
-        return all(self.lo <= v <= self.hi for v in vals)
+    def holds(self, point: list) -> bool:
+        """`point` lists the values of expr's inputs, the schema labels, in
+        their order."""
+        return all(self.lo <= v <= self.hi for v in self.expr.eval(point))
 
 
 @dataclass(frozen=True)
 class CoordSchema:
-    """Affine coordinate description of one vertex set."""
+    """Affine coordinate description of one vertex set.
+
+    A point of the schema is a list of its values in `labels` order."""
 
     ring: Ring
     labels: tuple
@@ -47,15 +50,21 @@ class CoordSchema:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
+        for c in self.constraints:
+            if c.expr.in_labels != self.labels:
+                raise PolyError("a constraint must take the schema labels, "
+                                "in schema order, as its inputs")
 
     def dim(self) -> int:
         return len(self.labels)
 
-    def satisfies(self, point: dict) -> bool:
+    def satisfies(self, point: list) -> bool:
         return all(c.holds(point) for c in self.constraints)
 
-    def sample(self, rng, count: int = 1, span: int = 2, max_tries: int = 5000) -> list[dict]:
+    def sample(self, rng, count: int = 1, span: int = 2, max_tries: int = 5000) -> list[list]:
         """Random exact points satisfying all constraints (rejection sampling)."""
+        ring = self.ring
+        units = [l in self.unit_labels for l in self.labels]
         out = []
         tries = 0
         while len(out) < count:
@@ -65,12 +74,8 @@ class CoordSchema:
                     f"{self.dim()}-coordinate schema with "
                     f"{len(self.constraints)} constraints")
             tries += 1
-            point = {}
-            for l in self.labels:
-                if l in self.unit_labels:
-                    point[l] = self.ring.rand_unit(rng, span)
-                else:
-                    point[l] = self.ring.rand(rng, span)
+            point = [ring.rand_unit(rng, span) if u else ring.rand(rng, span)
+                     for u in units]
             if self.satisfies(point):
                 out.append(point)
         return out

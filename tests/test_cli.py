@@ -215,3 +215,44 @@ def test_check_rejects_dimension_above_bound(capsys):
     err = _usage_error(capsys, ["check", "--construction", "pg",
                                 "--n", str(MAX_DIM + 1)])
     assert f"dimension must be in 0..{MAX_DIM}, got {MAX_DIM + 1}" in err
+
+
+def test_check_vdim_zero_on_every_construction(capsys):
+    from cubicalc.cli import _CONSTRUCTIONS
+
+    for kind in _CONSTRUCTIONS:
+        assert run(["check", "--construction", kind, "--n", "2", "--vdim", "0",
+                    "--samples", "3"]) == 0, kind
+        assert capsys.readouterr().err == ""
+    assert run(["check", "--construction", "gsy", "--n", "2", "--vdim", "0",
+                "--s", "2,3", "--samples", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "Gsy^2_{1,1} with Phi_s: all pass"
+
+
+def test_check_rejects_negative_vdim(capsys):
+    for kind in ("pg", "gsy", "scaleoid"):
+        err = _usage_error(capsys, ["check", "--construction", kind,
+                                    "--vdim", "-1"])
+        assert err == "error: --vdim must be at least 0, got -1"
+
+
+_EVAL_5_3 = ["eval", "--expr", "f(x)=x^2", "--point", "1", "--v", "2",
+             "--t", "1/3"]  # 16/3
+
+
+def test_eval_digits_bounds(capsys):
+    from cubicalc.cli import MAX_DIGITS
+
+    for digits in ("-2", "-1", str(MAX_DIGITS + 1), "100000000"):
+        err = _usage_error(capsys, _EVAL_5_3 + ["--digits", digits])
+        assert err == f"error: --digits must be between 0 and {MAX_DIGITS}, got {digits}"
+    assert run(_EVAL_5_3 + ["--digits", "0"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert run(_EVAL_5_3 + ["--digits", str(MAX_DIGITS)]) == 0
+    assert capsys.readouterr().out == "5." + "3" * MAX_DIGITS + "\n"
+
+
+def test_eval_rejects_order_below_one(capsys):
+    for order in ("0", "-1"):
+        err = _usage_error(capsys, _EVAL_5_3 + ["--order", order])
+        assert err == f"error: --order must be at least 1, got {order}"

@@ -184,7 +184,7 @@ def test_finite_part_gfull_unit_scales():
     p = finite_part(2, "gfull")
     sch = p.schemas[fs({1, 2})]
     assert tlab({1}) in sch.unit_labels and tlab({2}) in sch.unit_labels
-    pts = sch.sample(random.Random(0), 10)
+    pts = [dict(zip(sch.labels, pt)) for pt in sch.sample(random.Random(0), 10)]
     for pt in pts:
         assert pt[tlab({1})] != 0 and pt[tlab({2})] != 0
 

@@ -177,7 +177,9 @@ def test_finite_law_polynomial_agrees_with_derived(rng):
     law = derive_law_sym(f, 2, t)
     g = gsy(2, t)
     for alpha in g.vertices:
-        for pt in g.schemas[alpha].sample(random.Random(15), 10):
+        sch = g.schemas[alpha]
+        for pt in sch.sample(random.Random(15), 10):
+            pt = dict(zip(sch.labels, pt))
             assert plaw.vertex_value(alpha, pt) == \
                 law.vertex_maps[alpha].eval_labeled(pt)
 

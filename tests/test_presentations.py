@@ -46,7 +46,7 @@ def test_axiom_suites_small():
 def test_gsy_constrained_box_sampling():
     p = gsy(1, [F(1)], vdim=1, box=(F(0), F(1)))
     sch = p.schemas[fs({1})]
-    pts = sch.sample(random.Random(4), 20)
+    pts = [dict(zip(sch.labels, pt)) for pt in sch.sample(random.Random(4), 20)]
     for pt in pts:
         v0 = pt[vlab((), 0)]
         v1 = pt[vlab({1}, 0)]
@@ -140,19 +140,24 @@ def test_gsy_anchor_is_morphism_and_pg_closed():
     assert reports_ok(reports), first_failure(reports).to_json()
     # n-fold equivalence relation: the anchor image is closed under the PG
     # compositions (composable image pairs compose to image points)
-    from cubicalc.checks import _ev, _ev_tagged, _sample_via_param
+    from cubicalc.checks import _plan, _sample_tuples, _tuple_layout
     from cubicalc.presentation import attach_generic_params
 
     rng = random.Random(6)
     for key, e in g.edges.items():
         attach_generic_params(e)
         e_pg = pg.edges[key]
-        f = maps[e.hi]
-        for pair in _sample_via_param(e.pair_param, e.dom, rng, 10):
-            fa, fb = _ev(f, pair["a"]), _ev(f, pair["b"])
-            assert _ev(e_pg.source, fa) == _ev(e_pg.target, fb)  # composable
-            comp = _ev_tagged(e_pg.compose, {"a": fa, "b": fb})
-            assert comp == _ev(f, _ev_tagged(e.compose, pair))  # in the image
+        dom, pg_dom, pg_cod = e.dom.labels, e_pg.dom.labels, e_pg.cod.labels
+        k = len(dom)
+        f = _plan(maps[e.hi], dom, pg_dom)
+        source = _plan(e_pg.source, pg_dom, pg_cod)
+        target = _plan(e_pg.target, pg_dom, pg_cod)
+        compose = _plan(e.compose, _tuple_layout("ab", e.dom), dom)
+        pg_compose = _plan(e_pg.compose, _tuple_layout("ab", e_pg.dom), pg_dom)
+        for pair in _sample_tuples(e.pair_param, e.dom, "ab", rng, 10):
+            fa, fb = f(pair[:k]), f(pair[k:])
+            assert source(fa) == target(fb)  # composable
+            assert pg_compose(fa + fb) == f(compose(pair))  # in the image
 
 
 def test_scaled_action_edge_formulas():
