@@ -192,3 +192,16 @@ def test_finite_law_matches_reference():
         got = check_finite_law(plaw, in_dim=in_dim, seed=4, samples=5)
         assert _json(got) == _json(reference_check_finite_law(
             plaw, in_dim=in_dim, seed=4, samples=5))
+
+
+def test_plan_rejects_outputs_outside_the_target_schema():
+    from cubicalc.checks import _plan
+    from cubicalc.polymap import PolyError
+
+    e = pair_groupoid(1, 1).edges[(fs(), fs({1}))]
+    dom, cod = e.dom.labels, e.cod.labels
+    assert _plan(e.source, dom, cod)([F(2), F(5)]) == [F(2)]
+    with pytest.raises(PolyError, match="do not match"):
+        _plan(e.source, dom, dom)
+    with pytest.raises(PolyError, match="do not match"):
+        _plan(PolyMap(QQ, dom, e.source.comps), dom, cod)
