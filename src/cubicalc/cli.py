@@ -2,8 +2,8 @@
 
 Verbs: slope, derive, table, check, eval.  Exit codes: 0 success, 1 check
 failure (with a witness report), 2 usage or parse error, 3 internal error (a
-broken invariant such as an inexact slope division).  Output is plain
-text or JSON (--format); everything is exact and deterministically ordered.
+broken invariant, `ExactDivisionError`).  Output is plain text or JSON
+(--format); everything is exact and deterministically ordered.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from .checks import check_presentation, first_failure, reports_ok
 from .constructions import (gfull, gsy, pair_groupoid, scaled_action,
                             scaleoid, tangent)
 from .derive import display_label, monomial_key, vlab, tlab
+from .hypercube import MAX_DIM, subsets
 from .laws import derive_law_full
 from .parser import ParseError, parse
 from .polymap import ExactDivisionError, PolyError
@@ -168,7 +169,9 @@ def cmd_check(args) -> int:
     ring = ring_from_spec(args.ring)
     n = _require_positive("--n", args.n)
     _require_positive("--samples", args.samples)
+    # the lower bound first, so that its message says "at least 0"
     _require_range("--vdim", args.vdim, 0)
+    _require_range("--vdim", args.vdim, 0, MAX_DIM)
     kind = args.construction
     if kind == "pg":
         pres = pair_groupoid(n, args.vdim, ring)
@@ -227,7 +230,9 @@ def cmd_check(args) -> int:
 def cmd_eval(args) -> int:
     ring = ring_from_spec(args.ring)
     f = parse(_read_expr(args), ring)
+    # the lower bound first, so that its message says "at least 1"
     n = _require_positive("--order", args.order)
+    _require_range("--order", n, 1, MAX_DIM)
     if args.digits is not None:
         _require_range("--digits", args.digits, 0, MAX_DIGITS)
     p = f.in_arity
@@ -235,20 +240,12 @@ def cmd_eval(args) -> int:
     t = _parse_scalars(ring, args.t, n)
     if n == 1 and args.mode == "closed":
         args.mode = "iterated"  # the factorizer itself is exact at any t
-    subsets = [frozenset()]
-    full = list(range(1, n + 1))
-    from itertools import combinations
-
-    for k in range(1, n + 1):
-        for c in combinations(full, k):
-            subsets.append(frozenset(c))
-    subsets.sort(key=lambda s: (len(s), tuple(sorted(s))))
     vvals = _parse_scalars(ring, args.v) if args.v else []
-    if len(vvals) != (len(subsets) - 1) * p:
-        raise UsageError(f"--v needs {(len(subsets) - 1) * p} values "
+    if len(vvals) != ((1 << n) - 1) * p:
+        raise UsageError(f"--v needs {((1 << n) - 1) * p} values "
                          f"(all v_beta, beta nonempty, in (length, lex) order)")
     v_by = {frozenset(): list(point)}
-    for idx, s in enumerate(s for s in subsets if s):
+    for idx, s in enumerate(subsets(range(1, n + 1))[1:]):
         v_by[s] = vvals[idx * p:(idx + 1) * p]
 
     if args.mode == "closed":

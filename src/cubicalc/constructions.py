@@ -11,32 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .derive import (derive_labels, derive_polymap, extend_polymap, partner,
-                     schema_key, slab, tlab, vlab, with_tag)
-from .hypercube import alpha_stair, subset_label
+from .derive import (_canon, _shift_target, derive_labels, derive_polymap,
+                     extend_polymap, slab, tlab, vlab, with_tag)
+from .hypercube import alpha_stair, subset_label, subsets
 from .polymap import Poly, PolyMap
 from .presentation import (BoxConstraint, CoordSchema, EdgeCat,
-                           NFoldPresentation, attach_generic_params,
-                           generic_pair_param, generic_triple_param,
-                           subset_faces, subsets_presentation_vertices,
-                           tagged)
+                           NFoldPresentation, subset_faces,
+                           subsets_presentation_vertices, tagged)
 from .rings import QQ, Ring, RingError
 
 
 class ConstructionError(ValueError):
     pass
-
-
-def _canon(labels):
-    return tuple(sorted(labels, key=schema_key))
-
-
-def _subsets(base: frozenset):
-    base = sorted(base)
-    out = []
-    for m in range(1 << len(base)):
-        out.append(frozenset(base[i] for i in range(len(base)) if m & (1 << i)))
-    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
 
 
 def additive_edge_cat(ring: Ring, direction, lo, hi, dom: CoordSchema,
@@ -81,7 +67,7 @@ def pair_groupoid(n: int, carrier_dim: int = 1, ring: Ring = QQ) -> NFoldPresent
     verts = subsets_presentation_vertices(n)
     schemas = {}
     for a in verts:
-        labels = _canon(vlab(g, c) for g in _subsets(a) for c in range(carrier_dim))
+        labels = _canon(vlab(g, c) for g in subsets(a) for c in range(carrier_dim))
         schemas[a] = CoordSchema(ring, labels)
     edges = {}
     for lo in verts:
@@ -92,13 +78,13 @@ def pair_groupoid(n: int, carrier_dim: int = 1, ring: Ring = QQ) -> NFoldPresent
             var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
             target = PolyMap.from_label_exprs(ring, dom.labels, {
                 vlab(g, c): var[vlab(g | {i}, c)]
-                for g in _subsets(lo) for c in range(carrier_dim)})
+                for g in subsets(lo) for c in range(carrier_dim)})
             source = PolyMap.projection(ring, dom.labels, cod.labels)
             ncod = len(cod.labels)
             unit = PolyMap.from_label_exprs(ring, cod.labels, {
                 **{l: Poly.var(ring, ncod, cod.labels.index(l)) for l in cod.labels},
                 **{vlab(g | {i}, c): Poly.var(ring, ncod, cod.labels.index(vlab(g, c)))
-                   for g in _subsets(lo) for c in range(carrier_dim)}})
+                   for g in subsets(lo) for c in range(carrier_dim)}})
             pair_labels = tagged("a", dom.labels) + tagged("b", dom.labels)
             n2 = len(pair_labels)
             pos2 = {l: k for k, l in enumerate(pair_labels)}
@@ -107,9 +93,9 @@ def pair_groupoid(n: int, carrier_dim: int = 1, ring: Ring = QQ) -> NFoldPresent
                 for l in dom.labels})
             inverse = PolyMap.from_label_exprs(ring, dom.labels, {
                 **{vlab(g, c): var[vlab(g | {i}, c)]
-                   for g in _subsets(lo) for c in range(carrier_dim)},
+                   for g in subsets(lo) for c in range(carrier_dim)},
                 **{vlab(g | {i}, c): var[vlab(g, c)]
-                   for g in _subsets(lo) for c in range(carrier_dim)}})
+                   for g in subsets(lo) for c in range(carrier_dim)}})
             edges[(lo, hi)] = EdgeCat(i, lo, hi, dom, cod, source, target, unit,
                                       compose, inverse)
     return NFoldPresentation(f"PG^{n}", ring, tuple(range(1, n + 1)), verts,
@@ -316,17 +302,17 @@ def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
     verts = subsets_presentation_vertices(n)
     schemas = {}
     for a in verts:
-        labels = _canon(vlab(g, c) for g in _subsets(a) for c in range(vdim))
+        labels = _canon(vlab(g, c) for g in subsets(a) for c in range(vdim))
         constraints = ()
         if box is not None:
             lo_b, hi_b = box
             nl = len(labels)
             cons = []
-            for beta in _subsets(a):
+            for beta in subsets(a):
                 comps = []
                 for c in range(vdim):
                     acc = Poly.zero(ring, nl)
-                    for g in _subsets(beta):
+                    for g in subsets(beta):
                         acc = acc + Poly.var(ring, nl, labels.index(vlab(g, c))) \
                             .scale(_tprod(ring, t, g))
                     comps.append(acc)
@@ -342,7 +328,7 @@ def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
             var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
             target = PolyMap.from_label_exprs(ring, dom.labels, {
                 vlab(g, c): var[vlab(g, c)] + var[vlab(g | {i}, c)].scale(t[i])
-                for g in _subsets(lo) for c in range(vdim)})
+                for g in subsets(lo) for c in range(vdim)})
             edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
     label = name or f"Gsy^{n}_{{{','.join(ring.fmt(t[k]) for k in sorted(t))}}}"
     return NFoldPresentation(label, ring, tuple(range(1, n + 1)), verts,
@@ -361,7 +347,7 @@ def gsy_symbolic(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
     t_labels = [tlab({k}) for k in range(1, n + 1)]
     schemas = {}
     for a in verts:
-        labels = _canon([vlab(g, c) for g in _subsets(a) for c in range(vdim)]
+        labels = _canon([vlab(g, c) for g in subsets(a) for c in range(vdim)]
                         + t_labels)
         schemas[a] = CoordSchema(ring, labels)
     edges = {}
@@ -372,7 +358,7 @@ def gsy_symbolic(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
             nd = len(dom.labels)
             var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
             exprs = {tlab({k}): var[tlab({k})] for k in range(1, n + 1)}
-            for g in _subsets(lo):
+            for g in subsets(lo):
                 for c in range(vdim):
                     exprs[vlab(g, c)] = var[vlab(g, c)] \
                         + var[tlab({i})] * var[vlab(g | {i}, c)]
@@ -412,19 +398,19 @@ def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
     verts = subsets_presentation_vertices(n)
     fwd, back = {}, {}
     for a in verts:
-        labels = _canon(vlab(g, c) for g in _subsets(a) for c in range(vdim))
+        labels = _canon(vlab(g, c) for g in subsets(a) for c in range(vdim))
         nl = len(labels)
         fexprs, bexprs = {}, {}
-        for g in _subsets(a):
+        for g in subsets(a):
             for c in range(vdim):
                 acc = Poly.zero(ring, nl)
-                for d in _subsets(g):
+                for d in subsets(g):
                     acc = acc + Poly.var(ring, nl, labels.index(vlab(d, c))) \
                         .scale(_tprod(ring, t, d))
                 fexprs[vlab(g, c)] = acc
                 # Moebius inversion: t.v_g = sum (-1)^{|g - d|} x_d
                 inv_acc = Poly.zero(ring, nl)
-                for d in _subsets(g):
+                for d in subsets(g):
                     term = Poly.var(ring, nl, labels.index(vlab(d, c)))
                     if (len(g) - len(d)) % 2:
                         term = -term
@@ -466,15 +452,8 @@ def _full_target(N: tuple, beta: frozenset, alpha: frozenset, vdim: int,
     if d != a_n:
         m = _full_target(N1, beta - {a_n}, alpha - {a_n}, vdim, ring)
         return derive_polymap(m, a_n, with_s=False)
-    base = _full_labels(N1, frozenset(beta), vdim)
-    dom = derive_labels(base, a_n, with_s=False)
-    nd = len(dom)
-    pos = {l: i for i, l in enumerate(dom)}
-    tvar = Poly.var(ring, nd, pos[tlab({a_n})])
-    exprs = {l: Poly.var(ring, nd, pos[l]) + tvar * Poly.var(ring, nd, pos[partner(l, a_n)])
-             for l in base}
-    exprs[tlab({a_n})] = tvar
-    return PolyMap.from_label_exprs(ring, dom, exprs)
+    return _shift_target(ring, _full_labels(N1, frozenset(beta), vdim), a_n,
+                         with_s=False)
 
 
 def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
@@ -488,8 +467,7 @@ def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
         N = tuple(range(1, N + 1))
     N = tuple(sorted(N))
     n = len(N)
-    verts = tuple(sorted((frozenset(s) for s in _powerset(N)),
-                         key=lambda s: (len(s), tuple(sorted(s)))))
+    verts = tuple(subsets(N))
     unit_labels = frozenset(tlab({j}) for j in N) if finite else frozenset()
     schemas = {}
     for a in verts:
@@ -507,12 +485,6 @@ def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
                   if lo <= hi and len(hi - lo) == 2)
     label = name or (f"G^{{{subset_label(set(N))}}}" + ("fi" if finite else ""))
     return NFoldPresentation(label, ring, N, verts, schemas, edges, faces)
-
-
-def _powerset(N):
-    N = tuple(N)
-    for m in range(1 << len(N)):
-        yield frozenset(N[i] for i in range(len(N)) if m & (1 << i))
 
 
 def scaleoid(N, ring: Ring = QQ) -> NFoldPresentation:
@@ -535,8 +507,8 @@ class SchemaAtom:
     def coords(self, vdim: int = 1) -> tuple:
         out = []
         if self.kind == "U":
-            out += [vlab(g, c) for g in _subsets(self.index) for c in range(vdim)]
-        out += [tlab(g) for g in _subsets(self.index) if g]
+            out += [vlab(g, c) for g in subsets(self.index) for c in range(vdim)]
+        out += [tlab(g) for g in subsets(self.index) if g]
         return _canon(out)
 
     def display(self) -> str:
@@ -677,7 +649,7 @@ def anchor_maps(p: NFoldPresentation, carrier_dim: int) -> dict:
         raise ConstructionError("carrier dimension must match the bottom vertex")
     for a in p.vertices:
         exprs = {}
-        for g in _subsets(a):
+        for g in subsets(a):
             down = p.top_down_projection(a, g)
             for c, l in enumerate(bottom_labels):
                 exprs[vlab(g, c)] = down.component(l)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hypercube import subset_label
-from .polymap import Poly, PolyMap
+from .polymap import Poly, PolyMap, _shift_quotient
 
 KIND_SCHEMA_RANK = {"v": 0, "s": 1, "t": 2}
 KIND_MONOMIAL_RANK = {"t": 0, "s": 1, "v": 2}
@@ -65,6 +65,10 @@ def schema_key(label):
     l = label[1] if isinstance(label, tuple) else label
     tag = label[0] if isinstance(label, tuple) else ""
     return (str(tag), KIND_SCHEMA_RANK[l.kind], len(l.index), tuple(sorted(l.index)), l.comp)
+
+
+def _canon(labels) -> tuple:
+    return tuple(sorted(labels, key=schema_key))
 
 
 def monomial_key(label):
@@ -118,6 +122,38 @@ def _grouped(labels):
     return tags
 
 
+def _quotients(m: PolyMap, new_in, partner_of, tau_labels) -> list:
+    """(value, slope) of every component of m over the inputs new_in.
+
+    partner_of(l) is the partner label of input l, or None when l is not
+    shifted; the shift scale is the product of the inputs tau_labels.
+    """
+    pos = {l: i for i, l in enumerate(new_in)}
+    index = [pos[l] for l in m.in_labels]
+    partners = [None if p is None else pos[p]
+                for p in map(partner_of, m.in_labels)]
+    tau = [pos[l] for l in tau_labels]
+    return [_shift_quotient(c, len(new_in), index, partners, tau)
+            for c in m.comps]
+
+
+def _shift_target(ring, base, j: int, with_s: bool, dom=None) -> PolyMap:
+    """Target x -> x + tau*x' of the one-step groupoid in direction j over
+    the coordinates `base`, tau = t_j (s_j*t_j when with_s); the scales pass
+    through.  The domain is `dom`, by default derive_labels(base, j, with_s).
+    """
+    dom = derive_labels(base, j, with_s) if dom is None else dom
+    n = len(dom)
+    pos = {l: i for i, l in enumerate(dom)}
+    v = lambda l: Poly.var(ring, n, pos[l])
+    tau = v(slab({j})) * v(tlab({j})) if with_s else v(tlab({j}))
+    exprs = {l: v(l) + tau * v(partner(l, j)) for l in base}
+    exprs[tlab({j})] = v(tlab({j}))
+    if with_s:
+        exprs[slab({j})] = v(slab({j}))
+    return PolyMap.from_label_exprs(ring, dom, exprs)
+
+
 def derive_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
                    copies: bool | None = None) -> PolyMap:
     """Apply the one-step derivation functor to a map.
@@ -130,83 +166,45 @@ def derive_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
     composable tuples all copies agree.  With copies=False the domain is a
     parameter space and receives a single shared fresh scale.
     """
-    dom_tags = _grouped(m.in_labels)
-    multi = (dom_tags != [None]) if copies is None else copies
-    if multi and tau_tag is None:
-        tau_tag = dom_tags[-1]
-
-    fresh_tags = dom_tags if multi else [None]
-    new_in = list(m.in_labels) + [partner(l, j) for l in m.in_labels]
-    for tg in fresh_tags:
-        if with_s:
-            new_in.append(with_tag(tg, slab({j})))
-        new_in.append(with_tag(tg, tlab({j})))
-    new_in = tuple(new_in)
-    n = len(new_in)
-    pos = {l: i for i, l in enumerate(new_in)}
-
-    ring = m.ring
-    t_var = Poly.var(ring, n, pos[with_tag(tau_tag if multi else None, tlab({j}))])
-    if with_s:
-        s_var = Poly.var(ring, n, pos[with_tag(tau_tag if multi else None, slab({j}))])
-        tau = s_var * t_var
-    else:
-        tau = t_var
-
-    images_value = [Poly.var(ring, n, pos[l]) for l in m.in_labels]
-    images_shift = [
-        Poly.var(ring, n, pos[l]) + tau * Poly.var(ring, n, pos[partner(l, j)])
-        for l in m.in_labels
-    ]
-
-    out_exprs: dict = {}
-    for idx, comp in enumerate(m.comps):
-        value = comp.subst(images_value, n)
-        shifted = comp.subst(images_shift, n)
-        numer = shifted - value
-        slope = numer.divide_by_var(pos[with_tag(tau_tag if multi else None, tlab({j}))])
-        if with_s:
-            slope = slope.divide_by_var(pos[with_tag(tau_tag if multi else None, slab({j}))])
-        lbl = m.out_labels[idx]
-        out_exprs[lbl] = value
-        out_exprs[partner(lbl, j)] = slope
-
-    for tg in _grouped(m.out_labels):
-        src_tag = tau_tag if multi else None
-        if with_s:
-            out_exprs[with_tag(tg, slab({j}))] = Poly.var(
-                ring, n, pos[with_tag(src_tag, slab({j}))])
-        out_exprs[with_tag(tg, tlab({j}))] = Poly.var(
-            ring, n, pos[with_tag(src_tag, tlab({j}))])
-
-    return PolyMap.from_label_exprs(ring, new_in, out_exprs)
+    fresh, scale_in, src = _fresh_scales(m, j, with_s, tau_tag, copies)
+    new_in = m.in_labels + tuple(partner(l, j) for l in m.in_labels) + scale_in
+    out: dict = {}
+    for lbl, (value, slope) in zip(m.out_labels, _quotients(
+            m, new_in, lambda l: partner(l, j), [with_tag(src, l) for l in fresh])):
+        out[lbl] = value
+        out[partner(lbl, j)] = slope
+    out.update(_scale_outputs(m, new_in, fresh, src))
+    return PolyMap.from_label_exprs(m.ring, new_in, out)
 
 
 def extend_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
                    copies: bool | None = None) -> PolyMap:
     """Extend a map by the identity on fresh scale coordinates (x id)."""
-    dom_tags = _grouped(m.in_labels)
-    multi = (dom_tags != [None]) if copies is None else copies
-    if multi and tau_tag is None:
-        tau_tag = dom_tags[-1]
+    fresh, scale_in, src = _fresh_scales(m, j, with_s, tau_tag, copies)
+    new_in = m.in_labels + scale_in
+    n = len(new_in)
+    images = [Poly.var(m.ring, n, i) for i in range(m.in_arity)]
+    out = {l: c.subst(images, n) for l, c in zip(m.out_labels, m.comps)}
+    out.update(_scale_outputs(m, new_in, fresh, src))
+    return PolyMap.from_label_exprs(m.ring, new_in, out)
 
-    new_in = list(m.in_labels)
-    for tg in (dom_tags if multi else [None]):
-        if with_s:
-            new_in.append(with_tag(tg, slab({j})))
-        new_in.append(with_tag(tg, tlab({j})))
-    new_in = tuple(new_in)
+
+def _fresh_scales(m: PolyMap, j: int, with_s: bool, tau_tag, copies):
+    """The fresh scale labels of direction j, the fresh scale inputs of m
+    (one set per tagged copy when the domain is several copies, see
+    derive_polymap) and the tag of the copy whose scales are the shift scale
+    and the fresh outputs (None for a single space)."""
+    fresh = (slab({j}), tlab({j})) if with_s else (tlab({j}),)
+    dom_tags = _grouped(m.in_labels)
+    if not ((dom_tags != [None]) if copies is None else copies):
+        return fresh, fresh, None
+    src = dom_tags[-1] if tau_tag is None else tau_tag
+    return fresh, tuple(with_tag(tg, l) for tg in dom_tags for l in fresh), src
+
+
+def _scale_outputs(m: PolyMap, new_in, fresh, src) -> dict:
+    """Every output copy of m passes the fresh scales of the copy src on."""
     n = len(new_in)
     pos = {l: i for i, l in enumerate(new_in)}
-    ring = m.ring
-
-    images = [Poly.var(ring, n, pos[l]) for l in m.in_labels]
-    out_exprs = {l: c.subst(images, n) for l, c in zip(m.out_labels, m.comps)}
-    for tg in _grouped(m.out_labels):
-        src_tag = tau_tag if multi else None
-        if with_s:
-            out_exprs[with_tag(tg, slab({j}))] = Poly.var(
-                ring, n, pos[with_tag(src_tag, slab({j}))])
-        out_exprs[with_tag(tg, tlab({j}))] = Poly.var(
-            ring, n, pos[with_tag(src_tag, tlab({j}))])
-    return PolyMap.from_label_exprs(ring, new_in, out_exprs)
+    return {with_tag(tg, l): Poly.var(m.ring, n, pos[with_tag(src, l)])
+            for tg in _grouped(m.out_labels) for l in fresh}

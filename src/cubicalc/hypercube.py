@@ -39,6 +39,18 @@ def elems_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def subsets(elems, binary: bool = False) -> list[frozenset]:
+    """All subsets of `elems` as frozensets, by (size, sorted elements); with
+    binary=True in binary-code order (bit i <-> the i-th smallest element),
+    the lexicographic vertex order of P(n)."""
+    out = [frozenset()]
+    for e in sorted(elems):
+        out += [s | {e} for s in out]
+    if not binary:
+        out.sort(key=lambda s: (len(s), sorted(s)))
+    return out
+
+
 def subset_label(elems) -> str:
     """Concatenated digit string, "0" for the empty set ("12" for {1,2})."""
     elems = sorted(elems)

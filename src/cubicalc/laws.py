@@ -10,18 +10,17 @@ arbitrary (black-box) base map through the finite part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .checks import (CheckReport, _edge_plans, _fmt_point, _LawRun,
                      _sample_tuples, check_morphism)
-from .constructions import gfull, gsy, gsy_scalar_action, _subsets, _tprod
-from .derive import (CoordLabel, derive_polymap, extend_polymap, schema_key,
-                     tlab, vlab)
+from .constructions import gfull, gsy, gsy_scalar_action, _tprod
+from .derive import _canon, CoordLabel, derive_polymap, extend_polymap, vlab
 from .extension import ExtElement, eval_over_extension
+from .hypercube import subsets
 from .polymap import Poly, PolyMap, PolyRing
 from .presentation import LEFT, RIGHT, NFoldPresentation, attach_generic_params
 from .rings import QQ, Ring, RingError
-from .slopes import sym_slope_iterated
+from .slopes import _closed_formula, _cubic_base, sym_slope_iterated
 
 
 class LawError(ValueError):
@@ -41,12 +40,6 @@ class Law:
 
     def vertex_map(self, alpha) -> PolyMap:
         return self.vertex_maps[frozenset(alpha)]
-
-
-def _cubic_base(f: PolyMap) -> PolyMap:
-    p, q = f.in_arity, f.out_arity
-    return PolyMap(f.ring, tuple(vlab((), c) for c in range(p)), f.comps,
-                   tuple(vlab((), c) for c in range(q)))
 
 
 def derive_law_full(f: PolyMap, N) -> Law:
@@ -104,7 +97,7 @@ def derive_law_sym(f: PolyMap, n: int, t, ring: Ring | None = None) -> Law:
     for alpha in src.vertices:
         in_labels = src.schemas[alpha].labels
         exprs = {}
-        for beta in _subsets(alpha):
+        for beta in subsets(alpha):
             fac = _relabeled_factorizer(f, tuple(sorted(beta)), t, ring)
             fac = fac.extend_inputs(in_labels)
             for c in range(f.out_arity):
@@ -205,11 +198,10 @@ def _relabel_maps(n: int, sigma: dict, vdim: int, ring: Ring,
     inv = {v: k for k, v in sigma.items()}
     maps = {}
     for alpha in vertices:
-        in_labels = tuple(sorted((vlab(g, c) for g in _subsets(alpha)
-                                  for c in range(vdim)), key=schema_key))
+        in_labels = _canon(vlab(g, c) for g in subsets(alpha) for c in range(vdim))
         nl = len(in_labels)
         exprs = {}
-        for g in _subsets(frozenset(sigma[e] for e in alpha)):
+        for g in subsets(sigma[e] for e in alpha):
             for c in range(vdim):
                 pre = frozenset(inv[e] for e in g)
                 exprs[vlab(g, c)] = Poly.var(ring, nl, in_labels.index(vlab(pre, c)))
@@ -273,27 +265,8 @@ class PartialLaw:
 
     def factorizer_value(self, beta: tuple, values: dict) -> list:
         """F^[k]_{t_beta} at one point, by the closed difference formula."""
-        r = self.ring
-        k = len(beta)
-        acc = [r.zero()] * self.out_dim
-        for la in range(k + 1):
-            for delta_idx in combinations(range(k), la):
-                delta = frozenset(beta[i] for i in delta_idx)
-                point = None
-                for g in _subsets(delta):
-                    w = _tprod(r, {e: self.t[e - 1] for e in g}, g)
-                    vg = values[g]
-                    if point is None:
-                        point = [r.zero()] * len(vg)
-                    point = [r.add(pc, r.mul(w, vc)) for pc, vc in zip(point, vg)]
-                val = list(self.f(tuple(point)))
-                if (k - la) % 2:
-                    val = [r.neg(x) for x in val]
-                acc = [r.add(a, x) for a, x in zip(acc, val)]
-        inv = r.one()
-        for e in beta:
-            inv = r.mul(inv, r.inv(self.t[e - 1]))
-        return [r.mul(inv, x) for x in acc]
+        return _closed_formula(lambda point: self.f(tuple(point)), self.ring,
+                               beta, [self.t[e - 1] for e in beta], values)
 
     def vertex_value(self, alpha, point: dict) -> dict:
         """Image of a Gsy_t-point under the law, coordinate dict to dict."""
@@ -302,7 +275,7 @@ class PartialLaw:
             groups.setdefault(l.index, {})[l.comp] = v
         values = {g: [groups[g][c] for c in sorted(groups[g])] for g in groups}
         out = {}
-        for beta in _subsets(frozenset(alpha)):
+        for beta in subsets(alpha):
             vals = self.factorizer_value(tuple(sorted(beta)),
                                          {g: values[g] for g in values
                                           if g <= beta})
@@ -384,10 +357,10 @@ def ring_goid_structure(n: int, t, ring: Ring = QQ) -> dict:
     for alpha in law.src.vertices:
         m = law.vertex_maps[alpha]
         nl = len(m.in_labels)
-        for delta in _subsets(alpha):
+        for delta in subsets(alpha):
             expected = Poly.zero(ring, nl)
-            for beta in _subsets(alpha):
-                for gamma in _subsets(alpha):
+            for beta in subsets(alpha):
+                for gamma in subsets(alpha):
                     if beta | gamma != delta:
                         continue
                     term = Poly.var(ring, nl, m.in_labels.index(vlab(beta, 0))) \
@@ -406,14 +379,13 @@ def sym_law_via_extension(f: PolyMap, n: int, t, alpha,
     f over A_t^{alpha} with symbolic coefficients and read off coefficients."""
     alpha = tuple(sorted(alpha))
     p = f.in_arity
-    in_labels = tuple(sorted((vlab(g, c) for g in _subsets(frozenset(alpha))
-                              for c in range(p)), key=schema_key))
+    in_labels = _canon(vlab(g, c) for g in subsets(alpha) for c in range(p))
     coeff_ring = PolyRing(ring, len(in_labels))
     t_vals = tuple(Poly.const(ring, len(in_labels), t[e - 1]) for e in alpha)
     base = []
     for c in range(p):
         table = {}
-        for g in _subsets(frozenset(alpha)):
+        for g in subsets(alpha):
             table[frozenset(g)] = Poly.var(ring, len(in_labels),
                                            in_labels.index(vlab(g, c)))
         base.append(ExtElement.from_subset_coeffs(coeff_ring, alpha, t_vals, table))
@@ -424,6 +396,6 @@ def sym_law_via_extension(f: PolyMap, n: int, t, alpha,
     images = eval_over_extension(f_lifted, base)
     exprs = {}
     for c, img in enumerate(images):
-        for g in _subsets(frozenset(alpha)):
+        for g in subsets(alpha):
             exprs[vlab(g, c)] = img.coeff(g)
     return PolyMap.from_label_exprs(ring, in_labels, exprs)

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from itertools import product
+from math import comb, lcm
 from operator import add as _add_ints
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -22,7 +23,9 @@ class PolyError(ValueError):
 
 
 class ExactDivisionError(PolyError):
-    """Division left a remainder; for slope computations this is a hard bug."""
+    """An exact division left a remainder: a broken internal invariant, which
+    the CLI reports with exit code 3.  Slopes are expanded term by term
+    (`_shift_quotient`) and divide nothing, so no derivation raises it."""
 
 
 class Poly:
@@ -69,23 +72,19 @@ class Poly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = Poly(r, self.arity)
-        out.terms = terms
-        return out
+        return _from_terms(r, self.arity, terms)
 
     def __neg__(self) -> "Poly":
-        out = Poly(self.ring, self.arity)
-        out.terms = {e: self.ring.neg(c) for e, c in self.terms.items()}
-        return out
+        return _from_terms(self.ring, self.arity,
+                           {e: self.ring.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        out = Poly(self.ring, self.arity)
-        out.terms = _mul_into({}, self.ring, self.terms, other.terms)
-        return out
+        return _from_terms(self.ring, self.arity,
+                           _mul_into({}, self.ring, self.terms, other.terms))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -103,9 +102,8 @@ class Poly:
         r = self.ring
         if r.is_zero(c):
             return Poly.zero(r, self.arity)
-        out = Poly(r, self.arity)
-        out.terms = {e: r.mul(c, v) for e, v in self.terms.items()}
-        return out
+        return _from_terms(r, self.arity,
+                           {e: r.mul(c, v) for e, v in self.terms.items()})
 
     def _compat(self, other: "Poly") -> None:
         if self.ring != other.ring or self.arity != other.arity:
@@ -151,9 +149,7 @@ class Poly:
             terms = self._subst_monomial(images, arity)
         else:
             terms = self._subst_expand(images, arity)
-        out = Poly(self.ring, arity)
-        out.terms = terms
-        return out
+        return _from_terms(self.ring, arity, terms)
 
     def _subst_monomial(self, images: Sequence["Poly"], arity: int) -> dict:
         r = self.ring
@@ -217,24 +213,6 @@ class Poly:
                 last = row[k]
             _mul_into(acc, r, prod, last)
         return acc
-
-    def divide_by_var(self, i: int, allow_remainder: bool = False) -> "Poly":
-        """Exact division by x_i: every monomial must carry x_i."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                if allow_remainder:
-                    continue
-                raise ExactDivisionError(
-                    f"monomial {e} not divisible by variable {i}; "
-                    "slope division must be exact"
-                )
-            e2 = list(e)
-            e2[i] -= 1
-            terms[tuple(e2)] = c
-        out = Poly(self.ring, self.arity)
-        out.terms = terms
-        return out
 
     def used_vars(self) -> set[int]:
         used = set()
@@ -304,6 +282,66 @@ def _mul_into(acc: dict, ring: Ring, a: dict, b: dict) -> dict:
             else:
                 acc[e] = p
     return acc
+
+
+def _shift_quotient(p: Poly, arity: int, index: Sequence[int],
+                    partner: Sequence[int | None],
+                    tau: Sequence[int]) -> tuple[Poly, Poly]:
+    """Re-index p onto `arity` variables and take its slope, term by term.
+
+    Old variable x_i becomes new variable index[i]; when partner[i] is not
+    None, x_i is shifted to x_i + tau*x'_i, where x'_i is new variable
+    partner[i] and tau the product of the new variables `tau`.  Returns the
+    re-indexed value and the slope S with tau*S = p(x + tau*x') - p(x): each
+    term c*prod x_i^k_i gives, for every j != 0 with j_i <= k_i (j_i = 0 when
+    x_i is not shifted), the term
+    c*prod C(k_i, j_i) * x_i^(k_i-j_i) * x'_i^j_i * tau^(|j|-1).
+    A coefficient that is zero in the ring is never stored: over Z/m a
+    binomial coefficient may vanish.
+    """
+    r = p.ring
+    add, mul, is_zero, from_int = r.add, r.mul, r.is_zero, r.from_int
+    value: dict = {}
+    slope: dict = {}
+    for e, c in p.terms.items():
+        out = [0] * arity
+        shifted = []  # (new index, partner index, exponent)
+        for i, k in enumerate(e):
+            if k:
+                out[index[i]] += k
+                if partner[i] is not None:
+                    shifted.append((index[i], partner[i], k))
+        value[tuple(out)] = c
+        for js in product(*(range(k + 1) for _, _, k in shifted)):
+            total = sum(js)
+            if not total:
+                continue
+            ex = list(out)
+            b = 1
+            for (i, pi, k), j in zip(shifted, js):
+                if j:
+                    ex[i] -= j
+                    ex[pi] += j
+                    b *= comb(k, j)
+            for ti in tau:
+                ex[ti] += total - 1
+            ex = tuple(ex)
+            s = c if b == 1 else mul(c, from_int(b))
+            old = slope.get(ex)
+            if old is not None:
+                s = add(old, s)
+            if is_zero(s):
+                slope.pop(ex, None)
+            else:
+                slope[ex] = s
+    return _from_terms(r, arity, value), _from_terms(r, arity, slope)
+
+
+def _from_terms(ring: Ring, arity: int, terms: dict) -> Poly:
+    """A Poly around a term dict that already holds no zero coefficient."""
+    out = Poly(ring, arity)
+    out.terms = terms
+    return out
 
 
 class _Kernel:

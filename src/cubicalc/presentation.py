@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .derive import tag_of, with_tag
-from .hypercube import _check_dim
+from .hypercube import _check_dim, subsets
 from .polymap import Poly, PolyError, PolyMap
 from .rings import Ring
 
@@ -374,10 +374,7 @@ def _retag_outputs(m: PolyMap, table: dict) -> PolyMap:
 def subsets_presentation_vertices(n: int) -> tuple:
     """All subsets of {1..n} as frozensets in lexicographic (bitmask) order."""
     _check_dim(n)
-    out = []
-    for b in range(1 << n):
-        out.append(frozenset(i + 1 for i in range(n) if b & (1 << i)))
-    return tuple(out)
+    return tuple(subsets(range(1, n + 1), binary=True))
 
 
 def subset_faces(vertices) -> tuple:

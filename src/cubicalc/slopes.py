@@ -7,11 +7,11 @@ f(x + t v) - f(x) = t * f1(x, v, t); full_slope iterates it in all variables
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .derive import CoordLabel, derive_polymap, tlab, vlab
+from .derive import _quotients, derive_polymap, partner, tlab, vlab
+from .hypercube import subsets
 from .polymap import Poly, PolyError, PolyMap
-from .rings import RingError
+from .rings import Ring, RingError
 
 
 def _fresh(name: str, taken) -> str:
@@ -51,7 +51,7 @@ def factorizer_identity_holds(f: PolyMap, s: SlopeResult) -> bool:
 
 
 def slope(f: PolyMap) -> SlopeResult:
-    """First order difference quotient map of f, by exact division by t."""
+    """First order difference quotient map of f, term by term."""
     taken = set(f.in_labels)
     v_labels = []
     for idx, l in enumerate(f.in_labels):
@@ -61,21 +61,10 @@ def slope(f: PolyMap) -> SlopeResult:
     v_labels = tuple(v_labels)
     t_label = _fresh("t", taken)
     new_in = f.in_labels + v_labels + (t_label,)
-    n = len(new_in)
-    ring = f.ring
-    t = Poly.var(ring, n, n - 1)
-    images = [
-        Poly.var(ring, n, i) + t * Poly.var(ring, n, len(f.in_labels) + i)
-        for i in range(len(f.in_labels))
-    ]
-    value_images = [Poly.var(ring, n, i) for i in range(len(f.in_labels))]
-    comps = []
-    for c in f.comps:
-        numer = c.subst(images, n) - c.subst(value_images, n)
-        comps.append(numer.divide_by_var(n - 1))
-    fac = PolyMap(ring, new_in, tuple(comps), f.out_labels)
-    res = SlopeResult(fac, f.in_labels, v_labels, t_label)
-    return res
+    comps = [s for _, s in _quotients(
+        f, new_in, dict(zip(f.in_labels, v_labels)).get, (t_label,))]
+    fac = PolyMap(f.ring, new_in, tuple(comps), f.out_labels)
+    return SlopeResult(fac, f.in_labels, v_labels, t_label)
 
 
 def derive_map(f: PolyMap) -> PolyMap:
@@ -122,18 +111,16 @@ def full_slope(f: PolyMap, n: int) -> PolyMap:
     """The n-th full difference quotient f^[n] in cubic coordinates.
 
     Input labels are all v_beta (beta within {1..n}) and t_beta (beta nonempty);
-    components are the top block (the iterated factorizer itself).
+    components are the top block (the iterated factorizer itself).  Each step
+    keeps only the top block, so the next one derives nothing else.
     """
     if n < 1:
         raise PolyError("full_slope needs n >= 1")
     m = _cubic_base(f)
     for j in range(1, n + 1):
-        m = derive_polymap(m, j, with_s=False)
-    top = frozenset(range(1, n + 1))
-    keep = [l for l in m.out_labels
-            if isinstance(l, CoordLabel) and l.kind == "v" and l.index == top]
-    keep.sort(key=lambda l: l.comp)
-    return m.restrict_outputs(keep)
+        top = [partner(l, j) for l in m.out_labels]
+        m = derive_polymap(m, j, with_s=False).restrict_outputs(top)
+    return m
 
 
 def sym_slope_iterated(f: PolyMap, n: int) -> PolyMap:
@@ -145,37 +132,20 @@ def sym_slope_iterated(f: PolyMap, n: int) -> PolyMap:
     if n < 0:
         raise PolyError("sym_slope_iterated needs n >= 0")
     m = _cubic_base(f)
-    ring = f.ring
     for k in range(1, n + 1):
         v_ins = [l for l in m.in_labels if l.kind == "v"]
         t_ins = [l for l in m.in_labels if l.kind == "t"]
-        new_in = tuple(v_ins) + tuple(CoordLabel("v", l.index | {k}, l.comp) for l in v_ins) \
+        new_in = tuple(v_ins) + tuple(partner(l, k) for l in v_ins) \
             + tuple(t_ins) + (tlab({k}),)
-        nn = len(new_in)
-        pos = {l: i for i, l in enumerate(new_in)}
-        tvar = Poly.var(ring, nn, pos[tlab({k})])
-        shift = []
-        value = []
-        for l in m.in_labels:
-            value.append(Poly.var(ring, nn, pos[l]))
-            if l.kind == "v":
-                shift.append(Poly.var(ring, nn, pos[l])
-                             + tvar * Poly.var(ring, nn, pos[CoordLabel("v", l.index | {k}, l.comp)]))
-            else:
-                shift.append(Poly.var(ring, nn, pos[l]))
-        comps = []
-        for c in m.comps:
-            numer = c.subst(shift, nn) - c.subst(value, nn)
-            comps.append(numer.divide_by_var(pos[tlab({k})]))
-        m = PolyMap(ring, new_in, tuple(comps), m.out_labels)
+        comps = [s for _, s in _quotients(
+            m, new_in, lambda l: partner(l, k) if l.kind == "v" else None,
+            (tlab({k}),))]
+        m = PolyMap(f.ring, new_in, tuple(comps), m.out_labels)
     return m
 
 
 def sym_slope_closed(f: PolyMap, n: int, t_values, v_values) -> list:
-    """Closed cubic formula at invertible scales.
-
-    (1 / prod t_i) * sum over alpha of (-1)^(n - |alpha|) *
-    f( sum over beta within alpha of t_{beta_1}...t_{beta_l} * v_beta ).
+    """Closed cubic formula for f^[n] at invertible scales (`_closed_formula`).
 
     t_values: sequence of n units; v_values: mapping frozenset -> coordinate
     sequence of length f.in_arity.
@@ -184,30 +154,37 @@ def sym_slope_closed(f: PolyMap, n: int, t_values, v_values) -> list:
     for t in t_values:
         if not ring.is_unit(t):
             raise RingError(f"sym_slope_closed needs invertible scales, got {t}")
-    p = f.in_arity
-    full = list(range(1, n + 1))
+    return _closed_formula(f.eval, ring, range(1, n + 1), t_values, v_values)
 
-    def tprod(beta):
-        acc = ring.one()
-        for i in beta:
-            acc = ring.mul(acc, t_values[i - 1])
-        return acc
 
-    acc = [ring.zero()] * f.out_arity
-    for la in range(n + 1):
-        for alpha in combinations(full, la):
-            point = [ring.zero()] * p
-            for lb in range(la + 1):
-                for beta in combinations(alpha, lb):
-                    w = tprod(beta)
-                    vb = v_values[frozenset(beta)]
-                    for c in range(p):
-                        point[c] = ring.add(point[c], ring.mul(w, vb[c]))
-            val = f.eval(point)
-            if (n - la) % 2:
-                val = [ring.neg(x) for x in val]
-            acc = [ring.add(a, x) for a, x in zip(acc, val)]
+def _closed_formula(f, ring: Ring, directions, scales, v_values) -> list:
+    """The closed cubic formula of the difference factorizer at units t:
+
+    (1 / prod t_i) * sum over alpha of (-1)^(k - |alpha|) *
+    f( sum over beta within alpha of t_{beta_1}...t_{beta_l} * v_beta ),
+
+    alpha running over the subsets of the k `directions`, scales[i] the
+    scale of directions[i].  f is a callable from a coordinate list to a
+    value sequence; v_values maps each frozenset beta to v_beta.
+    """
+    t_of = dict(zip(directions, scales))
+    weight = {}  # beta -> t_{beta_1}...t_{beta_l}; the order does not matter
+    for beta in subsets(directions, binary=True):
+        w = ring.one()
+        for e in beta:
+            w = ring.mul(w, t_of[e])
+        weight[beta] = w
+    acc = None
+    for alpha in weight:
+        point = [ring.zero()] * len(v_values[frozenset()])
+        for beta in subsets(alpha, binary=True):
+            w = weight[beta]
+            point = [ring.add(x, ring.mul(w, v)) for x, v in zip(point, v_values[beta])]
+        val = list(f(point))
+        if (len(t_of) - len(alpha)) % 2:
+            val = [ring.neg(x) for x in val]
+        acc = val if acc is None else [ring.add(a, x) for a, x in zip(acc, val)]
     inv = ring.one()
-    for t in t_values:
+    for t in scales:
         inv = ring.mul(inv, ring.inv(t))
     return [ring.mul(inv, x) for x in acc]

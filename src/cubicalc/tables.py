@@ -8,14 +8,8 @@ from __future__ import annotations
 
 from .constructions import gfull, gfull_vertex_schema, scaleoid
 from .derive import display_label, monomial_key
-from .hypercube import subset_label
+from .hypercube import subset_label, subsets
 from .rings import QQ, Ring
-
-
-def _subsets_binary(N) -> list[frozenset]:
-    N = tuple(sorted(N))
-    return [frozenset(N[i] for i in range(len(N)) if m & (1 << i))
-            for m in range(1 << len(N))]
 
 
 def coords_str(labels) -> str:
@@ -28,7 +22,7 @@ def vertex_table(N, vdim: int = 1, ring: Ring = QQ) -> list[dict]:
     if isinstance(N, int):
         N = tuple(range(1, N + 1))
     rows = []
-    for alpha in _subsets_binary(N):
+    for alpha in subsets(N, binary=True):
         if vdim == 0 and not alpha:
             continue
         schema = gfull_vertex_schema(N, alpha, vdim)
@@ -47,8 +41,9 @@ def edge_table(N, scaleoid_table: bool = False, ring: Ring = QQ) -> list[dict]:
         N = tuple(range(1, N + 1))
     pres = scaleoid(N, ring) if scaleoid_table else gfull(N, ring=ring)
     rows = []
-    for lo in _subsets_binary(N):
-        for hi in _subsets_binary(N):
+    verts = subsets(N, binary=True)
+    for lo in verts:
+        for hi in verts:
             if not (lo <= hi and len(hi - lo) == 1):
                 continue
             e = pres.edges[(lo, hi)]

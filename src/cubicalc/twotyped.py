@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .derive import (derive_labels, derive_polymap, extend_labels,
-                     extend_polymap, partner, schema_key, slab, tlab, vlab,
+from .derive import (_canon, _shift_target, derive_labels, derive_polymap,
+                     extend_labels, extend_polymap, partner, slab, tlab, vlab,
                      with_tag)
 from .hypercube import TwoTypedVertex, tt_edges, tt_faces, tt_vertices
 from .polymap import Poly, PolyMap
@@ -33,10 +33,6 @@ from .rings import QQ, Ring
 
 class TwoTypedError(ValueError):
     pass
-
-
-def _canon(labels):
-    return tuple(sorted(labels, key=schema_key))
 
 
 def _sel(v: TwoTypedVertex, k: int) -> tuple[bool, bool]:
@@ -88,15 +84,7 @@ def _elem_first_kind(ring: Ring, base: tuple, k: int, with_s: bool) -> dict:
     """E1 / E2: groupoid with target shift by t_k (resp. s_k t_k)."""
     dom_l = _canon(derive_labels(base, k, with_s))
     cod_l = _canon(extend_labels(base, k, with_s))
-    nd = len(dom_l)
-    pos = {l: i for i, l in enumerate(dom_l)}
-    v = lambda l: Poly.var(ring, nd, pos[l])
-    tau = v(slab({k})) * v(tlab({k})) if with_s else v(tlab({k}))
-    tgt = {l: v(l) + tau * v(partner(l, k)) for l in base}
-    tgt[tlab({k})] = v(tlab({k}))
-    if with_s:
-        tgt[slab({k})] = v(slab({k}))
-    target = PolyMap.from_label_exprs(ring, dom_l, tgt)
+    target = _shift_target(ring, base, k, with_s, dom_l)
 
     source = PolyMap.projection(ring, dom_l, cod_l)
     nc = len(cod_l)
@@ -112,7 +100,8 @@ def _elem_first_kind(ring: Ring, base: tuple, k: int, with_s: bool) -> dict:
            + Poly.var(ring, n2, pos2[("b", partner(l, k))]) for l in base}})
     inverse = PolyMap.from_label_exprs(ring, dom_l, {
         **{l: target.component(l) for l in cod_l},
-        **{partner(l, k): -v(partner(l, k)) for l in base}})
+        **{partner(l, k): -Poly.var(ring, len(dom_l), dom_l.index(partner(l, k)))
+           for l in base}})
     pair_param, pair_section = generic_pair_param(ring, dom_l, cod_l, target)
     triple_param = generic_triple_param(ring, dom_l, cod_l, target)
     return {"source": source, "target": target, "unit": unit,

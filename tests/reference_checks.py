@@ -1,5 +1,6 @@
 """Dict-based law checkers: the reference the positional checkers of
-`cubicalc.checks` are compared against.
+`cubicalc.checks` are compared against; and the subst-subtract-divide slope
+step, the reference of the term-wise kernel `polymap._shift_quotient`.
 
 A point here is a dict from coordinate label to value, and every evaluation
 looks its inputs up by label, so these checkers depend on no label order.
@@ -14,6 +15,7 @@ import random
 from cubicalc.checks import (_edge_loc, _edge_sort_key, _LawRun,
                              _require_samples, _vertex_label, generic_quad_param)
 from cubicalc.derive import display_label, tag_of
+from cubicalc.polymap import ExactDivisionError, Poly
 from cubicalc.presentation import SamplingError, attach_generic_params
 
 
@@ -287,3 +289,30 @@ def reference_check_finite_law(plaw, in_dim=1, seed=0, samples=30) -> list:
                                           "right": _fmt_point(b, ring)})
         out.extend((st_run.report, c_run.report))
     return out
+
+
+def reference_shift_quotient(p, arity, index, partner, tau):
+    """(value, slope) as `_shift_quotient` returns them, the way the slope
+    was computed before it: substitute x + tau*x', subtract the value and
+    divide exactly by every variable of tau."""
+    r = p.ring
+    var = lambda i: Poly.var(r, arity, i)
+    scale = Poly.const(r, arity, r.one())
+    for i in tau:
+        scale = scale * var(i)
+    value = p.subst([var(i) for i in index], arity)
+    shift = [var(i) if q is None else var(i) + scale * var(q)
+             for i, q in zip(index, partner)]
+    slope = p.subst(shift, arity) - value
+    for i in tau:
+        slope = _divide_by_var(slope, i)
+    return value, slope
+
+
+def _divide_by_var(p, i):
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i] == 0:
+            raise ExactDivisionError(f"monomial {e} not divisible by variable {i}")
+        terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+    return Poly(p.ring, p.arity, terms)

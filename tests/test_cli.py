@@ -236,6 +236,14 @@ def test_check_rejects_negative_vdim(capsys):
         assert err == "error: --vdim must be at least 0, got -1"
 
 
+def test_check_rejects_vdim_above_bound(capsys):
+    from cubicalc.hypercube import MAX_DIM
+
+    err = _usage_error(capsys, ["check", "--construction", "gsy",
+                                "--vdim", str(MAX_DIM + 1)])
+    assert err == f"error: --vdim must be between 0 and {MAX_DIM}, got {MAX_DIM + 1}"
+
+
 _EVAL_5_3 = ["eval", "--expr", "f(x)=x^2", "--point", "1", "--v", "2",
              "--t", "1/3"]  # 16/3
 
@@ -256,3 +264,24 @@ def test_eval_rejects_order_below_one(capsys):
     for order in ("0", "-1"):
         err = _usage_error(capsys, _EVAL_5_3 + ["--order", order])
         assert err == f"error: --order must be at least 1, got {order}"
+
+
+def test_eval_rejects_order_above_bound(capsys):
+    from cubicalc.hypercube import MAX_DIM
+
+    err = _usage_error(capsys, _EVAL_5_3 + ["--order", str(MAX_DIM + 1)])
+    assert err == f"error: --order must be between 1 and {MAX_DIM}, got {MAX_DIM + 1}"
+
+
+def test_eval_counts_v_values_before_enumerating_subsets(capsys, monkeypatch):
+    import cubicalc.cli
+    from cubicalc.hypercube import MAX_DIM
+
+    def no_subsets(*args, **kwargs):
+        raise AssertionError("subsets enumerated before --v was counted")
+
+    monkeypatch.setattr(cubicalc.cli, "subsets", no_subsets)
+    err = _usage_error(capsys, ["eval", "--expr", "f(x)=x^2", "--point", "1",
+                                "--order", str(MAX_DIM),
+                                "--t", ",".join(["1"] * MAX_DIM)])
+    assert err.startswith(f"error: --v needs {2 ** MAX_DIM - 1} values ")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +8,7 @@ from cubicalc.hypercube import (Edge, HypercubeError, Vertex, alpha_stair,
                                 classify_edge_for_induction, classify_two_typed,
                                 count_kcubes, edges, kcubes, tt_edge_kind,
                                 tt_edges, tt_face_type, tt_faces, tt_vertices,
-                                TwoTypedVertex, vertices)
+                                TwoTypedVertex, subsets, vertices)
 
 
 def V(elems, n):
@@ -120,3 +122,17 @@ def test_two_typed_classification():
     assert classify_two_typed(TwoTypedVertex.from_sets([1], [], 2)) == "N-vertex"
     assert classify_two_typed(TwoTypedVertex.from_sets([], [2], 2)) == "N'-vertex"
     assert classify_two_typed(TwoTypedVertex.from_sets([1], [2], 2)) == "generic"
+
+
+@given(st.sets(st.integers(1, 9), max_size=5))
+def test_subsets_orders(elems):
+    base = sorted(elems)
+    graded = [frozenset(c) for k in range(len(base) + 1)
+              for c in combinations(base, k)]
+    assert subsets(elems) == graded
+    # binary code: bit i of the index <-> the i-th smallest element
+    assert subsets(elems, binary=True) == [
+        frozenset(e for i, e in enumerate(base) if m >> i & 1)
+        for m in range(1 << len(base))]
+    assert subsets(range(1, 4), binary=True) == [
+        frozenset(v.elements()) for v in vertices(3)]

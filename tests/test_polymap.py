@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicalc.parser import ParseError, parse
-from cubicalc.polymap import ExactDivisionError, Poly, PolyMap, PolyRing
+from cubicalc.polymap import Poly, PolyMap, PolyRing, _shift_quotient
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
+from reference_checks import reference_shift_quotient
 
 
 def test_parse_simple():
@@ -62,14 +63,6 @@ def test_eval_degree_compose():
     # total degree over all variables
     two_xv_plus_tvv = parse("F(x,v,t) = 2*x*v + t*v^2")
     assert two_xv_plus_tvv.degree() == 3
-
-
-def test_exact_division_guard():
-    p = parse("f(x,t) = x*t + t^2").comps[0]
-    q = p.divide_by_var(1)
-    assert q == parse("f(x,t) = x + t").comps[0]
-    with pytest.raises(ExactDivisionError):
-        parse("f(x,t) = x + t").comps[0].divide_by_var(1)
 
 
 def test_fmt_canonical():
@@ -347,3 +340,41 @@ def test_subst_over_polynomial_coefficients():
               Poly.const(coeffs, 2, coeffs.from_int(3))]
     for images in (monomial, linear):
         _assert_subst_matches(poly, images, 2)
+
+
+QUOTIENT_RINGS = KERNEL_RINGS + (IntegersMod(4),)
+
+
+@st.composite
+def quotient_cases(draw):
+    """A polynomial (arity <= 4, degree <= 4) and a layout for
+    `_shift_quotient`: old variables, partners of the shifted ones and one or
+    two scale variables (t_j, or s_j and t_j) placed at random new indices."""
+    ring = draw(st.sampled_from(QUOTIENT_RINGS))
+    arity = draw(st.integers(1, 4))
+    shifted = draw(st.lists(st.booleans(), min_size=arity, max_size=arity))
+    new_arity = arity + sum(shifted) + draw(st.integers(1, 2))
+    slots = draw(st.permutations(range(new_arity)))
+    rest = iter(slots[arity:])
+    partner = [next(rest) if s else None for s in shifted]
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6))
+    table = draw(st.dictionaries(_exponents(arity, 4), coeff, max_size=6))
+    poly = Poly(ring, arity, {e: _coefficient(ring, *c) for e, c in table.items()})
+    return poly, new_arity, slots[:arity], partner, list(rest)
+
+
+@given(quotient_cases())
+@settings(max_examples=300, deadline=None)
+def test_shift_quotient_matches_subst_subtract_divide(case):
+    got = _shift_quotient(*case)
+    assert got == reference_shift_quotient(*case)
+    for q in got:
+        assert not any(q.ring.is_zero(c) for c in q.terms.values())
+
+
+def test_shift_quotient_drops_vanishing_binomials_mod_4():
+    # x^4 -> (x + t*v)^4: C(4,1) = 4 and C(4,3) = 4 vanish, C(4,2) = 6 is 2
+    ring = IntegersMod(4)
+    value, slope = _shift_quotient(Poly(ring, 1, {(4,): 1}), 3, [0], [1], [2])
+    assert value.terms == {(4, 0, 0): 1}
+    assert slope.terms == {(2, 2, 1): 2, (0, 4, 3): 1}

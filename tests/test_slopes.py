@@ -2,15 +2,18 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubicalc.derive import tlab, vlab
+from cubicalc.derive import derive_polymap, partner, slab, tlab, vlab, with_tag
 from cubicalc.parser import parse
 from cubicalc.polymap import Poly, PolyMap
-from cubicalc.rings import QQ, RingError
-from cubicalc.slopes import (derive_map, factorizer_identity_holds, full_slope,
-                             slope, sym_slope_closed, sym_slope_iterated)
+from cubicalc.rings import QQ, IntegersMod, RingError
+from cubicalc.slopes import (_cubic_base, derive_map, factorizer_identity_holds,
+                             full_slope, slope, sym_slope_closed,
+                             sym_slope_iterated)
 
 from conftest import mixed_partial_map, rand_fraction, rand_unit, random_polymap
+from reference_checks import reference_shift_quotient
 
 
 def _subsets(n):
@@ -219,3 +222,59 @@ def test_slope_additivity_is_the_star_morphism_identity(rng):
         sub_right = m.subst({vlab((), 0): v0, vlab({1}, 0): v1,
                              tlab({1}): t}, labels)
         assert sub_sum.comps[0] == sub_left.comps[0] + sub_right.comps[0]
+
+
+def test_full_slope_is_the_top_block_of_derive_polymap(rng):
+    """full_slope derives only the top block; deriving every block and
+    keeping the top one gives the same map, labels and order included."""
+    for n in (1, 2, 3):
+        f = random_polymap(rng, 2, 2, 3, terms=3)
+        m = _cubic_base(f)
+        for j in range(1, n + 1):
+            m = derive_polymap(m, j, with_s=False)
+        top = frozenset(range(1, n + 1))
+        assert full_slope(f, n) == m.restrict_outputs(
+            [vlab(top, c) for c in range(f.out_arity)])
+
+
+_SPACE = (vlab((), 0), vlab({1}, 0), tlab({1}))
+
+
+@st.composite
+def tagged_derivations(draw):
+    """A map on two tagged copies of a space, as the composition of an edge
+    is, and the arguments of one derivation step in direction 2."""
+    ring = draw(st.sampled_from((QQ, IntegersMod(2 ** 31 - 1), IntegersMod(6),
+                                 IntegersMod(4))))
+    in_labels = tuple((tg, l) for tg in "ab" for l in _SPACE)
+    exps = st.lists(st.integers(0, 3), min_size=len(in_labels),
+                    max_size=len(in_labels)).filter(lambda e: sum(e) <= 3).map(tuple)
+    comps = [Poly(ring, len(in_labels), {e: ring.from_int(c) for e, c in draw(
+        st.dictionaries(exps, st.integers(-5, 5), max_size=4)).items()})
+        for _ in range(2)]
+    m = PolyMap(ring, in_labels, comps, (("a", vlab((), 0)), ("b", vlab({1}, 0))))
+    return (m, draw(st.booleans()), draw(st.sampled_from((None, "a", "b"))),
+            draw(st.booleans()))
+
+
+@given(tagged_derivations())
+@settings(max_examples=100, deadline=None)
+def test_derive_polymap_on_tagged_copies_matches_reference(case):
+    """Each partner component is the subst-subtract-divide slope at the
+    scale of the copy tau_tag (the right operand "b" by default), or at the
+    one shared scale of a parameter space (copies=False)."""
+    m, with_s, tau_tag, copies = case
+    d = derive_polymap(m, 2, with_s, tau_tag=tau_tag, copies=copies)
+    src = (tau_tag or "b") if copies else None
+    fresh = (slab({2}), tlab({2})) if with_s else (tlab({2}),)
+    pos = {l: i for i, l in enumerate(d.in_labels)}
+    tau = [pos[with_tag(src, l)] for l in fresh]
+    for out, comp in zip(m.out_labels, m.comps):
+        value, slope_ = reference_shift_quotient(
+            comp, d.in_arity, [pos[l] for l in m.in_labels],
+            [pos[partner(l, 2)] for l in m.in_labels], tau)
+        assert d.component(out) == value
+        assert d.component(partner(out, 2)) == slope_
+    for tg in "ab":
+        for l in fresh:
+            assert d.component((tg, l)) == d.var(with_tag(src, l))
