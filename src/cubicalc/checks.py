@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .derive import display_label, tag_of
+from .hypercube import subset_label
 from .polymap import PolyError, PolyMap
 from .presentation import (LEFT, RIGHT, EdgeCat, NFoldPresentation,
                            SamplingError, attach_generic_params, tagged)
@@ -198,17 +199,7 @@ def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
 
 
 def _edge_loc(e: EdgeCat) -> str:
-    return f"edge {_vertex_label(e.lo)}>{_vertex_label(e.hi)}"
-
-
-def _vertex_label(v) -> str:
-    from .hypercube import TwoTypedVertex, subset_label
-
-    if isinstance(v, frozenset):
-        return subset_label(v)
-    if isinstance(v, TwoTypedVertex):
-        return v.label()
-    return str(v)
+    return f"edge {subset_label(e.lo)}>{subset_label(e.hi)}"
 
 
 def generic_quad_param(p: NFoldPresentation, face) -> PolyMap:
@@ -270,7 +261,7 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
         attach_generic_params(e)
     rng = random.Random(seed)
     ring = p.ring
-    loc = f"face {_vertex_label(face[0])}>{_vertex_label(face[1])}"
+    loc = f"face {subset_label(face[0])}>{subset_label(face[1])}"
     # the four vertex schemas: alpha on top, gamma+j below it in direction
     # i, gamma+i below it in direction j, gamma at the bottom
     top, at_gj, at_gi, bottom = ei_top.dom, ei_top.cod, ej_top.cod, ei_bot.cod
@@ -402,7 +393,7 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
 
 def _edge_sort_key(key):
     lo, hi = key
-    return (_vertex_label(hi), _vertex_label(lo))
+    return (subset_label(hi), subset_label(lo))
 
 
 def check_presentation(p: NFoldPresentation, seed: int = 0,

@@ -481,10 +481,9 @@ def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
             target = target.extend_inputs(schemas[hi].labels)
             edges[(lo, hi)] = additive_edge_cat(ring, d, lo, hi, schemas[hi],
                                                 schemas[lo], target)
-    faces = tuple((lo, hi) for lo in verts for hi in verts
-                  if lo <= hi and len(hi - lo) == 2)
     label = name or (f"G^{{{subset_label(set(N))}}}" + ("fi" if finite else ""))
-    return NFoldPresentation(label, ring, N, verts, schemas, edges, faces)
+    return NFoldPresentation(label, ring, N, verts, schemas, edges,
+                             subset_faces(verts))
 
 
 def scaleoid(N, ring: Ring = QQ) -> NFoldPresentation:
@@ -699,13 +698,9 @@ class PullbackC1:
 
         Keys: ("A", x)/("dA", x) for base/fiber coordinates of the A side,
         likewise for B, plus "t"."""
-        out = []
-        for _ in range(count):
-            vals = [self.ring.rand(rng, span) for _ in self.hd.in_labels]
-            a_side = dict(zip(self.hd.out_labels, self.hd.eval(vals)))
-            b_side = dict(zip(self.kd.out_labels, self.kd.eval(vals)))
-            out.append(self._pack(a_side, b_side))
-        return out
+        labels = self.hd.in_labels
+        return [self._push({l: self.ring.rand(rng, span) for l in labels})
+                for _ in range(count)]
 
     def _pack(self, a_side: dict, b_side: dict) -> dict:
         pt = {}
@@ -769,9 +764,10 @@ class PullbackC1:
         return left, right
 
     def _push(self, vals: dict) -> dict:
-        a_side = self.hd.eval_labeled(vals)
-        b_side = self.kd.eval_labeled(vals)
-        return self._pack(a_side, b_side)
+        """Pack the images under hd and kd of one derived parameter point."""
+        return self._pack(*(dict(zip(m.out_labels,
+                                     m.eval([vals[l] for l in m.in_labels])))
+                            for m in (self.hd, self.kd)))
 
     def equality_with_p1(self) -> bool:
         """Over the terminal object C = 0 the inclusion Q within P^<1> is an

@@ -99,11 +99,12 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
+        """c times self; a product that vanishes in the ring (c = 0, or a
+        zero divisor over Z/m) is dropped."""
         r = self.ring
-        if r.is_zero(c):
-            return Poly.zero(r, self.arity)
+        prods = ((e, r.mul(c, v)) for e, v in self.terms.items())
         return _from_terms(r, self.arity,
-                           {e: r.mul(c, v) for e, v in self.terms.items()})
+                           {e: p for e, p in prods if not r.is_zero(p)})
 
     def _compat(self, other: "Poly") -> None:
         if self.ring != other.ring or self.arity != other.arity:
@@ -543,12 +544,6 @@ class PolyMap:
     @cached_property
     def _kernel(self) -> _Kernel:
         return _Kernel(self.comps)
-
-    def eval_labeled(self, values: Mapping[Label, Any]) -> dict:
-        vals = [values[l] for l in self.in_labels]
-        if self.out_labels is None:
-            raise PolyError("map has no output labels")
-        return dict(zip(self.out_labels, self.eval(vals)))
 
     def subst(self, assign: Mapping[Label, Poly], new_in_labels) -> "PolyMap":
         """Substitute a polynomial (over new_in_labels) for every input label."""

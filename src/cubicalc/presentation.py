@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .derive import tag_of, with_tag
-from .hypercube import _check_dim, subsets
+from .hypercube import direction_key, kcubes, vertices as cube_vertices
 from .polymap import Poly, PolyError, PolyMap
 from .rings import Ring
 
@@ -222,35 +222,11 @@ class NFoldPresentation:
         """The four edges of a face (gamma, alpha): returns (i, j, e_i_bot,
         e_i_top, e_j_bot, e_j_top) with i, j the two added directions."""
         gamma, alpha = face
-        i, j = sorted(self._added(gamma, alpha), key=self._dirkey)
-        gi = self._join(gamma, i)
-        gj = self._join(gamma, j)
+        i, j = sorted(alpha - gamma, key=direction_key)
+        gi, gj = gamma | {i}, gamma | {j}
         return (i, j,
                 self.edges[(gamma, gi)], self.edges[(gj, alpha)],
                 self.edges[(gamma, gj)], self.edges[(gi, alpha)])
-
-    def _added(self, lo, hi):
-        from .hypercube import TwoTypedVertex, elems_of
-
-        if isinstance(lo, frozenset):
-            return tuple(hi - lo)
-        assert isinstance(lo, TwoTypedVertex)
-        out = [d for d in elems_of(hi.plain & ~lo.plain)]
-        out += [-d for d in elems_of(hi.primed & ~lo.primed)]
-        return tuple(out)
-
-    @staticmethod
-    def _dirkey(d):
-        return (abs(d), 0 if d > 0 else 1)
-
-    def _join(self, v, d):
-        from .hypercube import TwoTypedVertex
-
-        if isinstance(v, frozenset):
-            return v | {d}
-        if d > 0:
-            return TwoTypedVertex(v.plain | (1 << (d - 1)), v.primed, v.n)
-        return TwoTypedVertex(v.plain, v.primed | (1 << (-d - 1)), v.n)
 
     # -- re-indexing operations ---------------------------------------------
 
@@ -282,7 +258,7 @@ class NFoldPresentation:
         edges = {}
         for key, e in self.edges.items():
             if e.direction in gamma:
-                attach_generic_params(e)
+                e = attach_generic_params(replace(e))
                 swap = {LEFT: RIGHT, RIGHT: LEFT}
                 new_compose = _retag_inputs(e.compose, swap)
                 pair_param = None
@@ -302,7 +278,7 @@ class NFoldPresentation:
         quads = {}
         for key, q in self.quad_params.items():
             lo, hi = key
-            i, j = sorted(self._added(lo, hi), key=self._dirkey)
+            i, j = sorted(hi - lo, key=direction_key)
             perm = {t: t for t in "abcd"}
             if i in gamma:  # a *_i b reverses: (a b)(c d)
                 perm = {k: {"a": "b", "b": "a", "c": "d", "d": "c"}[v]
@@ -320,11 +296,9 @@ class NFoldPresentation:
         choosing the target at directions in gamma and the source elsewhere."""
         gamma = frozenset(gamma)
         cur = vertex
-        moves = sorted(self._added(self._bottom(), vertex), key=self._dirkey,
-                       reverse=True)
         m = None
-        for d in moves:
-            lo = self._drop(cur, d)
+        for d in sorted(vertex, key=direction_key, reverse=True):
+            lo = cur - {d}
             e = self.edges[(lo, cur)]
             step = e.target if d in gamma else e.source
             m = step if m is None else step.compose(m)
@@ -332,23 +306,6 @@ class NFoldPresentation:
         if m is None:
             m = PolyMap.identity(self.ring, self.schemas[vertex].labels)
         return m
-
-    def _bottom(self):
-        from .hypercube import TwoTypedVertex
-
-        v0 = self.vertices[0]
-        if isinstance(v0, frozenset):
-            return frozenset()
-        return TwoTypedVertex(0, 0, v0.n)
-
-    def _drop(self, v, d):
-        from .hypercube import TwoTypedVertex
-
-        if isinstance(v, frozenset):
-            return v - {d}
-        if d > 0:
-            return TwoTypedVertex(v.plain & ~(1 << (d - 1)), v.primed, v.n)
-        return TwoTypedVertex(v.plain, v.primed & ~(1 << (-d - 1)), v.n)
 
 
 def _retag_inputs(m: PolyMap, table: dict) -> PolyMap:
@@ -373,23 +330,8 @@ def _retag_outputs(m: PolyMap, table: dict) -> PolyMap:
 
 def subsets_presentation_vertices(n: int) -> tuple:
     """All subsets of {1..n} as frozensets in lexicographic (bitmask) order."""
-    _check_dim(n)
-    return tuple(subsets(range(1, n + 1), binary=True))
+    return tuple(cube_vertices(n))
 
 
 def subset_faces(vertices) -> tuple:
-    faces = []
-    for lo in vertices:
-        for hi in vertices:
-            if lo <= hi and len(hi - lo) == 2:
-                faces.append((lo, hi))
-    return tuple(faces)
-
-
-def subset_edges(vertices) -> tuple:
-    out = []
-    for lo in vertices:
-        for hi in vertices:
-            if lo <= hi and len(hi - lo) == 1:
-                out.append((lo, hi))
-    return tuple(out)
+    return tuple(kcubes(vertices, 2))

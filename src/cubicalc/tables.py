@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .constructions import gfull, gfull_vertex_schema, scaleoid
 from .derive import display_label, monomial_key
-from .hypercube import subset_label, subsets
+from .hypercube import kcubes, subset_label, subsets
 from .rings import QQ, Ring
 
 
@@ -41,21 +41,17 @@ def edge_table(N, scaleoid_table: bool = False, ring: Ring = QQ) -> list[dict]:
         N = tuple(range(1, N + 1))
     pres = scaleoid(N, ring) if scaleoid_table else gfull(N, ring=ring)
     rows = []
-    verts = subsets(N, binary=True)
-    for lo in verts:
-        for hi in verts:
-            if not (lo <= hi and len(hi - lo) == 1):
-                continue
-            e = pres.edges[(lo, hi)]
-            if not e.dom.labels:
-                continue
-            rows.append({
-                "N": subset_label(set(N)),
-                "edge": f"{subset_label(lo)}>{subset_label(hi)}",
-                "formula": "pi" + coords_str(e.dom.labels) + " = "
-                + e.target.fmt(monomial_order=monomial_key),
-                "outputs": coords_str(e.target.out_labels),
-            })
+    for lo, hi in kcubes(subsets(N, binary=True), 1):
+        e = pres.edges[(lo, hi)]
+        if not e.dom.labels:
+            continue
+        rows.append({
+            "N": subset_label(set(N)),
+            "edge": f"{subset_label(lo)}>{subset_label(hi)}",
+            "formula": "pi" + coords_str(e.dom.labels) + " = "
+            + e.target.fmt(monomial_order=monomial_key),
+            "outputs": coords_str(e.target.out_labels),
+        })
     return rows
 
 

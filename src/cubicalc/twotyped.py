@@ -14,8 +14,11 @@ s_k + t_k).  Fresh-direction edges are the four elementary categories:
 Older edges are images of lower ones under the stage functor.  Composable
 pairs, triples and interchange quadruples are polynomial parameterizations
 assembled at the base and pushed through the same functors, so samplers never
-solve equations.  The recursion strips the top stage: a vertex with ambient
-field n = m-1 addresses the structure built from stages 1..m-1.
+solve equations.  A vertex is the frozenset of its signed directions, k for
+the plain direction k and -k for the primed k' (see `hypercube`).  The
+recursion strips the top stage: removing m and -m from a vertex of stage
+count m gives the vertex, at stage count m-1, of the structure built from
+stages 1..m-1.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from functools import lru_cache
 from .derive import (_canon, _shift_target, derive_labels, derive_polymap,
                      extend_labels, extend_polymap, partner, slab, tlab, vlab,
                      with_tag)
-from .hypercube import TwoTypedVertex, tt_edges, tt_faces, tt_vertices
+from .hypercube import direction_key, tt_edges, tt_faces, tt_vertices
 from .polymap import Poly, PolyMap
 from .presentation import (CoordSchema, EdgeCat, NFoldPresentation,
                            generic_pair_param, generic_triple_param, tagged)
@@ -35,29 +38,24 @@ class TwoTypedError(ValueError):
     pass
 
 
-def _sel(v: TwoTypedVertex, k: int) -> tuple[bool, bool]:
-    bit = 1 << (k - 1)
-    return (bool(v.plain & bit), bool(v.primed & bit))
+def _sel(v: frozenset, k: int) -> tuple[bool, bool]:
+    return (k in v, -k in v)
 
 
-def _strip(v: TwoTypedVertex) -> TwoTypedVertex:
-    """Remove the top stage (and lower the ambient stage count)."""
-    m = v.n
-    bit = 1 << (m - 1)
-    return TwoTypedVertex(v.plain & ~bit, v.primed & ~bit, m - 1)
+def _strip(v: frozenset, m: int) -> frozenset:
+    """Remove the top stage m."""
+    return v - {m, -m}
 
 
-def _direction(lo: TwoTypedVertex, hi: TwoTypedVertex) -> int:
-    d_plain = hi.plain & ~lo.plain
-    if d_plain:
-        return d_plain.bit_length()
-    return -(hi.primed & ~lo.primed).bit_length()
+def _direction(lo: frozenset, hi: frozenset) -> int:
+    return next(iter(hi - lo))
 
 
 @lru_cache(maxsize=None)
-def tt_schema_labels(v: TwoTypedVertex, vdim: int) -> tuple:
+def tt_schema_labels(v: frozenset, n: int, vdim: int) -> tuple:
+    """Coordinate labels of vertex v of P(n-bar)."""
     labels: tuple = tuple(vlab((), c) for c in range(vdim))
-    for k in range(1, v.n + 1):
+    for k in range(1, n + 1):
         plain, primed = _sel(v, k)
         if plain:
             labels = derive_labels(labels, k, with_s=primed)
@@ -196,18 +194,16 @@ def _action_chain_params(ring: Ring, dom_l: tuple, x_block: tuple,
 
 
 @lru_cache(maxsize=None)
-def _tt_edge_maps(lo: TwoTypedVertex, hi: TwoTypedVertex, vdim: int,
+def _tt_edge_maps(lo: frozenset, hi: frozenset, m: int, vdim: int,
                   ring: Ring) -> dict:
-    m = hi.n
     d = _direction(lo, hi)
+    plain_hi, primed_hi = _sel(hi, m)
     if abs(d) == m:
-        base = tt_schema_labels(_strip(hi), vdim)
-        plain_hi, primed_hi = _sel(hi, m)
+        base = tt_schema_labels(_strip(hi, m), m - 1, vdim)
         if d > 0:
             return _elem_first_kind(ring, base, m, with_s=primed_hi)
         return _elem_second_kind(ring, base, m, derived=plain_hi)
-    lower = _tt_edge_maps(_strip(lo), _strip(hi), vdim, ring)
-    plain_hi, primed_hi = _sel(hi, m)
+    lower = _tt_edge_maps(_strip(lo, m), _strip(hi, m), m - 1, vdim, ring)
     return {name: _apply_stage(mp, m, plain_hi, primed_hi,
                                copies=name in ("compose", "pair_section"))
             for name, mp in lower.items()}
@@ -219,24 +215,22 @@ def _tt_edge_maps(lo: TwoTypedVertex, hi: TwoTypedVertex, vdim: int,
 
 
 @lru_cache(maxsize=None)
-def _tt_quad(gamma: TwoTypedVertex, alpha: TwoTypedVertex, vdim: int,
+def _tt_quad(gamma: frozenset, alpha: frozenset, m: int, vdim: int,
              ring: Ring) -> PolyMap:
-    m = alpha.n
-    dirs = _tt_added(gamma, alpha)
+    dirs = sorted(alpha - gamma, key=direction_key)
     touches = [d for d in dirs if abs(d) == m]
     if not touches:
-        lower = _tt_quad(_strip(gamma), _strip(alpha), vdim, ring)
+        lower = _tt_quad(_strip(gamma, m), _strip(alpha, m), m - 1, vdim, ring)
         plain_hi, primed_hi = _sel(alpha, m)
         return _apply_stage(lower, m, plain_hi, primed_hi)
     if len(touches) == 2:
-        base = tt_schema_labels(_strip(alpha), vdim)
+        base = tt_schema_labels(_strip(alpha, m), m - 1, vdim)
         return _elementary_square_quad(ring, base, m)
     new_d = touches[0]
     old_d = next(d for d in dirs if d != new_d)
     # lower i-edge: the face's stage-m part stripped from both endpoints
-    lo_low = _strip(gamma)
-    hi_low = _strip(_join_dir(gamma, old_d))
-    lower = _tt_edge_maps(lo_low, hi_low, vdim, ring)
+    lower = _tt_edge_maps(_strip(gamma, m), _strip(gamma | {old_d}, m), m - 1,
+                          vdim, ring)
     phi, rho = lower["pair_param"], lower["pair_section"]
     plain_g, primed_g = _sel(gamma, m)
     if new_d > 0:
@@ -244,20 +238,6 @@ def _tt_quad(gamma: TwoTypedVertex, alpha: TwoTypedVertex, vdim: int,
     if plain_g:
         return _mixed_quad_e4(ring, phi, m)
     return _mixed_quad_e3(ring, phi, m)
-
-
-def _tt_added(lo: TwoTypedVertex, hi: TwoTypedVertex) -> tuple:
-    from .hypercube import elems_of
-
-    out = [d for d in elems_of(hi.plain & ~lo.plain)]
-    out += [-d for d in elems_of(hi.primed & ~lo.primed)]
-    return tuple(sorted(out, key=lambda d: (abs(d), 0 if d > 0 else 1)))
-
-
-def _join_dir(v: TwoTypedVertex, d: int) -> TwoTypedVertex:
-    if d > 0:
-        return TwoTypedVertex(v.plain | (1 << (d - 1)), v.primed, v.n)
-    return TwoTypedVertex(v.plain, v.primed | (1 << (-d - 1)), v.n)
 
 
 def _elementary_square_quad(ring: Ring, base: tuple, k: int) -> PolyMap:
@@ -406,11 +386,11 @@ def g_overline(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
     """The 2n-fold category G^{n-bar} U over P(n-bar); supported for n <= 2."""
     if n > 2:
         raise TwoTypedError("g_overline is only supported for n <= 2")
-    verts = tuple(sorted(tt_vertices(n), key=lambda v: (v.size(), v.plain, v.primed)))
-    schemas = {v: CoordSchema(ring, tt_schema_labels(v, vdim)) for v in verts}
+    verts = tuple(sorted(tt_vertices(n), key=_vertex_order))
+    schemas = {v: CoordSchema(ring, tt_schema_labels(v, n, vdim)) for v in verts}
     edges = {}
     for lo, hi in tt_edges(n):
-        maps = _tt_edge_maps(lo, hi, vdim, ring)
+        maps = _tt_edge_maps(lo, hi, n, vdim, ring)
         dom, cod = schemas[hi], schemas[lo]
         e = EdgeCat(_direction(lo, hi), lo, hi, dom, cod,
                     maps["source"].extend_inputs(dom.labels),
@@ -427,8 +407,15 @@ def g_overline(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
     pres = NFoldPresentation(f"G^{{{n}bar}}", ring, _tt_directions(n), verts,
                              schemas, edges, faces)
     for face in faces:
-        pres.quad_params[face] = _tt_quad(face[0], face[1], vdim, ring)
+        pres.quad_params[face] = _tt_quad(face[0], face[1], n, vdim, ring)
     return pres
+
+
+def _vertex_order(v: frozenset) -> tuple:
+    """By size, then by the binary codes of the plain part and of the
+    primed part."""
+    return (len(v), sum(1 << d for d in v if d > 0),
+            sum(1 << -d for d in v if d < 0))
 
 
 def _tt_directions(n: int) -> tuple:

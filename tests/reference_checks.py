@@ -6,15 +6,17 @@ A point here is a dict from coordinate label to value, and every evaluation
 looks its inputs up by label, so these checkers depend on no label order.
 They make the same random draws, in the same order, as the positional
 checkers, so on the same seed both must give the same reports, witnesses
-included.
+included.  `eval_labeled`, their dict evaluation, also serves the tests that
+pin map values by label.
 """
 from __future__ import annotations
 
 import random
 
 from cubicalc.checks import (_edge_loc, _edge_sort_key, _LawRun,
-                             _require_samples, _vertex_label, generic_quad_param)
+                             _require_samples, generic_quad_param)
 from cubicalc.derive import display_label, tag_of
+from cubicalc.hypercube import subset_label
 from cubicalc.polymap import ExactDivisionError, Poly
 from cubicalc.presentation import SamplingError, attach_generic_params
 
@@ -24,8 +26,13 @@ def _fmt_point(point: dict, ring) -> dict:
         point.items(), key=lambda kv: display_label(kv[0]))}
 
 
-def _ev(m, point: dict) -> dict:
-    return m.eval_labeled(point)
+def eval_labeled(m, values: dict) -> dict:
+    """m at a point given as a dict from input label to value, returned as a
+    dict from output label to value."""
+    return dict(zip(m.out_labels, m.eval([values[l] for l in m.in_labels])))
+
+
+_ev = eval_labeled
 
 
 def _ev_tagged(m, points: dict) -> dict:
@@ -34,7 +41,7 @@ def _ev_tagged(m, points: dict) -> dict:
         tg = tag_of(l)
         inner = l[1] if tg is not None else l
         vals[l] = points[tg][inner]
-    return m.eval_labeled(vals)
+    return _ev(m, vals)
 
 
 def _split_tags(point: dict, tags) -> dict:
@@ -87,7 +94,7 @@ def reference_sample_tuples(param, schema, tags, rng, count, span=2,
                 vals[l] = ring.rand_unit(rng, span)
             else:
                 vals[l] = ring.rand(rng, span)
-        tup = _split_tags(param.eval_labeled(vals), tags)
+        tup = _split_tags(_ev(param, vals), tags)
         if all(_satisfies(schema, pt) for pt in tup.values()):
             out.append(tup)
     return out
@@ -154,7 +161,7 @@ def reference_check_face(p, face, seed=0, samples=50) -> list:
         attach_generic_params(e)
     rng = random.Random(seed)
     ring = p.ring
-    loc = f"face {_vertex_label(face[0])}>{_vertex_label(face[1])}"
+    loc = f"face {subset_label(face[0])}>{subset_label(face[1])}"
 
     proj_comm = _LawRun("projections-commute", loc, seed)
     unit_comm = _LawRun("units-commute", loc, seed)

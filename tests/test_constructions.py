@@ -15,6 +15,7 @@ from cubicalc.polymap import PolyMap
 from cubicalc.rings import QQ
 
 from conftest import rand_fraction, rand_unit, random_polymap
+from reference_checks import eval_labeled
 
 F = Fraction
 fs = frozenset
@@ -64,7 +65,7 @@ def test_gfull_edge_rows_n2():
     pt = {vlab((), 0): F(1), vlab({1}, 0): F(2), vlab({2}, 0): F(3),
           vlab({1, 2}, 0): F(5), tlab({1}): F(7), tlab({2}): F(11),
           tlab({1, 2}): F(13)}
-    got = e.target.eval_labeled(pt)
+    got = eval_labeled(e.target, pt)
     assert got[vlab((), 0)] == 1 + 7 * 2
     assert got[vlab({2}, 0)] == 3 + 13 * 2 + 7 * 5 + 11 * 13 * 5
     assert got[tlab({1})] == 7 and got[tlab({2})] == 11 and got[tlab({1, 2})] == 13
@@ -72,7 +73,7 @@ def test_gfull_edge_rows_n2():
     e = g.edges[(fs(), fs({2}))]
     pt = {vlab((), 0): F(1), vlab({2}, 0): F(3), tlab({1}): F(7),
           tlab({2}): F(11), tlab({1, 2}): F(13)}
-    got = e.target.eval_labeled(pt)
+    got = eval_labeled(e.target, pt)
     # final slot is t2 (the printed table ends in t1; recorded typo)
     assert got == {vlab((), 0): 1 + 11 * 3, tlab({1}): 7 + 13 * 11,
                    tlab({2}): 11}
@@ -88,24 +89,24 @@ def test_scaleoid_tables_n3():
     s = scaleoid(3)
     e = s.edges[(fs({1}), fs({1, 2}))]
     pt = {tlab({1}): F(1), tlab({2}): F(2), tlab({3}): F(3), tlab({1, 2}): F(5)}
-    assert e.target.eval_labeled(pt) == {tlab({1}): 1 + 2 * 5, tlab({2}): 2,
-                                         tlab({3}): 3}
+    assert eval_labeled(e.target, pt) == {tlab({1}): 1 + 2 * 5, tlab({2}): 2,
+                                          tlab({3}): 3}
     e = s.edges[(fs({1, 2}), fs({1, 2, 3}))]
     vals = {tlab({1}): F(1), tlab({2}): F(2), tlab({3}): F(3),
             tlab({1, 2}): F(5), tlab({1, 3}): F(7), tlab({2, 3}): F(11),
             tlab({1, 2, 3}): F(13)}
-    assert e.target.eval_labeled(vals) == {
+    assert eval_labeled(e.target, vals) == {
         tlab({1}): 1 + 3 * 7, tlab({2}): 2 + 3 * 11, tlab({3}): 3,
         tlab({1, 2}): 5 + 3 * 13}
     # the two rows whose printed versions fail the face law (recorded typos):
     e = s.edges[(fs({1, 3}), fs({1, 2, 3}))]
-    got = e.target.eval_labeled(vals)
+    got = eval_labeled(e.target, vals)
     assert got[tlab({1, 3})] == 7 + 2 * 13 + 11 * 5 + 3 * 11 * 13
     assert got[tlab({2, 3})] == 11
     e = s.edges[(fs({1}), fs({1, 3}))]
     sub = {tlab({1}): F(1), tlab({2}): F(2), tlab({3}): F(3),
            tlab({1, 3}): F(7), tlab({2, 3}): F(11)}
-    assert e.target.eval_labeled(sub) == {
+    assert eval_labeled(e.target, sub) == {
         tlab({1}): 1 + 3 * 7, tlab({2}): 2 + 3 * 11, tlab({3}): 3}
 
 
@@ -116,9 +117,9 @@ def test_gsy_edge_maps_thm_sym2():
     pt = {vlab((), 0): F(1), vlab({1}, 0): F(5), vlab({2}, 0): F(7),
           vlab({1, 2}, 0): F(11)}
     # target adds t_2 v_{gamma | 2}: (v0 + 3 v2, v1 + 3 v12)
-    assert e.target.eval_labeled(pt) == {vlab((), 0): 1 + 3 * 7,
-                                         vlab({1}, 0): 5 + 3 * 11}
-    assert e.source.eval_labeled(pt) == {vlab((), 0): F(1), vlab({1}, 0): F(5)}
+    assert eval_labeled(e.target, pt) == {vlab((), 0): 1 + 3 * 7,
+                                          vlab({1}, 0): 5 + 3 * 11}
+    assert eval_labeled(e.source, pt) == {vlab((), 0): F(1), vlab({1}, 0): F(5)}
 
 
 def test_tangent_source_equals_target():
@@ -177,7 +178,7 @@ def test_finite_part_trivialization_n1_example():
     _, _, fwd, _ = finite_part(1, "gsy", [F(1)])
     m = fwd[fs({1})]
     pt = {vlab((), 0): F(2), vlab({1}, 0): F(5)}
-    assert m.eval_labeled(pt) == {vlab((), 0): F(2), vlab({1}, 0): F(7)}
+    assert eval_labeled(m, pt) == {vlab((), 0): F(2), vlab({1}, 0): F(7)}
 
 
 def test_finite_part_gfull_unit_scales():
@@ -203,6 +204,14 @@ def test_pullback_random_pairs(rng):
             l, r = pb.sample_composable_pair(rng)
             c = pb.compose_points(l, r)
             assert pb.in_q(c) and pb.in_p1(c)
+
+
+def test_pullback_samples_match_parameters_by_label(rng):
+    # k lists the shared parameters in the other order than h
+    pb = PullbackC1(parse("f(x,y) = x + 2*y"), parse("g(x,y) = x + 2*y"),
+                    parse("h(p,q) = (p, q)"), parse("k(q,p) = (p, q)"), QQ)
+    assert pb.hd.in_labels != pb.kd.in_labels
+    assert all(pb.in_p1(p) and pb.in_q(p) for p in pb.sample(rng, 20))
 
 
 def test_pullback_c_zero_equality(rng):

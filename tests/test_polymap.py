@@ -329,6 +329,16 @@ def test_subst_monomial_image_coefficients_vanish_mod_6():
     assert got.terms == {(0, 2): 3, (0, 0): 5}
 
 
+def test_scale_drops_vanishing_products_mod_6():
+    ring = IntegersMod(6)
+    two = Poly.const(ring, 1, 2)
+    got = Poly(ring, 1, {(1,): 3, (0,): 1}).scale(2)
+    assert got.terms == {(0,): 2}
+    assert got == two and (got - two).is_zero()
+    assert got.fmt(["x"]) == two.fmt(["x"]) == "2"
+    assert Poly.var(ring, 1, 0).scale(0).is_zero()
+
+
 def test_subst_over_polynomial_coefficients():
     base = IntegersMod(6)
     coeffs = PolyRing(base, 1)

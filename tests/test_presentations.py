@@ -5,12 +5,14 @@ import pytest
 
 from cubicalc.checks import (check_edge_category, check_face, check_morphism,
                              check_presentation, first_failure, reports_ok)
-from cubicalc.constructions import (anchor_maps, gsy, pair_groupoid,
+from cubicalc.constructions import (anchor_maps, gfull, gsy, pair_groupoid,
                                     scaled_action, tangent)
 from cubicalc.derive import vlab
 from cubicalc.presentation import SamplingError, sample
 from cubicalc.polymap import Poly, PolyMap
 from cubicalc.rings import QQ
+
+from reference_checks import eval_labeled
 
 F = Fraction
 fs = frozenset
@@ -23,7 +25,7 @@ def test_pair_groupoid_composition():
     x, y, z = F(1), F(2), F(3)
     a = {vlab((), 0): y, vlab({1}, 0): z}
     b = {vlab((), 0): x, vlab({1}, 0): y}
-    c = e.compose.eval_labeled({("a", l): a[l] for l in a} | {("b", l): b[l] for l in b})
+    c = eval_labeled(e.compose, {("a", l): a[l] for l in a} | {("b", l): b[l] for l in b})
     assert c == {vlab((), 0): x, vlab({1}, 0): z}
 
 
@@ -32,7 +34,7 @@ def test_pair_groupoid_projections_n2():
     e = p.edges[(fs({2}), fs({1, 2}))]
     pt = {vlab((), 0): F(0), vlab({1}, 0): F(1), vlab({2}, 0): F(2),
           vlab({1, 2}, 0): F(12)}
-    tgt = e.target.eval_labeled(pt)
+    tgt = eval_labeled(e.target, pt)
     assert tgt == {vlab((), 0): F(1), vlab({2}, 0): F(12)}
 
 
@@ -114,6 +116,17 @@ def test_gamma_opposite_involution_and_axioms():
     assert reports_ok(check_presentation(q, seed=4, samples=10))
 
 
+def test_gamma_opposite_leaves_its_input_unchanged():
+    p = gfull(2)
+    before = {key: (e.pair_param, e.pair_section, e.triple_param)
+              for key, e in p.edges.items()}
+    q = p.gamma_opposite({1})
+    assert {key: (e.pair_param, e.pair_section, e.triple_param)
+            for key, e in p.edges.items()} == before
+    assert all(q.edges[key].pair_param is not None
+               for key, e in p.edges.items() if e.direction == 1)
+
+
 def test_top_down_projections():
     # PG: the 2^n top-down projections are the coordinate projections
     p = pair_groupoid(2, 1)
@@ -128,7 +141,7 @@ def test_top_down_projections():
     m = g.top_down_projection(top, fs({1, 2}))
     pt = {vlab((), 0): F(1), vlab({1}, 0): F(1), vlab({2}, 0): F(1),
           vlab({1, 2}, 0): F(1)}
-    assert m.eval_labeled(pt)[vlab((), 0)] == 1 + 2 + 5 + 10
+    assert eval_labeled(m, pt)[vlab((), 0)] == 1 + 2 + 5 + 10
 
 
 def test_gsy_anchor_is_morphism_and_pg_closed():
@@ -166,12 +179,12 @@ def test_scaled_action_edge_formulas():
     p = scaled_action(1, 1)
     e = p.edges[(fs(), fs({1}))]
     pt = {vlab((), 0): F(3), slab({1}): F(2), tlab({1}): F(5)}
-    assert e.target.eval_labeled(pt) == {vlab((), 0): F(6), tlab({1}): F(5)}
-    assert e.source.eval_labeled(pt) == {vlab((), 0): F(3), tlab({1}): F(10)}
+    assert eval_labeled(e.target, pt) == {vlab((), 0): F(6), tlab({1}): F(5)}
+    assert eval_labeled(e.source, pt) == {vlab((), 0): F(3), tlab({1}): F(10)}
     # composition: (v', s', t') after (v, s, t) = (v, s s', t')
     a = {vlab((), 0): F(6), slab({1}): F(7), tlab({1}): F(5)}
-    comp = e.compose.eval_labeled({("a", l): a[l] for l in a}
-                                  | {("b", l): pt[l] for l in pt})
+    comp = eval_labeled(e.compose, {("a", l): a[l] for l in a}
+                                   | {("b", l): pt[l] for l in pt})
     assert comp == {vlab((), 0): F(3), slab({1}): F(14), tlab({1}): F(5)}
 
 
