@@ -152,13 +152,16 @@ def eval_over_extension(f: PolyMap, base: list[ExtElement]) -> list[ExtElement]:
     r = f.ring
     out = []
     for comp in f.comps:
+        # the numerators first, then one division by the denominator
         acc = ExtElement.scalar(ref.ring, ref.alpha, ref.t, ref.ring.zero())
-        for exps, c in comp.terms.items():
-            term = ExtElement.scalar(ref.ring, ref.alpha, ref.t, c)
+        for exps, c in comp.nums.items():
+            term = ExtElement.scalar(ref.ring, ref.alpha, ref.t, r.join(c, 1))
             for i, e in enumerate(exps):
                 if e:
                     term = ext_mul(term, ext_pow(base[i], e))
             acc = ext_add(acc, term)
+        if comp.den != 1:
+            acc = ext_scale(acc, r.from_ratio(1, comp.den))
         out.append(acc)
     return out
 

@@ -389,13 +389,16 @@ def sym_law_via_extension(f: PolyMap, n: int, t, alpha,
             table[frozenset(g)] = Poly.var(ring, len(in_labels),
                                            in_labels.index(vlab(g, c)))
         base.append(ExtElement.from_subset_coeffs(coeff_ring, alpha, t_vals, table))
+    # f lifted with its numerators; each image is divided by its denominator
     f_lifted = PolyMap(coeff_ring, f.in_labels, tuple(
         Poly(coeff_ring, f.in_arity,
-             {e: Poly.const(ring, len(in_labels), c) for e, c in comp.terms.items()})
+             {e: Poly.const(ring, len(in_labels), c) for e, c in comp.nums.items()})
         for comp in f.comps))
     images = eval_over_extension(f_lifted, base)
     exprs = {}
     for c, img in enumerate(images):
+        den = f.comps[c].den
         for g in subsets(alpha):
-            exprs[vlab(g, c)] = img.coeff(g)
+            exprs[vlab(g, c)] = img.coeff(g) if den == 1 else \
+                img.coeff(g).scale(ring.from_ratio(1, den))
     return PolyMap.from_label_exprs(ring, in_labels, exprs)

@@ -6,12 +6,13 @@ maps, laws and difference quotients in the package are PolyMaps.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add as _add_ints
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .rings import Ring, RingError
 
@@ -29,20 +30,53 @@ class ExactDivisionError(PolyError):
 
 
 class Poly:
-    """Sparse polynomial: {exponent tuple: coefficient}, zero coeffs never stored."""
+    """Sparse polynomial in content form: numerators over one denominator.
 
-    __slots__ = ("ring", "arity", "terms")
+    `nums` maps exponent tuples to nonzero numerators and `den` is a positive
+    int; the coefficient of x^e is nums[e]/den.  This is how FLINT's
+    fmpq_poly stores a rational polynomial, and it is kept canonical:
+    gcd(den, numerators) = 1, so equal polynomials have equal (nums, den).
+    Over Q the numerators are ints; over Z/m (and over a `PolyRing`) den is 1
+    and the numerators are the ring's reduced scalars.  Arithmetic runs on the
+    numerators with the ring's `numerator_ops` and handles den once per
+    operation, outside the term loops.  `terms` is the read-only
+    {exponent: coefficient} view, coefficients as ring scalars (Fractions
+    over Q).
+    """
 
-    def __init__(self, ring: Ring, arity: int, terms: dict | None = None):
+    __slots__ = ("ring", "arity", "nums", "den")
+
+    def __init__(self, ring: Ring, arity: int, terms: Mapping | None = None):
+        """From {exponent: coefficient}, each coefficient an exact scalar of
+        the ring (an int or a Fraction over Q, an int over Z/m, reduced
+        here); zero coefficients are dropped."""
         self.ring = ring
         self.arity = arity
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != arity:
-                    raise PolyError(f"exponent vector {exps} has wrong length")
-                if not ring.is_zero(c):
-                    self.terms[tuple(exps)] = c
+        self.nums = {}
+        self.den = 1
+        if not terms:
+            return
+        parts = []
+        for exps, c in terms.items():
+            if len(exps) != arity:
+                raise PolyError(f"exponent vector {exps} has wrong length")
+            try:
+                n, d = ring.split(c)
+            except RingError as exc:
+                raise PolyError(f"coefficient {c!r} is not a scalar of {ring!r}") from exc
+            parts.append((tuple(exps), n, d))
+        # each n/d is in lowest terms, so the lcm leaves no common factor
+        self.den = den = lcm(*(d for _, _, d in parts))
+        _, mul, _, is_zero, from_int = ring.numerator_ops()
+        for e, n, d in parts:
+            if not is_zero(n):
+                self.nums[e] = n if d == den else mul(n, from_int(den // d))
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only {exponent: coefficient} view; coefficients are made on
+        access."""
+        return _Terms(self)
 
     # -- constructors ------------------------------------------------------
 
@@ -58,33 +92,44 @@ class Poly:
     def var(cls, ring: Ring, arity: int, i: int) -> "Poly":
         e = [0] * arity
         e[i] = 1
-        return cls(ring, arity, {tuple(e): ring.one()})
+        one, _ = ring.split(ring.one())
+        return _from_content(ring, arity, {tuple(e): one}, 1)
 
     # -- basic algebra -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        terms = dict(self.terms)
-        r = self.ring
-        for e, c in other.terms.items():
-            s = r.add(terms.get(e, r.zero()), c)
-            if r.is_zero(s):
-                terms.pop(e, None)
+        add, mul, _, is_zero, from_int = self.ring.numerator_ops()
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == 1:
+            nums = dict(self.nums)
+        else:
+            nums = {e: mul(n, from_int(fa)) for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            if fb != 1:
+                n = mul(n, from_int(fb))
+            old = nums.get(e)
+            if old is not None:
+                n = add(old, n)
+            if is_zero(n):
+                nums.pop(e, None)
             else:
-                terms[e] = s
-        return _from_terms(r, self.arity, terms)
+                nums[e] = n
+        return _from_content(self.ring, self.arity, nums, den)
 
     def __neg__(self) -> "Poly":
-        return _from_terms(self.ring, self.arity,
-                           {e: self.ring.neg(c) for e, c in self.terms.items()})
+        neg = self.ring.numerator_ops()[2]
+        return _from_content(self.ring, self.arity,
+                             {e: neg(n) for e, n in self.nums.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        return _from_terms(self.ring, self.arity,
-                           _mul_into({}, self.ring, self.terms, other.terms))
+        nums = _mul_into({}, self.ring.numerator_ops(), self.nums, other.nums)
+        return _from_content(self.ring, self.arity, nums, self.den * other.den)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -102,9 +147,12 @@ class Poly:
         """c times self; a product that vanishes in the ring (c = 0, or a
         zero divisor over Z/m) is dropped."""
         r = self.ring
-        prods = ((e, r.mul(c, v)) for e, v in self.terms.items())
-        return _from_terms(r, self.arity,
-                           {e: p for e, p in prods if not r.is_zero(p)})
+        _, mul, _, is_zero, _ = r.numerator_ops()
+        n, d = r.split(c)
+        prods = ((e, mul(n, v)) for e, v in self.nums.items())
+        return _from_content(r, self.arity,
+                             {e: p for e, p in prods if not is_zero(p)},
+                             self.den * d)
 
     def _compat(self, other: "Poly") -> None:
         if self.ring != other.ring or self.arity != other.arity:
@@ -113,24 +161,25 @@ class Poly:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
         """Total degree over all variables; degree(0) = 0 by convention."""
-        if not self.terms:
+        if not self.nums:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.ring == other.ring
             and self.arity == other.arity
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash((self.arity, self.den, frozenset(self.nums.items())))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -140,34 +189,62 @@ class Poly:
     def subst(self, images: Sequence["Poly"], arity: int) -> "Poly":
         """Substitute images[i] (all over a common new variable list) for x_i.
 
-        The result is summed into one term dict in place.  When every image
-        has at most one term (a variable, a scaled monomial, a constant or
-        zero), each term of self maps to one term and no product is expanded.
+        The numerators are summed into one dict in place, every term scaled
+        to the common denominator den * prod d_i^maxe_i of the result (d_i
+        the denominator of images[i], maxe_i the top exponent of x_i), as the
+        evaluation kernel scales its inputs; one gcd at the end makes the
+        result canonical.  When every image has at most one term (a
+        variable, a scaled monomial, a constant or zero), each term of self
+        maps to one term and no product is expanded.
         """
         if len(images) != self.arity:
             raise PolyError("substitution image count mismatch")
-        if all(len(im.terms) <= 1 for im in images):
-            terms = self._subst_monomial(images, arity)
+        den, nums = self._over_subst_den(images)
+        if all(len(im.nums) <= 1 for im in images):
+            nums = self._subst_monomial(nums, images, arity)
         else:
-            terms = self._subst_expand(images, arity)
-        return _from_terms(self.ring, arity, terms)
+            nums = self._subst_expand(nums, images, arity)
+        return _from_content(self.ring, arity, nums, den)
 
-    def _subst_monomial(self, images: Sequence["Poly"], arity: int) -> dict:
-        r = self.ring
-        add, mul, is_zero = r.add, r.mul, r.is_zero
-        one = r.one()
-        # per image: None for zero, else (sparse exponents, coefficient
-        # powers or None when the coefficient is one)
+    def _over_subst_den(self, images: Sequence["Poly"]) -> tuple[int, dict]:
+        """The denominator of the substitution and self's numerators over
+        it: a term with exponents e is scaled by prod d_i^(maxe_i - e_i).
+        Only images over Q can have d_i > 1; self.nums is returned as it is
+        when no image does."""
+        den = self.den
+        rows = []  # (i, d_i^(maxe_i - k) for k = 0..maxe_i) when d_i > 1
+        for i, im in enumerate(images):
+            if im.den != 1:
+                top = max((e[i] for e in self.nums), default=0)
+                den *= im.den ** top
+                rows.append((i, [im.den ** (top - k) for k in range(top + 1)]))
+        if not rows:
+            return den, self.nums
+        _, mul, _, _, from_int = self.ring.numerator_ops()
+        scaled = {}
+        for e, c in self.nums.items():
+            f = 1
+            for i, row in rows:
+                f *= row[e[i]]
+            scaled[e] = mul(c, from_int(f))
+        return den, scaled
+
+    def _subst_monomial(self, nums: dict, images: Sequence["Poly"],
+                        arity: int) -> dict:
+        add, mul, _, is_zero, _ = self.ring.numerator_ops()
+        one, _ = self.ring.split(self.ring.one())
+        # per image: None for zero, else (sparse exponents, numerator powers
+        # or None when the numerator is one)
         specs = []
         for im in images:
-            if not im.terms:
+            if not im.nums:
                 specs.append(None)
                 continue
-            (f, a), = im.terms.items()
-            powers = None if is_zero(r.sub(a, one)) else [one, a]
+            (f, a), = im.nums.items()
+            powers = None if a == one else [one, a]
             specs.append((tuple((j, k) for j, k in enumerate(f) if k), powers))
         acc: dict = {}
-        for e, c in self.terms.items():
+        for e, c in nums.items():
             out = [0] * arity
             for i, k in enumerate(e):
                 if not k:
@@ -193,13 +270,14 @@ class Poly:
                     acc[e_out] = c
         return acc
 
-    def _subst_expand(self, images: Sequence["Poly"], arity: int) -> dict:
-        r = self.ring
+    def _subst_expand(self, nums: dict, images: Sequence["Poly"],
+                      arity: int) -> dict:
+        ops = self.ring.numerator_ops()
         zero = (0,) * arity
-        unit = {zero: r.one()}
-        rows = [[unit] for _ in images]  # rows[i][k]: terms of images[i]**k
+        unit = {zero: self.ring.split(self.ring.one())[0]}
+        rows = [[unit] for _ in images]  # rows[i][k]: numerators of images[i]**k
         acc: dict = {}
-        for e, c in self.terms.items():
+        for e, c in nums.items():
             # c times the powers, the last product summed straight into acc
             prod = {zero: c}
             last = unit
@@ -208,16 +286,16 @@ class Poly:
                     continue
                 row = rows[i]
                 while len(row) <= k:
-                    row.append(_mul_into({}, r, row[-1], images[i].terms))
+                    row.append(_mul_into({}, ops, row[-1], images[i].nums))
                 if last is not unit:
-                    prod = _mul_into({}, r, prod, last)
+                    prod = _mul_into({}, ops, prod, last)
                 last = row[k]
-            _mul_into(acc, r, prod, last)
+            _mul_into(acc, ops, prod, last)
         return acc
 
     def used_vars(self) -> set[int]:
         used = set()
-        for e in self.terms:
+        for e in self.nums:
             for i, k in enumerate(e):
                 if k:
                     used.add(i)
@@ -230,7 +308,7 @@ class Poly:
 
         `order` optionally reorders the variables inside each monomial.
         """
-        if not self.terms:
+        if not self.nums:
             return "0"
         r = self.ring
         var_order = list(order) if order is not None else list(range(self.arity))
@@ -264,13 +342,34 @@ class Poly:
         return out
 
 
-def _mul_into(acc: dict, ring: Ring, a: dict, b: dict) -> dict:
-    """Add the product of the term dicts a and b into acc, in place.
+class _Terms(Mapping):
+    """The coefficients of a Poly as ring scalars, nums[e]/den, made on
+    access."""
 
-    A coefficient that is zero in the ring is never stored: sums may cancel,
-    and over Z/m a product of nonzero coefficients may vanish.
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Poly):
+        self._poly = poly
+
+    def __getitem__(self, e):
+        p = self._poly
+        return p.ring.join(p.nums[e], p.den)
+
+    def __iter__(self):
+        return iter(self._poly.nums)
+
+    def __len__(self):
+        return len(self._poly.nums)
+
+
+def _mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
+    """Add the product of the numerator dicts a and b into acc, in place,
+    with the ring's `numerator_ops`.
+
+    A numerator that is zero in the ring is never stored: sums may cancel,
+    and over Z/m a product of nonzero numerators may vanish.
     """
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    add, mul, _, is_zero, _ = ops
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(_add_ints, e1, e2))
@@ -297,14 +396,14 @@ def _shift_quotient(p: Poly, arity: int, index: Sequence[int],
     term c*prod x_i^k_i gives, for every j != 0 with j_i <= k_i (j_i = 0 when
     x_i is not shifted), the term
     c*prod C(k_i, j_i) * x_i^(k_i-j_i) * x'_i^j_i * tau^(|j|-1).
-    A coefficient that is zero in the ring is never stored: over Z/m a
-    binomial coefficient may vanish.
+    Both keep p's denominator; a numerator that is zero in the ring is never
+    stored: over Z/m a binomial coefficient may vanish.
     """
     r = p.ring
-    add, mul, is_zero, from_int = r.add, r.mul, r.is_zero, r.from_int
+    add, mul, _, is_zero, from_int = r.numerator_ops()
     value: dict = {}
     slope: dict = {}
-    for e, c in p.terms.items():
+    for e, c in p.nums.items():
         out = [0] * arity
         shifted = []  # (new index, partner index, exponent)
         for i, k in enumerate(e):
@@ -335,13 +434,27 @@ def _shift_quotient(p: Poly, arity: int, index: Sequence[int],
                 slope.pop(ex, None)
             else:
                 slope[ex] = s
-    return _from_terms(r, arity, value), _from_terms(r, arity, slope)
+    return (_from_content(r, arity, value, p.den),
+            _from_content(r, arity, slope, p.den))
 
 
-def _from_terms(ring: Ring, arity: int, terms: dict) -> Poly:
-    """A Poly around a term dict that already holds no zero coefficient."""
+def _from_content(ring: Ring, arity: int, nums: dict, den: int) -> Poly:
+    """A Poly around numerators that hold no zero, over den > 0, made
+    canonical in place: den and the numerators are divided by their gcd
+    (den > 1 only over Q, where the numerators are ints)."""
+    if den != 1:
+        g = den
+        for n in nums.values():
+            g = gcd(g, n)
+            if g == 1:
+                break
+        if g != 1:
+            for e, n in nums.items():
+                nums[e] = n // g
+            den //= g
     out = Poly(ring, arity)
-    out.terms = terms
+    out.nums = nums
+    out.den = den
     return out
 
 
@@ -350,10 +463,10 @@ class _Kernel:
 
     Built once in O(terms).  A component that is one input variable with
     coefficient one is copied: its value is that input, through
-    `Ring.from_rational`.  Every other component keeps the lcm L of its
-    coefficient denominators and, per term, the integer c*L with the
-    positions of its powers in a flat row of the variables those components
-    use.  For inputs p_i/q_i and D = prod q_i^maxe_i, such a component's
+    `Ring.from_rational`.  Every other component keeps its content form: the
+    denominator L (`Poly.den`) and, per term, the integer numerator c*L with
+    the positions of its powers in a flat row of the variables those
+    components use.  For inputs p_i/q_i and D = prod q_i^maxe_i, such a component's
     value is N/(D*L) with N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i);
     the ring turns that ratio into its scalar with `Ring.from_ratio`.
     """
@@ -363,7 +476,7 @@ class _Kernel:
     def __init__(self, polys: Sequence[Poly]):
         copied = [_bare_var(poly) for poly in polys]
         exps = [e for poly, var in zip(polys, copied) if var is None
-                for e in poly.terms]
+                for e in poly.nums]
         maxe = [max(col) for col in zip(*exps)]
         self.tops = tuple((i, k) for i, k in enumerate(maxe) if k)
         # power k of variable i sits at offset[i] + k of the flat rows
@@ -377,11 +490,9 @@ class _Kernel:
             if var is not None:
                 comps.append((var, 0, ()))
                 continue
-            den = lcm(*(c.denominator for c in poly.terms.values()))
-            comps.append((None, den, tuple(
-                (c.numerator * (den // c.denominator),
-                 tuple(offset[i] + k for i, k in enumerate(e) if k))
-                for e, c in poly.terms.items())))
+            comps.append((None, poly.den, tuple(
+                (c, tuple(offset[i] + k for i, k in enumerate(e) if k))
+                for e, c in poly.nums.items())))
         self.comps = tuple(comps)
 
     def __call__(self, ring: Ring, values: Sequence) -> list:
@@ -418,9 +529,9 @@ class _Kernel:
 
 def _bare_var(poly: Poly) -> int | None:
     """The index i when poly is exactly x_i with coefficient one, else None."""
-    if len(poly.terms) != 1:
+    if len(poly.nums) != 1 or poly.den != 1:
         return None
-    (e, c), = poly.terms.items()
+    (e, c), = poly.nums.items()
     if c != 1 or sum(e) != 1:
         return None
     return e.index(1)
@@ -460,13 +571,20 @@ class PolyRing(Ring):
         return a.is_zero()
 
     def is_unit(self, a):
-        return len(a.terms) == 1 and set(a.terms) == {(0,) * self.arity}
+        return len(a.nums) == 1 and (0,) * self.arity in a.nums
 
     def inv(self, a):
         if not self.is_unit(a):
             raise RingError("only nonzero constants are units in a polynomial ring")
         c = a.terms[(0,) * self.arity]
         return Poly.const(self.base, self.arity, self.base.inv(c))
+
+    def split(self, c):
+        if not (isinstance(c, Poly) and c.ring == self.base
+                and c.arity == self.arity):
+            raise RingError(f"not a polynomial over {self.base!r} "
+                            f"in {self.arity} variables: {c!r}")
+        return c, 1
 
     def __eq__(self, other):
         return (

@@ -5,6 +5,7 @@ floating point anywhere in the computational path.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from typing import Any
@@ -67,6 +68,24 @@ class Ring:
 
     def fmt(self, a: Scalar) -> str:
         return str(a)
+
+    # -- polynomial coefficients in content form (see `polymap.Poly`) -------
+    # A polynomial stores numerators over one positive integer denominator,
+    # which is 1 outside Q.
+
+    def split(self, c) -> tuple:
+        """An exact scalar c as (numerator, denominator); RingError when c is
+        not a scalar of this ring."""
+        raise NotImplementedError
+
+    def join(self, num, den: int) -> Scalar:
+        """The scalar num/den; outside Q den is 1 and num is the scalar."""
+        return num
+
+    def numerator_ops(self) -> tuple:
+        """(add, mul, neg, is_zero, from_int) on numerators: outside Q a
+        numerator is a scalar, so these are the ring's own operations."""
+        return self.add, self.mul, self.neg, self.is_zero, self.from_int
 
     # random element generators; `rng` is a random.Random
     def rand(self, rng, span: int = 6) -> Scalar:
@@ -134,6 +153,18 @@ class Rationals(Ring):
     def fmt(self, a):
         return str(a)
 
+    def split(self, c):
+        if not isinstance(c, (int, Fraction)):
+            raise RingError(f"not an exact rational: {c!r}")
+        return c.numerator, c.denominator
+
+    def join(self, num, den):
+        return Fraction(num, den)
+
+    def numerator_ops(self):
+        """Over Q the numerators are ints: plain int operators."""
+        return operator.add, operator.mul, operator.neg, operator.not_, int
+
     def rand(self, rng, span: int = 6):
         return Fraction(rng.randint(-span, span), rng.randint(1, 4))
 
@@ -196,6 +227,11 @@ class IntegersMod(Ring):
             return int(text) % self.m
         except ValueError as exc:
             raise RingError(f"not an integer: {text!r}") from exc
+
+    def split(self, c):
+        if not isinstance(c, int):
+            raise RingError(f"not an integer mod {self.m}: {c!r}")
+        return c % self.m, 1
 
     def rand(self, rng, span: int = 6):
         return rng.randrange(self.m)

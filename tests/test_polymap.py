@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicalc.parser import ParseError, parse
-from cubicalc.polymap import Poly, PolyMap, PolyRing, _shift_quotient
+from cubicalc.polymap import Poly, PolyError, PolyMap, PolyRing, _shift_quotient
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
@@ -162,7 +163,34 @@ def kernel_cases(draw):
     return ring, PolyMap(ring, tuple(f"x{i}" for i in range(arity)), comps), point
 
 
+def assert_content_form(p: Poly) -> None:
+    """p is canonical: numerators over one positive denominator, no zero
+    numerator, gcd(den, numerators) = 1 over Q and den = 1 elsewhere; and a
+    Poly built from the coefficients of its `terms` view is the same Poly,
+    with the same view, hash and printed form."""
+    r = p.ring
+    assert type(p.den) is int and p.den > 0
+    if r is QQ:
+        assert all(type(n) is int and n != 0 for n in p.nums.values())
+        assert gcd(p.den, *p.nums.values()) == 1
+        assert all(type(c) is Fraction for c in p.terms.values())
+    else:
+        assert p.den == 1
+        if isinstance(r, IntegersMod):
+            assert all(type(n) is int and 0 < n < r.m for n in p.nums.values())
+        else:
+            assert not any(n.is_zero() for n in p.nums.values())
+    rebuilt = Poly(r, p.arity, dict(p.terms))
+    assert (rebuilt.nums, rebuilt.den) == (p.nums, p.den)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    assert rebuilt.terms == p.terms
+    names = [f"x{i}" for i in range(p.arity)]
+    assert rebuilt.fmt(names) == p.fmt(names)
+
+
 def _assert_kernel_matches(f: PolyMap, point) -> None:
+    for c in f.comps:
+        assert_content_form(c)
     want = [reference_eval(c, point) for c in f.comps]
     for got in (f.eval(point), [c.eval(point) for c in f.comps]):
         assert got == want
@@ -305,8 +333,11 @@ def subst_cases(draw):
 
 def _assert_subst_matches(poly: Poly, images, target: int) -> Poly:
     got = poly.subst(images, target)
-    assert got == reference_subst(poly, images, target)
+    want = reference_subst(poly, images, target)
+    assert got == want
     assert not any(got.ring.is_zero(c) for c in got.terms.values())
+    for p in (poly, *images, got, want):
+        assert_content_form(p)
     return got
 
 
@@ -377,9 +408,12 @@ def quotient_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_shift_quotient_matches_subst_subtract_divide(case):
     got = _shift_quotient(*case)
-    assert got == reference_shift_quotient(*case)
+    want = reference_shift_quotient(*case)
+    assert got == want
     for q in got:
         assert not any(q.ring.is_zero(c) for c in q.terms.values())
+    for q in (case[0], *got, *want):
+        assert_content_form(q)
 
 
 def test_shift_quotient_drops_vanishing_binomials_mod_4():
@@ -388,3 +422,103 @@ def test_shift_quotient_drops_vanishing_binomials_mod_4():
     value, slope = _shift_quotient(Poly(ring, 1, {(4,): 1}), 3, [0], [1], [2])
     assert value.terms == {(4, 0, 0): 1}
     assert slope.terms == {(2, 2, 1): 2, (0, 4, 3): 1}
+
+
+def reference_ring_ops(a: Poly, b: Poly, c) -> tuple:
+    """a + b, a * b and c * a as {exponent: scalar} dicts, summed and
+    multiplied with the ring's scalar operations, zeros dropped: the
+    arithmetic before the content form."""
+    r = a.ring
+    total = dict(a.terms)
+    for e, v in b.terms.items():
+        total[e] = r.add(total.get(e, r.zero()), v)
+    prod: dict = {}
+    for e1, v1 in a.terms.items():
+        for e2, v2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            prod[e] = r.add(prod.get(e, r.zero()), r.mul(v1, v2))
+    scaled = {e: r.mul(c, v) for e, v in a.terms.items()}
+    return tuple({e: v for e, v in d.items() if not r.is_zero(v)}
+                 for d in (total, prod, scaled))
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """Two polynomials (arity <= 3, degree <= 3) and a scalar over one ring;
+    in about half the cases b is -a plus a small polynomial, so that most of
+    a + b cancels."""
+    ring = draw(st.sampled_from(QUOTIENT_RINGS))
+    arity = draw(st.integers(1, 3))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd))
+
+    def poly_of(size):
+        table = draw(st.dictionaries(_exponents(arity, 3), coeff, max_size=size))
+        return Poly(ring, arity, table)
+
+    a = poly_of(5)
+    b = -a + poly_of(2) if draw(st.booleans()) else poly_of(5)
+    return a, b, draw(coeff)
+
+
+@given(arithmetic_cases())
+@settings(max_examples=300, deadline=None)
+def test_add_mul_scale_match_scalar_arithmetic(case):
+    a, b, c = case
+    got = (a + b, a * b, a.scale(c))
+    for p, want in zip(got, reference_ring_ops(a, b, c)):
+        assert p.terms == want
+        assert p == Poly(a.ring, a.arity, want)
+    for p in (a, b, *got, a - b, -a):
+        assert_content_form(p)
+    assert (a - a).is_zero() and (a - a).den == 1
+
+
+def test_denominators_cancel():
+    half = Fraction(1, 2)
+    x_half = Poly(QQ, 1, {(1,): half})
+    assert (x_half.nums, x_half.den) == ({(1,): 1}, 2)
+    total = x_half + x_half
+    assert total == Poly.var(QQ, 1, 0)
+    assert (total.nums, total.den) == ({(1,): 1}, 1)
+    assert (x_half - x_half).den == 1
+    assert x_half.scale(2) == total and x_half.scale(2).den == 1
+    # the slope of x^2/2 is x*v + 1/2*t*v^2: the first term's 2/2 cancels
+    value, slope = _shift_quotient(Poly(QQ, 1, {(2,): half}), 3, [0], [1], [2])
+    assert value == Poly(QQ, 3, {(2, 0, 0): half})
+    assert (slope.nums, slope.den) == ({(1, 1, 0): 2, (0, 2, 1): 1}, 2)
+    assert slope.terms == {(1, 1, 0): 1, (0, 2, 1): half}
+    # (2*x + y)/2 with only x shifted: the slope v has denominator 1
+    p = Poly(QQ, 2, {(1, 0): 1, (0, 1): half})
+    value, slope = _shift_quotient(p, 4, [0, 1], [2, None], [3])
+    assert (slope.nums, slope.den) == ({(0, 0, 1, 0): 1}, 1)
+    # substitutions: into x/2, and of x/2 into 4*x^2 + 2*x and x^2
+    assert x_half.subst([Poly(QQ, 1, {(1,): Fraction(2)})], 1) == total
+    square = Poly(QQ, 1, {(2,): 4, (1,): 2}).subst([x_half], 1)
+    assert (square.nums, square.den) == ({(2,): 1, (1,): 1}, 1)
+    quarter = Poly(QQ, 1, {(2,): 1}).subst([x_half], 1)
+    assert (quarter.nums, quarter.den) == ({(2,): 1}, 4)
+    for q in (x_half, total, value, slope, square, quarter):
+        assert_content_form(q)
+
+
+def test_constructor_reduces_coefficients_mod_m():
+    ring = IntegersMod(6)
+    x = Poly.var(ring, 1, 0)
+    seven_x = Poly(ring, 1, {(1,): 7})
+    assert seven_x == x and hash(seven_x) == hash(x)
+    assert seven_x.fmt(["x"]) == "x"
+    assert seven_x.terms == {(1,): 1}
+    assert Poly(ring, 1, {(1,): -6, (0,): 12}).is_zero()
+    assert_content_form(seven_x)
+
+
+def test_constructor_rejects_inexact_coefficients():
+    with pytest.raises(PolyError):
+        Poly(QQ, 1, {(1,): 0.5})
+    with pytest.raises(PolyError):
+        Poly.const(QQ, 2, 1.0)
+    with pytest.raises(PolyError):
+        Poly(IntegersMod(7), 1, {(1,): Fraction(1, 2)})
+    with pytest.raises(PolyError):
+        Poly(PolyRing(QQ, 1), 1, {(1,): Fraction(1, 2)})
