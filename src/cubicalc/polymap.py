@@ -1,6 +1,7 @@
 """Exact sparse multivariate polynomials and polynomial maps.
 
-A Poly is a map from exponent vectors to nonzero ring coefficients.  A PolyMap
+A Poly maps exponent vectors to nonzero numerators over one positive
+denominator (the content form; over Z/m the denominator is 1).  A PolyMap
 bundles several components over a common labelled variable list; all structure
 maps, laws and difference quotients in the package are PolyMaps.
 """
