@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .derive import (_canon, _shift_target, derive_labels, derive_polymap,
-                     extend_polymap, slab, tlab, vlab, with_tag)
+from .derive import (_canon, _shift_target, _v_labels, derive_labels,
+                     derive_polymap, extend_polymap, slab, tlab, vlab,
+                     with_tag)
 from .hypercube import alpha_stair, subset_label, subsets
 from .polymap import Poly, PolyMap
 from .presentation import (BoxConstraint, CoordSchema, EdgeCat,
@@ -65,10 +66,7 @@ def pair_groupoid(n: int, carrier_dim: int = 1, ring: Ring = QQ) -> NFoldPresent
     """PG^n M: vertex alpha carries M^(2^|alpha|), projections pick the
     i-block, units are diagonal, composition splices blocks."""
     verts = subsets_presentation_vertices(n)
-    schemas = {}
-    for a in verts:
-        labels = _canon(vlab(g, c) for g in subsets(a) for c in range(carrier_dim))
-        schemas[a] = CoordSchema(ring, labels)
+    schemas = {a: CoordSchema(ring, _v_labels(a, carrier_dim)) for a in verts}
     edges = {}
     for lo in verts:
         for i in sorted(set(range(1, n + 1)) - set(lo)):
@@ -302,7 +300,7 @@ def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
     verts = subsets_presentation_vertices(n)
     schemas = {}
     for a in verts:
-        labels = _canon(vlab(g, c) for g in subsets(a) for c in range(vdim))
+        labels = _v_labels(a, vdim)
         constraints = ()
         if box is not None:
             lo_b, hi_b = box
@@ -373,18 +371,24 @@ def gsy_scalar_action(n: int, s, t, vdim: int = 1, ring: Ring = QQ):
 
     Returns (source presentation, destination presentation, vertex maps).
     """
+    if len(s) != n:
+        raise ConstructionError(f"need {n} scalars, got {len(s)}")
+    st = [ring.mul(sv, tv) for sv, tv in zip(s, t)]
+    return (gsy(n, st, vdim, ring), gsy(n, list(t), vdim, ring),
+            _scalar_action_maps(n, s, vdim, ring))
+
+
+def _scalar_action_maps(n: int, s, vdim: int, ring: Ring) -> dict:
+    """The vertex maps of Phi_s (see `gsy_scalar_action`), by vertex."""
     s = {k + 1: sv for k, sv in enumerate(s)}
-    st = [ring.mul(s[k + 1], tv) for k, tv in enumerate(t)]
-    src = gsy(n, st, vdim, ring)
-    dst = gsy(n, list(t), vdim, ring)
     maps = {}
-    for a in src.vertices:
-        labels = src.schemas[a].labels
+    for a in subsets_presentation_vertices(n):
+        labels = _v_labels(a, vdim)
         nl = len(labels)
         maps[a] = PolyMap.from_label_exprs(ring, labels, {
-            l: Poly.var(ring, nl, labels.index(l)).scale(_tprod(ring, s, l.index))
-            for l in labels})
-    return src, dst, maps
+            l: Poly.var(ring, nl, i).scale(_tprod(ring, s, l.index))
+            for i, l in enumerate(labels)})
+    return maps
 
 
 def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
@@ -398,7 +402,7 @@ def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
     verts = subsets_presentation_vertices(n)
     fwd, back = {}, {}
     for a in verts:
-        labels = _canon(vlab(g, c) for g in subsets(a) for c in range(vdim))
+        labels = _v_labels(a, vdim)
         nl = len(labels)
         fexprs, bexprs = {}, {}
         for g in subsets(a):

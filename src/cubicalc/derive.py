@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hypercube import subset_label
+from .hypercube import subset_label, subsets
 from .polymap import Poly, PolyMap, _shift_quotient
 
 KIND_SCHEMA_RANK = {"v": 0, "s": 1, "t": 2}
@@ -69,6 +69,12 @@ def schema_key(label):
 
 def _canon(labels) -> tuple:
     return tuple(sorted(labels, key=schema_key))
+
+
+def _v_labels(alpha, vdim: int) -> tuple:
+    """The coordinates v_gamma_c, gamma within alpha and c < vdim, in
+    canonical order: the vertex set at alpha of Gsy^n and of PG^n."""
+    return _canon(vlab(g, c) for g in subsets(alpha) for c in range(vdim))
 
 
 def monomial_key(label):

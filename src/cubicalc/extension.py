@@ -20,7 +20,13 @@ class ExtError(ValueError):
 
 @dataclass(frozen=True)
 class ExtElement:
-    """Element of A_t over a generator set; coeffs indexed by subsets of alpha."""
+    """Element of A_t over a generator set; coeffs indexed by subsets of alpha.
+
+    Every scale and coefficient must be an exact scalar of the ring
+    (`Ring.split`), and is stored reduced, as a `Poly` stores its
+    coefficients; the arithmetic below builds its results from checked
+    elements with ring operations, through `_made`, which skips the checks.
+    """
 
     ring: Ring
     alpha: tuple  # sorted generator names (ints)
@@ -32,6 +38,28 @@ class ExtElement:
             raise ExtError("one scale per generator required")
         if len(self.coeffs) != 1 << len(self.alpha):
             raise ExtError("coefficient vector must have 2^|alpha| entries")
+        object.__setattr__(self, "t", self._reduced(self.t))
+        object.__setattr__(self, "coeffs", self._reduced(self.coeffs))
+
+    def _reduced(self, values) -> tuple:
+        ring = self.ring
+        out = []
+        for c in values:
+            try:
+                out.append(ring.join(*ring.split(c)))
+            except RingError as exc:
+                raise ExtError(f"{c!r} is not a scalar of {ring!r}") from exc
+        return tuple(out)
+
+    @classmethod
+    def _made(cls, ring: Ring, alpha: tuple, t: tuple,
+              coeffs: tuple) -> "ExtElement":
+        """An element computed from checked ones, built without the checks."""
+        e = object.__new__(cls)
+        for name, value in (("ring", ring), ("alpha", alpha), ("t", t),
+                            ("coeffs", coeffs)):
+            object.__setattr__(e, name, value)
+        return e
 
     # -- constructors ------------------------------------------------------
 
@@ -80,13 +108,13 @@ class ExtElement:
 def ext_add(a: ExtElement, b: ExtElement) -> ExtElement:
     a._compat(b)
     r = a.ring
-    return ExtElement(r, a.alpha, a.t,
-                      tuple(r.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+    return ExtElement._made(r, a.alpha, a.t, tuple(
+        r.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def ext_neg(a: ExtElement) -> ExtElement:
     r = a.ring
-    return ExtElement(r, a.alpha, a.t, tuple(r.neg(x) for x in a.coeffs))
+    return ExtElement._made(r, a.alpha, a.t, tuple(r.neg(x) for x in a.coeffs))
 
 
 def ext_scale(a: ExtElement, c) -> ExtElement:
@@ -120,7 +148,7 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
                 i += 1
             d = mb | mg
             out[d] = r.add(out[d], w)
-    return ExtElement(r, a.alpha, a.t, tuple(out))
+    return ExtElement._made(r, a.alpha, a.t, tuple(out))
 
 
 def ext_pow(a: ExtElement, k: int) -> ExtElement:
@@ -186,4 +214,4 @@ def ext_automorphism(a: ExtElement, perm: dict) -> ExtElement:
             if m & (1 << i):
                 nm |= 1 << idx[perm[alpha[i]]]
         out[nm] = c
-    return ExtElement(r, alpha, tuple(new_t), tuple(out))
+    return ExtElement._made(r, alpha, tuple(new_t), tuple(out))

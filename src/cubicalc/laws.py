@@ -13,14 +13,17 @@ from dataclasses import dataclass
 
 from .checks import (CheckReport, _edge_plans, _fmt_point, _LawRun,
                      _sample_tuples, check_morphism)
-from .constructions import gfull, gsy, gsy_scalar_action, _tprod
-from .derive import _canon, CoordLabel, derive_polymap, extend_polymap, vlab
+from .constructions import gfull, gsy, _scalar_action_maps, _tprod
+from .derive import (_v_labels, CoordLabel, derive_polymap, extend_polymap,
+                     vlab)
 from .extension import ExtElement, eval_over_extension
 from .hypercube import subsets
 from .polymap import Poly, PolyMap, PolyRing
-from .presentation import LEFT, RIGHT, NFoldPresentation, attach_generic_params
+from .presentation import (LEFT, RIGHT, NFoldPresentation,
+                           attach_generic_params,
+                           subsets_presentation_vertices)
 from .rings import QQ, Ring, RingError
-from .slopes import _closed_formula, _cubic_base, sym_slope_iterated
+from .slopes import _closed_formula, _cubic_base, _sym_slope_step
 
 
 class LawError(ValueError):
@@ -63,11 +66,11 @@ def derive_law_full(f: PolyMap, N) -> Law:
     return Law("full", f, src, dst, maps)
 
 
-def _relabeled_factorizer(f: PolyMap, beta: tuple, t, ring: Ring) -> PolyMap:
-    """f^[|beta|] with directions 1..k relabeled onto beta and scales fixed."""
-    k = len(beta)
-    m = sym_slope_iterated(f, k)
-    table = {i + 1: beta[i] for i in range(k)}
+def _relabeled_factorizer(m: PolyMap, beta: tuple, t: dict,
+                          ring: Ring) -> PolyMap:
+    """The factorizer m = f^[|beta|] with directions 1..k relabeled onto beta
+    and the scales fixed at t."""
+    table = {i + 1: beta[i] for i in range(len(beta))}
 
     def relabel(l: CoordLabel) -> CoordLabel:
         return CoordLabel(l.kind, frozenset(table[e] for e in l.index), l.comp)
@@ -88,23 +91,39 @@ def derive_law_sym(f: PolyMap, n: int, t, ring: Ring | None = None) -> Law:
     """Gsy^n_t f: the vertex map at alpha collects the higher order
     difference factorizers f^[|beta|]_{t_beta} over all beta within alpha."""
     ring = ring or f.ring
-    t = {k + 1: tv for k, tv in enumerate(t)}
+    t = tuple(t)
     if len(t) != n:
         raise LawError(f"need {n} scales, got {len(t)}")
-    src = gsy(n, [t[k] for k in sorted(t)], vdim=f.in_arity, ring=ring)
-    dst = gsy(n, [t[k] for k in sorted(t)], vdim=f.out_arity, ring=ring)
+    src = gsy(n, t, vdim=f.in_arity, ring=ring)
+    dst = gsy(n, t, vdim=f.out_arity, ring=ring)
+    return Law("sym", f, src, dst, _sym_vertex_maps(f, n, t, ring), t=t)
+
+
+def _sym_vertex_maps(f: PolyMap, n: int, t, ring: Ring) -> dict:
+    """The vertex maps of Gsy^n_t f, by vertex.
+
+    One slope iteration gives f^[0..n]; each factorizer is relabeled onto its
+    beta once and re-indexed onto the inputs of every vertex above beta.
+    """
+    t = {k + 1: tv for k, tv in enumerate(t)}
+    slopes = [_cubic_base(f)]
+    for k in range(1, n + 1):
+        slopes.append(_sym_slope_step(slopes[-1], k))
+    factorizers = {}
     maps = {}
-    for alpha in src.vertices:
-        in_labels = src.schemas[alpha].labels
+    for alpha in subsets_presentation_vertices(n):
+        in_labels = _v_labels(alpha, f.in_arity)
         exprs = {}
         for beta in subsets(alpha):
-            fac = _relabeled_factorizer(f, tuple(sorted(beta)), t, ring)
-            fac = fac.extend_inputs(in_labels)
+            fac = factorizers.get(beta)
+            if fac is None:
+                fac = factorizers[beta] = _relabeled_factorizer(
+                    slopes[len(beta)], tuple(sorted(beta)), t, ring)
+            comps = fac.extend_inputs(in_labels).comps
             for c in range(f.out_arity):
-                exprs[vlab(beta, c)] = fac.comps[c]
+                exprs[vlab(beta, c)] = comps[c]
         maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, exprs)
-    return Law("sym", f, src, dst, maps,
-               t=tuple(t[k] for k in sorted(t)))
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +159,14 @@ def _symbolic_morphism_reports(src: NFoldPresentation, dst: NFoldPresentation,
 
 def _tagwise(m: PolyMap, tags) -> PolyMap:
     """Apply one map to several tagged copies at once."""
-    ring = m.ring
     in_labels = tuple((tg, l) for tg in tags for l in m.in_labels)
-    n = len(in_labels)
+    pos = {l: i for i, l in enumerate(in_labels)}
     exprs = {}
     for tg in tags:
-        sub = m.subst({l: Poly.var(ring, n, in_labels.index((tg, l)))
-                       for l in m.in_labels}, in_labels)
-        for out_l, c in zip(m.out_labels, sub.comps):
-            exprs[(tg, out_l)] = c
-    return PolyMap.from_label_exprs(ring, in_labels, exprs)
+        index = [pos[(tg, l)] for l in m.in_labels]
+        for out_l, c in zip(m.out_labels, m.comps):
+            exprs[(tg, out_l)] = c._reindexed(index, len(in_labels))
+    return PolyMap.from_label_exprs(m.ring, in_labels, exprs)
 
 
 def check_law_compatibility(law: Law) -> list:
@@ -178,14 +195,16 @@ def check_homogeneity(law: Law, s) -> list:
         raise LawError("homogeneity is a property of symmetric laws")
     ring = law.base.ring
     n = len(law.t)
-    _, _, phi_p = gsy_scalar_action(n, s, law.t, vdim=law.base.in_arity, ring=ring)
-    _, _, phi_q = gsy_scalar_action(n, s, law.t, vdim=law.base.out_arity, ring=ring)
+    if len(s) != n:
+        raise LawError(f"need {n} scalars, got {len(s)}")
+    phi_p = _scalar_action_maps(n, s, law.base.in_arity, ring)
+    phi_q = _scalar_action_maps(n, s, law.base.out_arity, ring)
     st = [ring.mul(sv, tv) for sv, tv in zip(s, law.t)]
-    law_st = derive_law_sym(law.base, n, st, ring)
+    maps_st = _sym_vertex_maps(law.base, n, st, ring)
     out = []
     for alpha in law.src.vertices:
         lhs = law.vertex_maps[alpha].compose(phi_p[alpha])
-        rhs = phi_q[alpha].compose(law_st.vertex_maps[alpha])
+        rhs = phi_q[alpha].compose(maps_st[alpha])
         out.append(CheckReport("law-homogeneity", f"vertex {sorted(alpha)}",
                                "pass" if lhs.equals(rhs) else "fail", 0))
     return out
@@ -198,7 +217,7 @@ def _relabel_maps(n: int, sigma: dict, vdim: int, ring: Ring,
     inv = {v: k for k, v in sigma.items()}
     maps = {}
     for alpha in vertices:
-        in_labels = _canon(vlab(g, c) for g in subsets(alpha) for c in range(vdim))
+        in_labels = _v_labels(alpha, vdim)
         nl = len(in_labels)
         exprs = {}
         for g in subsets(sigma[e] for e in alpha):
@@ -219,16 +238,19 @@ def check_symmetry(law: Law, sigma: dict) -> list:
         raise LawError("symmetry is a property of symmetric laws")
     ring = law.base.ring
     n = len(law.t)
+    directions = set(range(1, n + 1))
+    if set(sigma) != directions or set(sigma.values()) != directions:
+        raise LawError(f"sigma {sigma} is not a permutation of 1..{n}")
     inv = {v: k for k, v in sigma.items()}
     t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
-    law_perm = derive_law_sym(law.base, n, t_perm, ring)
+    maps_perm = _sym_vertex_maps(law.base, n, t_perm, ring)
     r_p = _relabel_maps(n, sigma, law.base.in_arity, ring, law.src.vertices)
     r_q = _relabel_maps(n, sigma, law.base.out_arity, ring, law.src.vertices)
     out = []
     for alpha in law.src.vertices:
         salpha = frozenset(sigma[e] for e in alpha)
         lhs = r_q[alpha].compose(law.vertex_maps[alpha])
-        rhs = law_perm.vertex_maps[salpha].compose(r_p[alpha])
+        rhs = maps_perm[salpha].compose(r_p[alpha])
         out.append(CheckReport("law-symmetry", f"vertex {sorted(alpha)}",
                                "pass" if lhs.equals(rhs) else "fail", 0))
     return out
@@ -379,7 +401,7 @@ def sym_law_via_extension(f: PolyMap, n: int, t, alpha,
     f over A_t^{alpha} with symbolic coefficients and read off coefficients."""
     alpha = tuple(sorted(alpha))
     p = f.in_arity
-    in_labels = _canon(vlab(g, c) for g in subsets(alpha) for c in range(p))
+    in_labels = _v_labels(alpha, p)
     coeff_ring = PolyRing(ring, len(in_labels))
     t_vals = tuple(Poly.const(ring, len(in_labels), t[e - 1]) for e in alpha)
     base = []

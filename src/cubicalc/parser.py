@@ -176,7 +176,7 @@ class _Parser:
             t = self.peek()
             if t.text == "*":
                 self.next()
-                acc = acc * self.parse_factor()
+                acc = _times(acc, self.parse_factor())
             elif t.text == "/":
                 raise ParseError(
                     "non-polynomial construct: division is only allowed in "
@@ -235,6 +235,17 @@ class _Parser:
             self.expect_op(")")
             return e
         self.fail(f"expected a value, found {t.text or 'end of input'!r}")
+
+
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b; a constant factor, such as a literal, scales the other one
+    without a polynomial product."""
+    for c, p in ((a, b), (b, a)):
+        if len(c.nums) == 1:
+            (e,) = c.nums
+            if not any(e):
+                return p.scale(c.terms[e])
+    return a * b
 
 
 def parse(text: str, ring: Ring = QQ) -> PolyMap:

@@ -7,12 +7,14 @@ maps, laws and difference quotients in the package are PolyMaps.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import comb, gcd, lcm
-from operator import add as _add_ints
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .rings import Ring, RingError
@@ -129,20 +131,37 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._compat(other)
-        nums = _mul_into({}, self.ring.numerator_ops(), self.nums, other.nums)
-        return _from_content(self.ring, self.arity, nums, self.den * other.den)
+        a, b = self.nums, other.nums
+        code = _field_code(max(map(sum, a), default=0)
+                           + max(map(sum, b), default=0))
+        nums = _mul_into({}, self.ring.numerator_ops(), _packed(a, code),
+                         _packed(b, code))
+        return _from_content(self.ring, self.arity,
+                             _unpacked(nums, code, self.arity),
+                             self.den * other.den)
 
     def __pow__(self, k: int) -> "Poly":
+        """self**k by repeated squaring, on keys packed once."""
         if k < 0:
             raise PolyError("negative power of a polynomial")
-        result = Poly.const(self.ring, self.arity, self.ring.one())
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if not k:
+            return Poly.const(self.ring, self.arity, self.ring.one())
+        ops = self.ring.numerator_ops()
+        code = _field_code(k * self.degree())
+        base = _packed(self.nums, code)
+        result = None
+        j = k
+        while True:
+            if j & 1:
+                result = base if result is None else \
+                    _mul_into({}, ops, result, base)
+            j >>= 1
+            if not j:
+                break
+            base = _mul_into({}, ops, base, base)
+        return _from_content(self.ring, self.arity,
+                             _unpacked(result, code, self.arity),
+                             self.den ** k)
 
     def scale(self, c) -> "Poly":
         """c times self; a product that vanishes in the ring (c = 0, or a
@@ -166,9 +185,7 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree over all variables; degree(0) = 0 by convention."""
-        if not self.nums:
-            return 0
-        return max(sum(e) for e in self.nums)
+        return max(map(sum, self.nums), default=0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,24 +205,11 @@ class Poly:
         return _Kernel((self,))(self.ring, values)[0]
 
     def subst(self, images: Sequence["Poly"], arity: int) -> "Poly":
-        """Substitute images[i] (all over a common new variable list) for x_i.
-
-        The numerators are summed into one dict in place, every term scaled
-        to the common denominator den * prod d_i^maxe_i of the result (d_i
-        the denominator of images[i], maxe_i the top exponent of x_i), as the
-        evaluation kernel scales its inputs; one gcd at the end makes the
-        result canonical.  When every image has at most one term (a
-        variable, a scaled monomial, a constant or zero), each term of self
-        maps to one term and no product is expanded.
-        """
+        """Substitute images[i] (all over a common new variable list) for x_i
+        (see `_subst`)."""
         if len(images) != self.arity:
             raise PolyError("substitution image count mismatch")
-        den, nums = self._over_subst_den(images)
-        if all(len(im.nums) <= 1 for im in images):
-            nums = self._subst_monomial(nums, images, arity)
-        else:
-            nums = self._subst_expand(nums, images, arity)
-        return _from_content(self.ring, arity, nums, den)
+        return _subst((self,), images, arity)[0]
 
     def _over_subst_den(self, images: Sequence["Poly"]) -> tuple[int, dict]:
         """The denominator of the substitution and self's numerators over
@@ -271,28 +275,18 @@ class Poly:
                     acc[e_out] = c
         return acc
 
-    def _subst_expand(self, nums: dict, images: Sequence["Poly"],
-                      arity: int) -> dict:
-        ops = self.ring.numerator_ops()
-        zero = (0,) * arity
-        unit = {zero: self.ring.split(self.ring.one())[0]}
-        rows = [[unit] for _ in images]  # rows[i][k]: numerators of images[i]**k
-        acc: dict = {}
-        for e, c in nums.items():
-            # c times the powers, the last product summed straight into acc
-            prod = {zero: c}
-            last = unit
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                row = rows[i]
-                while len(row) <= k:
-                    row.append(_mul_into({}, ops, row[-1], images[i].nums))
-                if last is not unit:
-                    prod = _mul_into({}, ops, prod, last)
-                last = row[k]
-            _mul_into(acc, ops, prod, last)
-        return acc
+    def _reindexed(self, index: Sequence[int], arity: int) -> "Poly":
+        """x_i renamed x_index[i] over `arity` variables (index one-to-one):
+        the exponents are scattered, the coefficients kept."""
+        src = [self.arity] * arity  # the padding zero of each exponent tuple
+        for i, j in enumerate(index):
+            src[j] = i
+        take = itemgetter(*src) if arity > 1 else \
+            (lambda e: tuple(e[i] for i in src))
+        out = Poly(self.ring, arity)
+        out.nums = {take(e + (0,)): c for e, c in self.nums.items()}
+        out.den = self.den
+        return out
 
     def used_vars(self) -> set[int]:
         used = set()
@@ -363,26 +357,140 @@ class _Terms(Mapping):
         return len(self._poly.nums)
 
 
+_BYTEORDER = sys.byteorder
+# (limit, array typecode) of the unsigned exponent fields of a packed key,
+# 1, 2, 4 and 8 bytes wide
+_FIELDS = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
+
+
+def _field_code(bound: int) -> str:
+    """The typecode of the narrowest field that holds every exponent up to
+    `bound`, the degree bound of a product: no exponent of the product
+    exceeds it, so adding two packed keys never carries from one field into
+    the next."""
+    for limit, code in _FIELDS:
+        if bound < limit:
+            return code
+    raise PolyError(f"degree bound {bound} does not fit a 64-bit exponent")
+
+
+def _packed(nums: dict, code: str) -> dict:
+    """nums with each exponent tuple packed into one int: the native bytes of
+    the exponents as fields of type `code`, read in the machine's byte order,
+    so that adding two keys adds their exponent vectors (Monagan and Pearce,
+    CASC 2007)."""
+    return {int.from_bytes(array(code, e), _BYTEORDER): c
+            for e, c in nums.items()}
+
+
+def _unpacked(nums: dict, code: str, arity: int) -> dict:
+    """The inverse of `_packed`, over `arity` variables: the bytes of all
+    keys are read as one run of fields and cut into exponent tuples."""
+    if not arity:
+        return {(): c for c in nums.values()}
+    size = arity * array(code).itemsize
+    fields = memoryview(b"".join([k.to_bytes(size, _BYTEORDER)
+                                  for k in nums])).cast(code)
+    return dict(zip(zip(*[iter(fields)] * arity), nums.values()))
+
+
 def _mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
-    """Add the product of the numerator dicts a and b into acc, in place,
-    with the ring's `numerator_ops`.
+    """Add the product of the numerator dicts a and b, keyed by packed
+    exponents of one field type (`_packed`), into acc, in place, with the
+    ring's `numerator_ops`.
 
     A numerator that is zero in the ring is never stored: sums may cancel,
     and over Z/m a product of nonzero numerators may vanish.
     """
     add, mul, _, is_zero, _ = ops
+    get, pop = acc.get, acc.pop
+    b = list(b.items())
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(map(_add_ints, e1, e2))
+        for e2, c2 in b:
+            e = e1 + e2
             p = mul(c1, c2)
-            old = acc.get(e)
+            old = get(e)
             if old is not None:
                 p = add(old, p)
             if is_zero(p):
-                acc.pop(e, None)
+                pop(e, None)
             else:
                 acc[e] = p
     return acc
+
+
+def _subst(polys: Sequence[Poly], images: Sequence[Poly],
+           arity: int) -> list:
+    """Substitute images[i] (all over a common new variable list of length
+    `arity`) for x_i in each of `polys`, which share one ring and arity.
+
+    The numerators of each result are summed into one dict in place, every
+    term scaled to the common denominator den * prod d_i^maxe_i of the result
+    (d_i the denominator of images[i], maxe_i the top exponent of x_i), as the
+    evaluation kernel scales its inputs; one gcd at the end makes the result
+    canonical.  When every image has at most one term (a variable, a scaled
+    monomial, a constant or zero), each term maps to one term and no product
+    is expanded; otherwise the products run on packed exponent keys
+    (`_Expansion`), one set for all of `polys`.
+    """
+    if not polys:
+        return []
+    monomial = all(len(im.nums) <= 1 for im in images)
+    expand = None if monomial else _Expansion(polys, images, arity)
+    out = []
+    for p in polys:
+        den, nums = p._over_subst_den(images)
+        nums = p._subst_monomial(nums, images, arity) if monomial \
+            else expand(nums)
+        out.append(_from_content(p.ring, arity, nums, den))
+    return out
+
+
+class _Expansion:
+    """The powers of the images of one substitution, on packed exponent
+    keys, shared by every polynomial substituted.
+
+    Only the images of variables that occur are packed, and their degrees are
+    taken once.  The field type comes from the degree bound of the results:
+    sum over x_i of maxe_i * deg(images[i]), maxe_i the top exponent of x_i.
+    Keys are unpacked once, at the end of each result.
+    """
+
+    __slots__ = ("ops", "code", "arity", "unit", "rows")
+
+    def __init__(self, polys: Sequence[Poly], images: Sequence[Poly],
+                 arity: int):
+        ring = polys[0].ring
+        self.ops = ring.numerator_ops()
+        tops = [[max(col) for col in zip(*p.nums)] for p in polys]
+        used = {i for top in tops for i, k in enumerate(top) if k}
+        deg = {i: images[i].degree() for i in used}
+        self.code = _field_code(max(
+            sum(k * deg[i] for i, k in enumerate(top) if k) for top in tops))
+        self.arity = arity
+        self.unit = {0: ring.split(ring.one())[0]}
+        # rows[i][k]: numerators of images[i]**k
+        self.rows = {i: [self.unit, _packed(images[i].nums, self.code)]
+                     for i in used}
+
+    def __call__(self, nums: dict) -> dict:
+        ops, rows, unit = self.ops, self.rows, self.unit
+        acc: dict = {}
+        for e, c in nums.items():
+            # c times the powers, the last product summed straight into acc
+            prod = {0: c}
+            last = unit
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                row = rows[i]
+                while len(row) <= k:
+                    row.append(_mul_into({}, ops, row[-1], row[1]))
+                if last is not unit:
+                    prod = _mul_into({}, ops, prod, last)
+                last = row[k]
+            _mul_into(acc, ops, prod, last)
+        return _unpacked(acc, self.code, self.arity)
 
 
 def _shift_quotient(p: Poly, arity: int, index: Sequence[int],
@@ -672,8 +780,7 @@ class PolyMap:
             if l not in assign:
                 raise PolyError(f"no substitution image for input {l}")
             images.append(assign[l])
-        n = len(new_in_labels)
-        comps = tuple(c.subst(images, n) for c in self.comps)
+        comps = tuple(_subst(self.comps, images, len(new_in_labels)))
         return PolyMap(self.ring, new_in_labels, comps, self.out_labels)
 
     def compose(self, g: "PolyMap") -> "PolyMap":
@@ -688,24 +795,33 @@ class PolyMap:
             if missing:
                 raise PolyError(f"composition missing outputs for {missing}")
             assign = {l: have[l] for l in self.in_labels}
-        return PolyMap(self.ring, g.in_labels, tuple(
-            c.subst([assign[l] for l in self.in_labels], g.in_arity) for c in self.comps
-        ), self.out_labels)
+        images = [assign[l] for l in self.in_labels]
+        return PolyMap(self.ring, g.in_labels,
+                       tuple(_subst(self.comps, images, g.in_arity)),
+                       self.out_labels)
 
     def reorder_inputs(self, new_order) -> "PolyMap":
         new_order = tuple(new_order)
-        if set(new_order) != set(self.in_labels):
+        if len(new_order) != self.in_arity or \
+                set(new_order) != set(self.in_labels):
             raise PolyError("reorder must permute the existing labels")
-        assign = {l: Poly.var(self.ring, len(new_order), new_order.index(l))
-                  for l in self.in_labels}
-        return self.subst(assign, new_order)
+        return self.extend_inputs(new_order)
 
     def extend_inputs(self, bigger) -> "PolyMap":
-        """View over a larger domain containing all current labels."""
+        """View over a larger domain containing all current labels; the
+        exponents are scattered to the new positions, nothing is
+        substituted."""
         bigger = tuple(bigger)
-        assign = {l: Poly.var(self.ring, len(bigger), bigger.index(l))
-                  for l in self.in_labels}
-        return self.subst(assign, bigger)
+        if bigger == self.in_labels:
+            return self
+        pos = {l: i for i, l in enumerate(bigger)}
+        missing = [l for l in self.in_labels if l not in pos]
+        if missing:
+            raise PolyError(f"new inputs lack the labels {missing}")
+        index = [pos[l] for l in self.in_labels]
+        return PolyMap(self.ring, bigger, tuple(
+            c._reindexed(index, len(bigger)) for c in self.comps),
+            self.out_labels)
 
     def restrict_outputs(self, keep) -> "PolyMap":
         keep = tuple(keep)

@@ -133,15 +133,21 @@ def sym_slope_iterated(f: PolyMap, n: int) -> PolyMap:
         raise PolyError("sym_slope_iterated needs n >= 0")
     m = _cubic_base(f)
     for k in range(1, n + 1):
-        v_ins = [l for l in m.in_labels if l.kind == "v"]
-        t_ins = [l for l in m.in_labels if l.kind == "t"]
-        new_in = tuple(v_ins) + tuple(partner(l, k) for l in v_ins) \
-            + tuple(t_ins) + (tlab({k}),)
-        comps = [s for _, s in _quotients(
-            m, new_in, lambda l: partner(l, k) if l.kind == "v" else None,
-            (tlab({k}),))]
-        m = PolyMap(f.ring, new_in, tuple(comps), m.out_labels)
+        m = _sym_slope_step(m, k)
     return m
+
+
+def _sym_slope_step(m: PolyMap, k: int) -> PolyMap:
+    """f^[k] from f^[k-1] = m: the slope in direction k, taken in the space
+    variables at the fresh frozen scale t_k."""
+    v_ins = [l for l in m.in_labels if l.kind == "v"]
+    t_ins = [l for l in m.in_labels if l.kind == "t"]
+    new_in = tuple(v_ins) + tuple(partner(l, k) for l in v_ins) \
+        + tuple(t_ins) + (tlab({k}),)
+    comps = [s for _, s in _quotients(
+        m, new_in, lambda l: partner(l, k) if l.kind == "v" else None,
+        (tlab({k}),))]
+    return PolyMap(m.ring, new_in, tuple(comps), m.out_labels)
 
 
 def sym_slope_closed(f: PolyMap, n: int, t_values, v_values) -> list:

@@ -1,6 +1,9 @@
 """Dict-based law checkers: the reference the positional checkers of
-`cubicalc.checks` are compared against; and the subst-subtract-divide slope
-step, the reference of the term-wise kernel `polymap._shift_quotient`.
+`cubicalc.checks` are compared against; the subst-subtract-divide slope
+step, the reference of the term-wise kernel `polymap._shift_quotient`; the
+tuple-key products, the reference of the packed-key kernel
+`polymap._mul_into`; and the symmetric law built factorizer by factorizer
+for every (alpha, beta) pair, the reference of `laws.derive_law_sym`.
 
 A point here is a dict from coordinate label to value, and every evaluation
 looks its inputs up by label, so these checkers depend on no label order.
@@ -12,12 +15,14 @@ pin map values by label.
 from __future__ import annotations
 
 import random
+from operator import add as _add_ints
 
 from cubicalc.checks import (_edge_loc, _edge_sort_key, _LawRun,
                              _require_samples, generic_quad_param)
-from cubicalc.derive import display_label, tag_of
-from cubicalc.hypercube import subset_label
-from cubicalc.polymap import ExactDivisionError, Poly
+from cubicalc.constructions import gsy
+from cubicalc.derive import CoordLabel, display_label, tag_of, vlab
+from cubicalc.hypercube import subset_label, subsets
+from cubicalc.polymap import ExactDivisionError, Poly, PolyMap, _from_content
 from cubicalc.presentation import SamplingError, attach_generic_params
 
 
@@ -267,8 +272,6 @@ def reference_check_morphism(src, dst, vertex_maps, seed=0, samples=50) -> list:
 
 
 def reference_check_finite_law(plaw, in_dim=1, seed=0, samples=30) -> list:
-    from cubicalc.constructions import gsy
-
     ring = plaw.ring
     src = gsy(plaw.n, list(plaw.t), vdim=in_dim, ring=ring)
     dst = gsy(plaw.n, list(plaw.t), vdim=plaw.out_dim, ring=ring)
@@ -323,3 +326,94 @@ def _divide_by_var(p, i):
             raise ExactDivisionError(f"monomial {e} not divisible by variable {i}")
         terms[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
     return Poly(p.ring, p.arity, terms)
+
+
+def reference_mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
+    """The product kernel before packed keys: the product of the numerator
+    dicts a and b, keyed by exponent tuples, added into acc in place; a
+    numerator that is zero in the ring is never stored."""
+    add, mul, _, is_zero, _ = ops
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(_add_ints, e1, e2))
+            p = mul(c1, c2)
+            old = acc.get(e)
+            if old is not None:
+                p = add(old, p)
+            if is_zero(p):
+                acc.pop(e, None)
+            else:
+                acc[e] = p
+    return acc
+
+
+def reference_mul(a: Poly, b: Poly) -> Poly:
+    """a * b on tuple keys."""
+    nums = reference_mul_into({}, a.ring.numerator_ops(), a.nums, b.nums)
+    return _from_content(a.ring, a.arity, nums, a.den * b.den)
+
+
+def reference_subst_tuple(poly: Poly, images, arity: int) -> Poly:
+    """poly.subst(images, arity) by the expansion before packed keys: tuple
+    keys, and the powers of the images built for this polynomial alone.
+    It expands even when every image is a monomial."""
+    ops = poly.ring.numerator_ops()
+    den, nums = poly._over_subst_den(images)
+    zero = (0,) * arity
+    unit = {zero: poly.ring.split(poly.ring.one())[0]}
+    rows = [[unit] for _ in images]  # rows[i][k]: numerators of images[i]**k
+    acc: dict = {}
+    for e, c in nums.items():
+        prod = {zero: c}
+        last = unit
+        for i, k in enumerate(e):
+            if not k:
+                continue
+            row = rows[i]
+            while len(row) <= k:
+                row.append(reference_mul_into({}, ops, row[-1], images[i].nums))
+            if last is not unit:
+                prod = reference_mul_into({}, ops, prod, last)
+            last = row[k]
+        reference_mul_into(acc, ops, prod, last)
+    return _from_content(poly.ring, arity, acc, den)
+
+
+def _extend_by_subst(m: PolyMap, bigger) -> PolyMap:
+    """m over the inputs `bigger`, by substituting variables, as
+    `PolyMap.extend_inputs` did before it scattered exponents."""
+    bigger = tuple(bigger)
+    return m.subst({l: Poly.var(m.ring, len(bigger), bigger.index(l))
+                    for l in m.in_labels}, bigger)
+
+
+def reference_derive_law_sym(f: PolyMap, n: int, t, ring=None) -> dict:
+    """The vertex maps of `laws.derive_law_sym(f, n, t, ring)` as they were
+    built before each factorizer was derived once: for every beta within
+    every vertex alpha, f^[|beta|] is derived anew, relabeled onto beta and
+    extended onto the inputs of alpha by substitution."""
+    from cubicalc.slopes import sym_slope_iterated
+
+    ring = ring or f.ring
+    t = {k + 1: tv for k, tv in enumerate(t)}
+    src = gsy(n, [t[k] for k in sorted(t)], vdim=f.in_arity, ring=ring)
+    maps = {}
+    for alpha in src.vertices:
+        in_labels = src.schemas[alpha].labels
+        exprs = {}
+        for beta in subsets(alpha):
+            beta = tuple(sorted(beta))
+            m = sym_slope_iterated(f, len(beta))
+            table = {i + 1: beta[i] for i in range(len(beta))}
+            m = m.rename(lambda l: CoordLabel(
+                l.kind, frozenset(table[e] for e in l.index), l.comp), None)
+            new_in = tuple(l for l in m.in_labels if l.kind == "v")
+            k = len(new_in)
+            assign = {l: Poly.const(ring, k, t[next(iter(l.index))])
+                      if l.kind == "t" else Poly.var(ring, k, new_in.index(l))
+                      for l in m.in_labels}
+            fac = _extend_by_subst(m.subst(assign, new_in), in_labels)
+            for c in range(f.out_arity):
+                exprs[vlab(beta, c)] = fac.comps[c]
+        maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, exprs)
+    return maps

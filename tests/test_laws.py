@@ -3,21 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from cubicalc import constructions, laws
 from cubicalc.checks import check_morphism, first_failure, reports_ok
 from cubicalc.constructions import gsy
 from cubicalc.derive import tlab, vlab
-from cubicalc.laws import (check_finite_law, check_homogeneity,
+from cubicalc.laws import (LawError, check_finite_law, check_homogeneity,
                            check_law_compatibility, check_symmetry,
                            derive_law_full, derive_law_sym,
                            finite_law_from_map, flip_isomorphism_reports,
                            ring_goid_structure, ring_product_map,
                            sym_law_via_extension)
 from cubicalc.parser import parse
-from cubicalc.polymap import PolyMap
-from cubicalc.rings import QQ, RingError
+from cubicalc.polymap import Poly, PolyMap
+from cubicalc.rings import QQ, IntegersMod, RingError
 
 from conftest import mixed_partial_map, rand_fraction, random_polymap
-from reference_checks import eval_labeled
+from reference_checks import eval_labeled, reference_derive_law_sym
 
 F = Fraction
 fs = frozenset
@@ -234,3 +235,77 @@ def test_plain_additivity_fails_for_square():
         + m.subst({vlab((), 0): v["x"], vlab({1}, 0): v["w"],
                    tlab({1}): v["t"]}, labels).comps[0]
     assert lhs != rhs
+
+
+def _random_map(rng, ring, in_arity: int, out_arity: int) -> PolyMap:
+    """A map of degree <= 3 with coefficients of the ring."""
+    comps = []
+    for _ in range(out_arity):
+        table = {}
+        for _ in range(4):
+            e = [0] * in_arity
+            for _ in range(rng.randint(0, 3)):
+                e[rng.randrange(in_arity)] += 1
+            table[tuple(e)] = rand_fraction(rng) if ring == QQ \
+                else rng.randrange(-9, 10)
+        comps.append(Poly(ring, in_arity, table))
+    return PolyMap(ring, tuple(f"x{i}" for i in range(in_arity)), tuple(comps))
+
+
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(7)])
+@pytest.mark.parametrize("vdim", [1, 2])
+def test_derive_law_sym_matches_reference(rng, ring, vdim):
+    for n in (1, 2, 3):
+        f = _random_map(rng, ring, vdim, 1 + n % 2)
+        t = [rand_fraction(rng) if ring == QQ else rng.randrange(7)
+             for _ in range(n)]
+        law = derive_law_sym(f, n, t)
+        assert law.vertex_maps == reference_derive_law_sym(f, n, t)
+        assert list(law.vertex_maps) == list(law.src.vertices)
+
+
+def _counting_gsy(monkeypatch) -> list:
+    """Count the gsy presentations built, through either module."""
+    calls = []
+    real = constructions.gsy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "gsy", counted)
+    monkeypatch.setattr(laws, "gsy", counted)
+    return calls
+
+
+def test_sym_law_checks_build_no_presentation(monkeypatch):
+    law = derive_law_sym(parse("f(x) = x^3 - 2*x"), 2, [F(2), F(-1, 3)])
+    calls = _counting_gsy(monkeypatch)
+    assert reports_ok(check_homogeneity(law, [F(3), F(1, 2)]))
+    assert reports_ok(check_symmetry(law, {1: 2, 2: 1}))
+    assert calls == []
+    # a planted corruption of one vertex map still fails both
+    top = fs({1, 2})
+    m = law.vertex_maps[top]
+    comps = list(m.comps)
+    comps[0] = comps[0] + m.var(vlab({1}, 0)) * m.var(vlab({2}, 0))
+    law.vertex_maps[top] = PolyMap(QQ, m.in_labels, tuple(comps), m.out_labels)
+    for reports in (check_homogeneity(law, [F(3), F(1, 2)]),
+                    check_symmetry(law, {1: 2, 2: 1}),
+                    check_symmetry(law, {1: 1, 2: 2})):
+        bad = [r for r in reports if not r.ok]
+        assert [r.location for r in bad] == ["vertex [1, 2]"]
+    assert calls == []
+
+
+def test_sym_law_checks_refuse_bad_arguments(monkeypatch):
+    law = derive_law_sym(parse("f(x) = x^2"), 2, [F(1), F(2)])
+    calls = _counting_gsy(monkeypatch)
+    for s in ([F(3)], [F(3), F(1), F(2)], []):
+        with pytest.raises(LawError):
+            check_homogeneity(law, s)
+    for sigma in ({1: 1, 2: 1}, {1: 2}, {1: 2, 2: 3}, {1: 2, 2: 1, 3: 3},
+                  {0: 1, 1: 0}):
+        with pytest.raises(LawError):
+            check_symmetry(law, sigma)
+    assert calls == []

@@ -4,12 +4,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cubicalc import polymap
 from cubicalc.parser import ParseError, parse
 from cubicalc.polymap import Poly, PolyError, PolyMap, PolyRing, _shift_quotient
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
-from reference_checks import reference_shift_quotient
+from reference_checks import (_extend_by_subst, reference_mul,
+                              reference_shift_quotient, reference_subst_tuple)
 
 
 def test_parse_simple():
@@ -522,3 +524,188 @@ def test_constructor_rejects_inexact_coefficients():
         Poly(IntegersMod(7), 1, {(1,): Fraction(1, 2)})
     with pytest.raises(PolyError):
         Poly(PolyRing(QQ, 1), 1, {(1,): Fraction(1, 2)})
+
+
+# -- packed exponent keys -----------------------------------------------------
+
+# degree bounds at the edges of the 1- and 2-byte exponent fields
+EDGE_BOUNDS = (255, 256, 65535, 65536)
+
+
+def _top_term(draw, arity: int, degree: int) -> tuple:
+    """An exponent tuple of total degree `degree`, all on one variable or
+    split between two."""
+    i, j = draw(st.integers(0, arity - 1)), draw(st.integers(0, arity - 1))
+    e = [0] * arity
+    part = draw(st.integers(0, degree))
+    e[i] += part
+    e[j] += degree - part
+    return tuple(e)
+
+
+@st.composite
+def packed_mul_cases(draw):
+    """Two polynomials over one ring whose degrees add up to a byte-width
+    edge (or are small); in about half the cases b is a with some signs
+    flipped, so that cross terms of the product cancel."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    arity = draw(st.integers(1, 3))
+    bound = draw(st.sampled_from((None,) + EDGE_BOUNDS))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd))
+
+    def poly_of(degree):
+        table = draw(st.dictionaries(_exponents(arity, 3), coeff, max_size=4))
+        if degree:
+            table[_top_term(draw, arity, degree)] = draw(coeff)
+        return Poly(ring, arity, table)
+
+    da = None if bound is None else draw(st.integers(4, bound - 4))
+    a = poly_of(da)
+    if draw(st.booleans()):
+        b = Poly(ring, arity, {e: (c if draw(st.booleans()) else ring.neg(c))
+                               for e, c in a.terms.items()})
+        if bound is not None:
+            b = b + Poly(ring, arity, {_top_term(draw, arity, bound - da): 1})
+    else:
+        b = poly_of(None if bound is None else bound - da)
+    return a, b
+
+
+@given(packed_mul_cases())
+@settings(max_examples=300, deadline=None)
+def test_packed_mul_matches_tuple_keys(case):
+    a, b = case
+    got = a * b
+    assert got == reference_mul(a, b)
+    assert_content_form(got)
+    # powers square on keys packed once
+    cube = b ** 3
+    assert cube == reference_mul(reference_mul(b, b), b)
+    assert_content_form(cube)
+    assert b ** 1 == b and b ** 0 == Poly.const(b.ring, b.arity, 1)
+
+
+@st.composite
+def packed_subst_cases(draw):
+    """A polynomial in which x0 occurs at most to the first power, and an
+    image of x0 with at least two terms, so that the substitution expands;
+    that image has the degree that brings the degree bound of the result to
+    a byte-width edge, or a small one.  In about half the cases x0 and x1
+    get the same image and the polynomial is P - P(x0 <-> x1), so that the
+    whole result cancels to zero."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    arity = draw(st.integers(1, 3))
+    target = draw(st.integers(1, 3))
+    bound = draw(st.sampled_from((None,) + EDGE_BOUNDS))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd))
+    exps = _exponents(arity, 2).map(lambda e: (min(e[0], 1),) + e[1:])
+    table = draw(st.dictionaries(exps, coeff, max_size=5))
+    table[(1,) + (0,) * (arity - 1)] = draw(coeff)
+    poly = Poly(ring, arity, table)
+    images = [draw(subst_images(ring, target)) for _ in range(arity)]
+    rest = sum(max((e[i] for e in poly.nums), default=0) * images[i].degree()
+               for i in range(1, arity))
+    d0 = 3 if bound is None else bound - rest
+    images[0] = images[0] + Poly(ring, target, {
+        _top_term(draw, target, d0): draw(coeff), (0,) * target: 1})
+    if arity > 1 and draw(st.booleans()):
+        images[1] = images[0]
+        swap = [Poly.var(ring, arity, i) for i in (1, 0, *range(2, arity))]
+        poly = poly - poly.subst(swap, arity)
+    return poly, images, target
+
+
+@given(packed_subst_cases())
+@settings(max_examples=300, deadline=None)
+def test_packed_subst_matches_tuple_keys(case):
+    poly, images, target = case
+    got = poly.subst(images, target)
+    assert got == reference_subst_tuple(poly, images, target)
+    assert_content_form(got)
+    # one call for several polynomials shares the packed powers
+    other = poly * poly + Poly.const(poly.ring, poly.arity, 1)
+    labels = [f"x{i}" for i in range(poly.arity)]
+    m = PolyMap(poly.ring, labels, (poly, other))
+    out = m.subst(dict(zip(labels, images)), [f"y{i}" for i in range(target)])
+    assert out.comps == (got, reference_subst_tuple(other, images, target))
+
+
+def _field_sizes(monkeypatch) -> list:
+    """Record the field size of every packed product."""
+    sizes = []
+    pick = polymap._field_code
+
+    def recorded(bound):
+        code = pick(bound)
+        sizes.append(polymap.array(code).itemsize)
+        return code
+
+    monkeypatch.setattr(polymap, "_field_code", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS)
+@pytest.mark.parametrize("bound,size", [(255, 1), (256, 2), (65535, 2),
+                                        (65536, 4), (2 ** 32 - 1, 4),
+                                        (2 ** 32, 8), (2 ** 64 - 1, 8)])
+def test_packed_fields_at_the_byte_edges(monkeypatch, ring, bound, size):
+    sizes = _field_sizes(monkeypatch)
+    x, y = Poly.var(ring, 2, 0), Poly.var(ring, 2, 1)
+    a = Poly(ring, 2, {(bound - 7, 0): 1, (0, 1): 3, (0, 0): 1})
+    b = Poly(ring, 2, {(7, 0): 2, (1, 1): 1})
+    got = a * b
+    assert sizes == [size]
+    assert got == reference_mul(a, b)
+    assert got.nums[(bound, 0)] == ring.split(ring.from_int(2))[0]
+    # x -> x^(bound - 1) + y, so the degree bound of x*y is `bound`
+    image = Poly(ring, 2, {(bound - 1, 0): 1, (0, 1): 1})
+    got = (x * y).subst([image, y], 2)
+    assert sizes[-1] == size
+    assert got == reference_subst_tuple(x * y, [image, y], 2)
+    assert got.nums.keys() == {(bound - 1, 1), (0, 2)}
+
+
+def test_packed_bound_beyond_64_bits_is_refused():
+    x = Poly(QQ, 1, {(2 ** 63,): 1, (0,): 1})
+    with pytest.raises(PolyError):
+        x * x
+    with pytest.raises(PolyError):
+        Poly(QQ, 1, {(2,): 1}).subst([x], 1)
+    assert polymap._field_code(2 ** 64 - 1) == "Q"
+
+
+def test_packed_products_of_zero_and_empty_arity():
+    zero = Poly.zero(QQ, 2)
+    assert (zero * Poly.var(QQ, 2, 0)).is_zero()
+    c = Poly.const(QQ, 0, Fraction(3, 2))
+    assert (c * c).terms == {(): Fraction(9, 4)}
+
+
+# -- re-indexing without substitution -----------------------------------------
+
+
+def test_extend_and_reorder_scatter_exponents(rng):
+    for _ in range(20):
+        m = random_polymap(rng, 3, 2, 3)
+        bigger = list(m.in_labels) + ["u", "w"]
+        rng.shuffle(bigger)
+        assert m.extend_inputs(bigger) == _extend_by_subst(m, bigger)
+        order = list(m.in_labels)
+        rng.shuffle(order)
+        assert m.reorder_inputs(order) == _extend_by_subst(m, order)
+        assert m.extend_inputs(m.in_labels) == m
+    c = PolyMap(QQ, (), (Poly.const(QQ, 0, 2),))
+    assert c.extend_inputs(("x",)).comps == (Poly.const(QQ, 1, 2),)
+
+
+def test_extend_and_reorder_refuse_bad_labels():
+    m = parse("f(x, y) = x*y + y^2")
+    with pytest.raises(PolyError):
+        m.extend_inputs(("x", "z"))
+    with pytest.raises(PolyError):
+        m.extend_inputs(("x", "y", "x"))
+    for order in (("x",), ("y", "x", "x"), ("x", "z"), ("x", "y", "z")):
+        with pytest.raises(PolyError):
+            m.reorder_inputs(order)

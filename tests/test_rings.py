@@ -155,3 +155,25 @@ def test_symmetric_group_acts_by_automorphisms():
         lhs = ext_automorphism(ext_mul(a, b), perm)
         rhs = ext_mul(ext_automorphism(a, perm), ext_automorphism(b, perm))
         assert lhs.coeffs == rhs.coeffs and lhs.t == rhs.t
+
+
+def test_ext_element_refuses_inexact_scalars():
+    # a float coefficient or scale used to flow through eval_over_extension
+    # to float coefficients
+    with pytest.raises(ExtError):
+        ExtElement(QQ, (1,), (Fraction(2),), (0.5, Fraction(1)))
+    with pytest.raises(ExtError):
+        ExtElement(QQ, (1,), (2.0,), (Fraction(1), Fraction(1)))
+    with pytest.raises(ExtError):
+        ExtElement(IntegersMod(7), (1,), (2,), (Fraction(1, 2), 1))
+    with pytest.raises(ExtError):
+        ExtElement.scalar(QQ, (1, 2), (Fraction(1), Fraction(1)), 1.5)
+    f = parse("f(x) = x^2 + 1/3*x")
+    (img,) = eval_over_extension(f, [ExtElement(QQ, (1,), (Fraction(2),),
+                                                (Fraction(1, 2), Fraction(1)))])
+    assert img.coeffs == (Fraction(5, 12), Fraction(10, 3))
+    assert all(isinstance(c, Fraction) for c in img.coeffs)
+    # scalars are stored reduced, so equal elements compare equal
+    z7 = IntegersMod(7)
+    a = ExtElement(z7, (1,), (9,), (8, -6))
+    assert a == ExtElement(z7, (1,), (2,), (1, 1)) and a.t == (2,)
