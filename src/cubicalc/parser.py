@@ -197,7 +197,7 @@ class _Parser:
                 raise ParseError(f"exponent {t.text} exceeds the maximum "
                                  f"{MAX_EXPONENT}", t.line, t.col)
             self.next()
-            base = base ** int(digits)
+            base = _power(base, int(digits))
         return base
 
     def parse_base(self) -> Poly:
@@ -235,6 +235,15 @@ class _Parser:
             self.expect_op(")")
             return e
         self.fail(f"expected a value, found {t.text or 'end of input'!r}")
+
+
+def _power(p: Poly, k: int) -> Poly:
+    """p**k; a one-term p, such as a variable, has its exponents and
+    coefficient raised without a polynomial product."""
+    if len(p.nums) != 1:
+        return p ** k
+    ((e, c),) = p.terms.items()
+    return Poly(p.ring, p.arity, {tuple(k * x for x in e): c ** k})
 
 
 def _times(a: Poly, b: Poly) -> Poly:

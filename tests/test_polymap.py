@@ -56,6 +56,19 @@ def test_parse_mod_ring():
     assert f.eval([2]) == [1]  # 1/2 = 4 mod 7, 4*2 = 1
 
 
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(7)])
+def test_parse_powers_and_constant_factors_match_products(ring):
+    # one-term powers and constant factors are built without products
+    x, y = Poly.var(ring, 2, 0), Poly.var(ring, 2, 1)
+    c = lambda k: Poly.const(ring, 2, ring.from_int(k))
+    half = Poly.const(ring, 2, ring.div(ring.one(), ring.from_int(2)))
+    f = parse("f(x,y) = (2*x)^3*y^2 + (1/2)^2*x^0 - 0^3*y + 3*(x + y)^2*2"
+              " + x*y*5 + (-y)^3 + 9^2", ring)
+    want = (c(2) * x) * (c(2) * x) * (c(2) * x) * y * y + half * half \
+        + c(6) * (x + y) * (x + y) + x * y * c(5) - y * y * y + c(81)
+    assert f.comps == (want,)
+
+
 def test_eval_degree_compose():
     f = parse("f(x) = x^2")
     g = parse("g(x) = x + 1")
