@@ -176,7 +176,7 @@ class _Parser:
             t = self.peek()
             if t.text == "*":
                 self.next()
-                acc = _times(acc, self.parse_factor())
+                acc = acc * self.parse_factor()
             elif t.text == "/":
                 raise ParseError(
                     "non-polynomial construct: division is only allowed in "
@@ -197,7 +197,7 @@ class _Parser:
                 raise ParseError(f"exponent {t.text} exceeds the maximum "
                                  f"{MAX_EXPONENT}", t.line, t.col)
             self.next()
-            base = _power(base, int(digits))
+            base = base ** int(digits)
         return base
 
     def parse_base(self) -> Poly:
@@ -235,26 +235,6 @@ class _Parser:
             self.expect_op(")")
             return e
         self.fail(f"expected a value, found {t.text or 'end of input'!r}")
-
-
-def _power(p: Poly, k: int) -> Poly:
-    """p**k; a one-term p, such as a variable, has its exponents and
-    coefficient raised without a polynomial product."""
-    if len(p.nums) != 1:
-        return p ** k
-    ((e, c),) = p.terms.items()
-    return Poly(p.ring, p.arity, {tuple(k * x for x in e): c ** k})
-
-
-def _times(a: Poly, b: Poly) -> Poly:
-    """a * b; a constant factor, such as a literal, scales the other one
-    without a polynomial product."""
-    for c, p in ((a, b), (b, a)):
-        if len(c.nums) == 1:
-            (e,) = c.nums
-            if not any(e):
-                return p.scale(c.terms[e])
-    return a * b
 
 
 def parse(text: str, ring: Ring = QQ) -> PolyMap:

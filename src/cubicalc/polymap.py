@@ -130,8 +130,14 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """self * other: by `_times_term` when one operand has one term, else
+        on packed keys."""
         self._compat(other)
         a, b = self.nums, other.nums
+        if len(a) == 1 or len(b) == 1:
+            p, q = (other, self) if len(a) == 1 else (self, other)
+            (f, n), = q.nums.items()
+            return p._times_term(n, q.den, f)
         code = _field_code(max(map(sum, a), default=0)
                            + max(map(sum, b), default=0))
         nums = _mul_into({}, self.ring.numerator_ops(), _packed(a, code),
@@ -141,12 +147,21 @@ class Poly:
                              self.den * other.den)
 
     def __pow__(self, k: int) -> "Poly":
-        """self**k by repeated squaring, on keys packed once."""
+        """self**k: a one-term base has its exponents multiplied by k and its
+        numerator raised, any other is squared repeatedly on keys packed
+        once."""
         if k < 0:
             raise PolyError("negative power of a polynomial")
         if not k:
             return Poly.const(self.ring, self.arity, self.ring.one())
         ops = self.ring.numerator_ops()
+        if len(self.nums) == 1:
+            (e, n), = self.nums.items()
+            c = n
+            for _ in range(k - 1):
+                c = ops[1](c, n)
+            nums = {} if ops[3](c) else {tuple(k * x for x in e): c}
+            return _from_content(self.ring, self.arity, nums, self.den ** k)
         code = _field_code(k * self.degree())
         base = _packed(self.nums, code)
         result = None
@@ -166,11 +181,17 @@ class Poly:
     def scale(self, c) -> "Poly":
         """c times self; a product that vanishes in the ring (c = 0, or a
         zero divisor over Z/m) is dropped."""
-        r = self.ring
-        _, mul, _, is_zero, _ = r.numerator_ops()
-        n, d = r.split(c)
+        return self._times_term(*self.ring.split(c))
+
+    def _times_term(self, n, d: int, f: tuple = ()) -> "Poly":
+        """self times the one term (n/d) * x^f, on tuple keys: the exponents
+        are shifted by f (no shift when f is () or zero) and the numerators
+        scaled by n; a product that vanishes in the ring is dropped."""
+        _, mul, _, is_zero, _ = self.ring.numerator_ops()
         prods = ((e, mul(n, v)) for e, v in self.nums.items())
-        return _from_content(r, self.arity,
+        if any(f):
+            prods = ((tuple(map(int.__add__, e, f)), p) for e, p in prods)
+        return _from_content(self.ring, self.arity,
                              {e: p for e, p in prods if not is_zero(p)},
                              self.den * d)
 
@@ -273,6 +294,30 @@ class Poly:
                     acc.pop(e_out, None)
                 else:
                     acc[e_out] = c
+        return acc
+
+    def _subst_linear(self, nums: dict, images: Sequence["Poly"],
+                      arity: int) -> dict:
+        """c_0 + sum c_i * images[i] for the numerators `nums` of degree at
+        most 1, summed on the exponent tuples of the images: a linear
+        combination needs no product, so nothing is packed."""
+        add, mul, _, is_zero, _ = self.ring.numerator_ops()
+        acc: dict = {}
+        get, pop = acc.get, acc.pop
+        for e, c in nums.items():
+            if any(e):
+                prods = ((f, mul(c, a))
+                         for f, a in images[e.index(1)].nums.items())
+            else:
+                prods = (((0,) * arity, c),)
+            for f, p in prods:
+                old = get(f)
+                if old is not None:
+                    p = add(old, p)
+                if is_zero(p):
+                    pop(f, None)
+                else:
+                    acc[f] = p
         return acc
 
     def _reindexed(self, index: Sequence[int], arity: int) -> "Poly":
@@ -428,35 +473,50 @@ def _subst(polys: Sequence[Poly], images: Sequence[Poly],
     term scaled to the common denominator den * prod d_i^maxe_i of the result
     (d_i the denominator of images[i], maxe_i the top exponent of x_i), as the
     evaluation kernel scales its inputs; one gcd at the end makes the result
-    canonical.  When every image has at most one term (a variable, a scaled
-    monomial, a constant or zero), each term maps to one term and no product
-    is expanded; otherwise the products run on packed exponent keys
-    (`_Expansion`), one set for all of `polys`.
+    canonical.  An image is zero, one term (a variable, a scaled monomial or
+    a constant) or many terms, and only a many-term image needs a product:
+    - when every image has at most one term, each term maps to one term
+      (`Poly._subst_monomial`);
+    - when every term of `polys` has total degree at most 1, the result is
+      c_0 + sum c_i * images[i], summed on the images' own exponent tuples
+      (`Poly._subst_linear`);
+    - otherwise the terms are expanded on packed exponent keys
+      (`_Expansion`), one set of powers for all of `polys`.
     """
     if not polys:
         return []
     monomial = all(len(im.nums) <= 1 for im in images)
-    expand = None if monomial else _Expansion(polys, images, arity)
+    linear = not monomial and all(sum(e) <= 1 for p in polys for e in p.nums)
+    expand = None if monomial or linear else _Expansion(polys, images, arity)
     out = []
     for p in polys:
         den, nums = p._over_subst_den(images)
-        nums = p._subst_monomial(nums, images, arity) if monomial \
-            else expand(nums)
+        if monomial:
+            nums = p._subst_monomial(nums, images, arity)
+        elif linear:
+            nums = p._subst_linear(nums, images, arity)
+        else:
+            nums = expand(nums)
         out.append(_from_content(p.ring, arity, nums, den))
     return out
 
 
 class _Expansion:
-    """The powers of the images of one substitution, on packed exponent
-    keys, shared by every polynomial substituted.
+    """The images of one substitution on packed exponent keys, shared by
+    every polynomial substituted.
 
     Only the images of variables that occur are packed, and their degrees are
     taken once.  The field type comes from the degree bound of the results:
     sum over x_i of maxe_i * deg(images[i]), maxe_i the top exponent of x_i.
-    Keys are unpacked once, at the end of each result.
+    In a term c * prod x_i^k_i, a zero image drops the term and a one-term
+    image a_i * y^f_i is folded: k_i times its packed key is added to the
+    term's key and c is multiplied by a_i^k_i.  Only the powers of many-term
+    images are multiplied out (`_mul_into`), so a term with none of them is
+    one update of the result.  Keys are unpacked once, at the end of each
+    result.
     """
 
-    __slots__ = ("ops", "code", "arity", "unit", "rows")
+    __slots__ = ("ops", "code", "arity", "folds", "rows")
 
     def __init__(self, polys: Sequence[Poly], images: Sequence[Poly],
                  arity: int):
@@ -468,28 +528,58 @@ class _Expansion:
         self.code = _field_code(max(
             sum(k * deg[i] for i, k in enumerate(top) if k) for top in tops))
         self.arity = arity
-        self.unit = {0: ring.split(ring.one())[0]}
-        # rows[i][k]: numerators of images[i]**k
-        self.rows = {i: [self.unit, _packed(images[i].nums, self.code)]
-                     for i in used}
+        one = ring.split(ring.one())[0]
+        # folds[i]: the packed key of a one-term images[i] and the powers of
+        # its numerator; rows[i][k]: the numerators of a many-term
+        # images[i]**k.  A zero image is in neither.
+        self.folds, self.rows = {}, {}
+        for i in used:
+            packed = _packed(images[i].nums, self.code)
+            if len(packed) > 1:
+                self.rows[i] = [None, packed]
+            elif packed:
+                (key, a), = packed.items()
+                self.folds[i] = (key, [one, a])
 
     def __call__(self, nums: dict) -> dict:
-        ops, rows, unit = self.ops, self.rows, self.unit
+        ops, folds, rows = self.ops, self.folds, self.rows
+        add, mul, _, is_zero, _ = ops
         acc: dict = {}
         for e, c in nums.items():
-            # c times the powers, the last product summed straight into acc
-            prod = {0: c}
-            last = unit
+            key = 0
+            many = []  # the powers of the many-term images
             for i, k in enumerate(e):
                 if not k:
                     continue
-                row = rows[i]
+                fold = folds.get(i)
+                if fold is not None:
+                    powers = fold[1]
+                    while len(powers) <= k:
+                        powers.append(mul(powers[-1], powers[1]))
+                    key += k * fold[0]
+                    c = mul(c, powers[k])
+                    continue
+                row = rows.get(i)
+                if row is None:  # a zero image
+                    break
                 while len(row) <= k:
                     row.append(_mul_into({}, ops, row[-1], row[1]))
-                if last is not unit:
-                    prod = _mul_into({}, ops, prod, last)
-                last = row[k]
-            _mul_into(acc, ops, prod, last)
+                many.append(row[k])
+            else:
+                if many:
+                    # c times the powers, the last product summed into acc
+                    prod = {key: c}
+                    for power in many[:-1]:
+                        prod = _mul_into({}, ops, prod, power)
+                    _mul_into(acc, ops, prod, many[-1])
+                    continue
+                old = acc.get(key)
+                if old is not None:
+                    c = add(old, c)
+                if is_zero(c):
+                    acc.pop(key, None)
+                else:
+                    acc[key] = c
         return _unpacked(acc, self.code, self.arity)
 
 

@@ -696,6 +696,161 @@ def test_packed_products_of_zero_and_empty_arity():
     assert (c * c).terms == {(): Fraction(9, 4)}
 
 
+# -- folded one-term images and degree-1 substitutions -------------------------
+
+
+@st.composite
+def fold_subst_cases(draw):
+    """Two or three polynomials over arity <= 3 and images over a target
+    arity <= 3, one of them with two to four terms, so that the substitution
+    is not all monomial.  The other images have one term or many, with
+    coefficients that may be zero divisors over Z/6 and Z/4 and may have
+    denominators over Q.  `kind` is
+    - "mixed": the polynomials have degree <= 4, the first a term of
+      degree 2, so that the terms are expanded;
+    - "zero": as "mixed", and x_last, which occurs in that term, has a zero
+      image;
+    - "linear": the polynomials have degree <= 1, with or without a constant
+      term."""
+    ring = draw(st.sampled_from(QUOTIENT_RINGS))
+    kind = draw(st.sampled_from(("mixed", "zero", "linear")))
+    arity = draw(st.integers(2 if kind == "zero" else 1, 3))
+    target = draw(st.integers(1, 3))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd)).filter(lambda c: not ring.is_zero(c))
+
+    def many_terms():
+        table = draw(st.dictionaries(_exponents(target, 2), coeff,
+                                     min_size=2, max_size=4))
+        return Poly(ring, target, table)
+
+    def one_term():
+        return Poly(ring, target, {draw(_exponents(target, 2)): draw(coeff)})
+
+    images = [many_terms()] + [
+        many_terms() if draw(st.booleans()) else one_term()
+        for _ in range(arity - 1)]
+    images = draw(st.permutations(images))
+    degree = 1 if kind == "linear" else 4
+    polys = [Poly(ring, arity, draw(st.dictionaries(
+        _exponents(arity, degree), coeff, max_size=5)))
+        for _ in range(draw(st.integers(2, 3)))]
+    if kind != "linear":
+        top = [0] * arity
+        top[0] += 1
+        top[-1] += 1
+        polys[0] = polys[0] + Poly(ring, arity, {tuple(top): draw(coeff)})
+    if kind == "zero":
+        images[-1] = Poly.zero(ring, target)
+    return polys, images, target
+
+
+@given(fold_subst_cases(), st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_folded_and_linear_subst_match_references(case, point):
+    polys, images, target = case
+    ring = polys[0].ring
+    labels = [f"x{i}" for i in range(polys[0].arity)]
+    m = PolyMap(ring, labels, polys)
+    # one call for all components shares the folded keys and the powers
+    out = m.subst(dict(zip(labels, images)), [f"y{i}" for i in range(target)])
+    point = [ring.from_int(x) for x in point[:target]]
+    for p, got in zip(polys, out.comps):
+        assert got == p.subst(images, target)
+        assert got == reference_subst_tuple(p, images, target)
+        assert got == reference_subst(p, images, target)
+        assert_content_form(got)
+        assert got.eval(point) == p.eval([im.eval(point) for im in images])
+
+
+@pytest.mark.parametrize("ring", (IntegersMod(6), IntegersMod(4)))
+def test_folded_and_linear_products_vanish_mod_m(ring):
+    zero = Poly.zero(ring, 2)
+    y0, y1 = Poly.var(ring, 2, 0), Poly.var(ring, 2, 1)
+    two = Poly.const(ring, 2, 2)
+    # x0 -> 2*y0 folds, x1 -> 2*y1 + y0^2 expands: 2*x0*x1 and x0^2 vanish
+    # over Z/4 (2*2*2, 2*2), 3*x0*x1 over Z/6 (3*2*2 = 12)
+    images = [y0.scale(2), y1.scale(2) + y0 * y0]
+    poly = Poly(ring, 2, {(1, 1): 2, (2, 0): 1, (0, 2): 1, (0, 0): 1})
+    if ring.m == 6:
+        poly = Poly(ring, 2, {(1, 1): 3, (0, 2): 1, (0, 0): 1})
+    got = _assert_subst_matches(poly, images, 2)
+    assert got == images[1] * images[1] + Poly.const(ring, 2, 1)
+    # degree 1: 2*x0 + 3*x1 + 1 with x0 -> 3*y0 + 2*y1 and x1 -> 2*y0 + 2
+    # keeps only what does not vanish
+    images = [y0.scale(3) + y1.scale(2), y0.scale(2) + two]
+    poly = Poly(ring, 2, {(1, 0): 2, (0, 1): 3, (0, 0): 1})
+    got = _assert_subst_matches(poly, images, 2)
+    want = {6: {(1, 0): 6 % 6, (0, 1): 4, (0, 0): 7 % 6},
+            4: {(1, 0): 12 % 4, (0, 1): 4 % 4, (0, 0): 7 % 4}}[ring.m]
+    assert got.terms == {e: c for e, c in want.items() if c}
+    # a product with a many-term image that vanishes entirely
+    assert Poly(ring, 2, {(1, 1): ring.m // 2}).subst(
+        [two, y0 + y1], 2) == zero
+
+
+def _mul_into_calls(monkeypatch) -> list:
+    """Record every call of the packed product kernel."""
+    calls = []
+    kernel = polymap._mul_into
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(polymap, "_mul_into", counted)
+    return calls
+
+
+@pytest.mark.parametrize("ring", QUOTIENT_RINGS)
+def test_products_only_for_many_term_images(monkeypatch, ring):
+    y = [Poly.var(ring, 3, j) for j in range(3)]
+    x = [Poly.var(ring, 3, i) for i in range(3)]
+    c = lambda k: Poly.const(ring, 3, ring.from_int(k))
+    many = [y[0] * y[0] + y[1] + c(1), (y[0] + y[2]) ** 3, y[1] * y[2] - y[0]]
+    folded = [y[0].scale(ring.from_int(2)), y[1] * y[2], c(5)]
+    # degree 1: no product, whatever the images
+    linear = [x[0].scale(ring.from_int(3)) - x[1] + c(4), x[2], c(2), x[1]]
+    calls = _mul_into_calls(monkeypatch)
+    for images in (many, folded, [many[0], folded[1], many[2]]):
+        got = _subst_both_ways(linear, images)
+        assert calls == []
+        assert got == [reference_subst_tuple(p, images, 3) for p in linear]
+    # a term whose images all have one term: no product, even though x2
+    # (which does not occur) has a many-term image
+    poly = x[0] ** 3 * x[1] ** 2 + x[0] * x[1] + c(7)
+    images = [folded[0], folded[1], many[1]]
+    assert _subst_both_ways([poly], images) == [
+        reference_subst_tuple(poly, images, 3)]
+    assert calls == []
+    # x0*x1, x0 -> one term and x1 -> two terms: exactly one product
+    images = [folded[0], y[0] + y[1], many[2]]
+    assert (x[0] * x[1]).subst(images, 3) == reference_subst_tuple(
+        x[0] * x[1], images, 3)
+    assert len(calls) == 1
+    # a one-term operand of Poly.__mul__ and a one-term base of __pow__
+    del calls[:]
+    for a, b in ((many[1], folded[0]), (folded[1], many[0]), (c(3), many[2]),
+                 (folded[1], folded[0]), (c(2), c(3))):
+        assert a * b == b * a == reference_mul(a, b)
+        assert_content_form(a * b)
+    for base in (folded[0], folded[1], c(2), -x[2]):
+        assert base ** 3 == reference_mul(reference_mul(base, base), base)
+        assert_content_form(base ** 3)
+    assert calls == []
+
+
+def _subst_both_ways(polys, images) -> list:
+    """The substitution of `images` into `polys`, as one PolyMap.subst call
+    and as one Poly.subst per polynomial, which must agree."""
+    ring, arity = polys[0].ring, polys[0].arity
+    labels = [f"x{i}" for i in range(arity)]
+    out = PolyMap(ring, labels, polys).subst(
+        dict(zip(labels, images)), [f"y{i}" for i in range(images[0].arity)])
+    assert list(out.comps) == [p.subst(images, images[0].arity) for p in polys]
+    return list(out.comps)
+
+
 # -- re-indexing without substitution -----------------------------------------
 
 
