@@ -156,11 +156,12 @@ class Poly:
             return Poly.const(self.ring, self.arity, self.ring.one())
         ops = self.ring.numerator_ops()
         if len(self.nums) == 1:
+            _, mul, _, is_zero, _ = ops
             (e, n), = self.nums.items()
             c = n
             for _ in range(k - 1):
-                c = ops[1](c, n)
-            nums = {} if ops[3](c) else {tuple(k * x for x in e): c}
+                c = mul(c, n)
+            nums = {} if is_zero(c) else {tuple(k * x for x in e): c}
             return _from_content(self.ring, self.arity, nums, self.den ** k)
         code = _field_code(k * self.degree())
         base = _packed(self.nums, code)
@@ -474,14 +475,11 @@ def _subst(polys: Sequence[Poly], images: Sequence[Poly],
     (d_i the denominator of images[i], maxe_i the top exponent of x_i), as the
     evaluation kernel scales its inputs; one gcd at the end makes the result
     canonical.  An image is zero, one term (a variable, a scaled monomial or
-    a constant) or many terms, and only a many-term image needs a product:
-    - when every image has at most one term, each term maps to one term
-      (`Poly._subst_monomial`);
-    - when every term of `polys` has total degree at most 1, the result is
-      c_0 + sum c_i * images[i], summed on the images' own exponent tuples
-      (`Poly._subst_linear`);
-    - otherwise the terms are expanded on packed exponent keys
-      (`_Expansion`), one set of powers for all of `polys`.
+    a constant) or many terms, and only a many-term image needs a product.
+    When every image has at most one term, each term maps to one term
+    (`Poly._subst_monomial`); when every term of `polys` has degree at most
+    1, the images are summed (`Poly._subst_linear`); otherwise the terms are
+    expanded on packed keys (`_Expansion`), one set for all of `polys`.
     """
     if not polys:
         return []
