@@ -147,34 +147,23 @@ class Poly:
                              self.den * other.den)
 
     def __pow__(self, k: int) -> "Poly":
-        """self**k: a one-term base has its exponents multiplied by k and its
-        numerator raised, any other is squared repeatedly on keys packed
-        once."""
+        """self**k by repeated squaring (`_power`): a one-term base has its
+        exponents multiplied by k and its numerator raised, any other is
+        raised on keys packed once.  A degree bound k * deg(self) of 2^64 or
+        more is refused (`_field_code`) for either."""
         if k < 0:
             raise PolyError("negative power of a polynomial")
         if not k:
             return Poly.const(self.ring, self.arity, self.ring.one())
+        code = _field_code(k * self.degree())
         ops = self.ring.numerator_ops()
         if len(self.nums) == 1:
-            _, mul, _, is_zero, _ = ops
             (e, n), = self.nums.items()
-            c = n
-            for _ in range(k - 1):
-                c = mul(c, n)
-            nums = {} if is_zero(c) else {tuple(k * x for x in e): c}
+            c = _power(ops[1], n, k)
+            nums = {} if ops[3](c) else {tuple(k * x for x in e): c}
             return _from_content(self.ring, self.arity, nums, self.den ** k)
-        code = _field_code(k * self.degree())
-        base = _packed(self.nums, code)
-        result = None
-        j = k
-        while True:
-            if j & 1:
-                result = base if result is None else \
-                    _mul_into({}, ops, result, base)
-            j >>= 1
-            if not j:
-                break
-            base = _mul_into({}, ops, base, base)
+        result = _power(lambda a, b: _mul_into({}, ops, a, b),
+                        _packed(self.nums, code), k)
         return _from_content(self.ring, self.arity,
                              _unpacked(result, code, self.arity),
                              self.den ** k)
@@ -255,47 +244,6 @@ class Poly:
                 f *= row[e[i]]
             scaled[e] = mul(c, from_int(f))
         return den, scaled
-
-    def _subst_monomial(self, nums: dict, images: Sequence["Poly"],
-                        arity: int) -> dict:
-        add, mul, _, is_zero, _ = self.ring.numerator_ops()
-        one, _ = self.ring.split(self.ring.one())
-        # per image: None for zero, else (sparse exponents, numerator powers
-        # or None when the numerator is one)
-        specs = []
-        for im in images:
-            if not im.nums:
-                specs.append(None)
-                continue
-            (f, a), = im.nums.items()
-            powers = None if a == one else [one, a]
-            specs.append((tuple((j, k) for j, k in enumerate(f) if k), powers))
-        acc: dict = {}
-        for e, c in nums.items():
-            out = [0] * arity
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                spec = specs[i]
-                if spec is None:
-                    break
-                for j, f in spec[0]:
-                    out[j] += k * f
-                powers = spec[1]
-                if powers is not None:
-                    while len(powers) <= k:
-                        powers.append(mul(powers[-1], powers[1]))
-                    c = mul(c, powers[k])
-            else:
-                e_out = tuple(out)
-                old = acc.get(e_out)
-                if old is not None:
-                    c = add(old, c)
-                if is_zero(c):
-                    acc.pop(e_out, None)
-                else:
-                    acc[e_out] = c
-        return acc
 
     def _subst_linear(self, nums: dict, images: Sequence["Poly"],
                       arity: int) -> dict:
@@ -465,6 +413,19 @@ def _mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
     return acc
 
 
+def _power(mul: Callable, base, k: int):
+    """base**k for k >= 1 by square-and-multiply, with the product `mul`:
+    at most 2*log2(k) products."""
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else mul(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = mul(base, base)
+
+
 def _subst(polys: Sequence[Poly], images: Sequence[Poly],
            arity: int) -> list:
     """Substitute images[i] (all over a common new variable list of length
@@ -476,25 +437,20 @@ def _subst(polys: Sequence[Poly], images: Sequence[Poly],
     evaluation kernel scales its inputs; one gcd at the end makes the result
     canonical.  An image is zero, one term (a variable, a scaled monomial or
     a constant) or many terms, and only a many-term image needs a product.
-    When every image has at most one term, each term maps to one term
-    (`Poly._subst_monomial`); when every term of `polys` has degree at most
-    1, the images are summed (`Poly._subst_linear`); otherwise the terms are
-    expanded on packed keys (`_Expansion`), one set for all of `polys`.
+    When every term of `polys` has degree at most 1, the images are summed
+    (`Poly._subst_linear`); otherwise the terms are expanded on packed keys
+    (`_Expansion`), one set for all of `polys`, where a zero image drops a
+    term and a one-term image is folded into it.
     """
     if not polys:
         return []
-    monomial = all(len(im.nums) <= 1 for im in images)
-    linear = not monomial and all(sum(e) <= 1 for p in polys for e in p.nums)
-    expand = None if monomial or linear else _Expansion(polys, images, arity)
+    linear = all(sum(e) <= 1 for p in polys for e in p.nums)
+    expand = None if linear else _Expansion(polys, images, arity)
     out = []
     for p in polys:
         den, nums = p._over_subst_den(images)
-        if monomial:
-            nums = p._subst_monomial(nums, images, arity)
-        elif linear:
-            nums = p._subst_linear(nums, images, arity)
-        else:
-            nums = expand(nums)
+        nums = p._subst_linear(nums, images, arity) if linear \
+            else expand(nums)
         out.append(_from_content(p.ring, arity, nums, den))
     return out
 
@@ -508,7 +464,8 @@ class _Expansion:
     sum over x_i of maxe_i * deg(images[i]), maxe_i the top exponent of x_i.
     In a term c * prod x_i^k_i, a zero image drops the term and a one-term
     image a_i * y^f_i is folded: k_i times its packed key is added to the
-    term's key and c is multiplied by a_i^k_i.  Only the powers of many-term
+    term's key and c is multiplied by a_i^k_i (not at all when a_i is one,
+    as for a bare variable).  Only the powers of many-term
     images are multiplied out (`_mul_into`), so a term with none of them is
     one update of the result.  Keys are unpacked once, at the end of each
     result.
@@ -528,8 +485,8 @@ class _Expansion:
         self.arity = arity
         one = ring.split(ring.one())[0]
         # folds[i]: the packed key of a one-term images[i] and the powers of
-        # its numerator; rows[i][k]: the numerators of a many-term
-        # images[i]**k.  A zero image is in neither.
+        # its numerator, None when that is one; rows[i][k]: the numerators of
+        # a many-term images[i]**k.  A zero image is in neither.
         self.folds, self.rows = {}, {}
         for i in used:
             packed = _packed(images[i].nums, self.code)
@@ -537,7 +494,7 @@ class _Expansion:
                 self.rows[i] = [None, packed]
             elif packed:
                 (key, a), = packed.items()
-                self.folds[i] = (key, [one, a])
+                self.folds[i] = (key, None if a == one else [one, a])
 
     def __call__(self, nums: dict) -> dict:
         ops, folds, rows = self.ops, self.folds, self.rows
@@ -551,11 +508,12 @@ class _Expansion:
                     continue
                 fold = folds.get(i)
                 if fold is not None:
-                    powers = fold[1]
-                    while len(powers) <= k:
-                        powers.append(mul(powers[-1], powers[1]))
                     key += k * fold[0]
-                    c = mul(c, powers[k])
+                    powers = fold[1]
+                    if powers is not None:
+                        while len(powers) <= k:
+                            powers.append(mul(powers[-1], powers[1]))
+                        c = mul(c, powers[k])
                     continue
                 row = rows.get(i)
                 if row is None:  # a zero image

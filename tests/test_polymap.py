@@ -838,6 +838,30 @@ def test_products_only_for_many_term_images(monkeypatch, ring):
     assert calls == []
 
 
+@pytest.mark.parametrize("ring", QUOTIENT_RINGS)
+def test_one_term_powers_square_and_refuse_huge_bounds(ring):
+    two = ring.from_int(2)
+    base = Poly(ring, 2, {(1, 2): two})
+    power = base
+    for k in range(1, 10):
+        assert base ** k == power
+        assert_content_form(base ** k)
+        power = reference_mul(power, base)
+    # square-and-multiply: an exponent near 2^40 takes some 80 products
+    k = 2 ** 40 + 3
+    assert (Poly.var(ring, 1, 0) ** k).terms == {(k,): ring.one()}
+    if ring != QQ:
+        got = Poly(ring, 1, {(1,): two}) ** k
+        a = pow(2, k, ring.m)
+        assert got.terms == ({(k,): ring.from_int(a)} if a else {})
+    assert (Poly.var(ring, 1, 0) ** (2 ** 64 - 1)).terms == {
+        (2 ** 64 - 1,): ring.one()}
+    with pytest.raises(PolyError):
+        Poly.var(ring, 1, 0) ** 2 ** 64
+    with pytest.raises(PolyError):
+        Poly(ring, 2, {(1, 1): two}) ** 2 ** 63
+
+
 def _subst_both_ways(polys, images) -> list:
     """The substitution of `images` into `polys`, as one PolyMap.subst call
     and as one Poly.subst per polynomial, which must agree."""
