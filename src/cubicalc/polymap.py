@@ -465,10 +465,9 @@ class _Expansion:
     In a term c * prod x_i^k_i, a zero image drops the term and a one-term
     image a_i * y^f_i is folded: k_i times its packed key is added to the
     term's key and c is multiplied by a_i^k_i (not at all when a_i is one,
-    as for a bare variable).  Only the powers of many-term
-    images are multiplied out (`_mul_into`), so a term with none of them is
-    one update of the result.  Keys are unpacked once, at the end of each
-    result.
+    as for a bare variable).  Only the powers of many-term images are
+    multiplied out (`_mul_into`), so a term with none of them is one update
+    of the result.  Keys are unpacked once, at the end of each result.
     """
 
     __slots__ = ("ops", "code", "arity", "folds", "rows")
