@@ -4,7 +4,8 @@ Pair groupoids and scaled action cats come from their closed-form structure
 theorems; the symmetric cubic groupoid from its explicit edge formulas; the
 full cubic groupoid and the scaleoids from the inductive three-case recursion
 for targets (old / copy of old / new) with source, unit and composition read
-off the coordinate labels.
+off the coordinate labels.  Every edge category except the pair groupoid's
+splice comes from one of two builders, `additive_edge_cat` and `action_edge`.
 """
 from __future__ import annotations
 
@@ -14,10 +15,10 @@ from functools import lru_cache
 from .derive import (_canon, _shift_target, _v_labels, derive_labels,
                      derive_polymap, extend_polymap, slab, tlab, vlab,
                      with_tag)
-from .hypercube import alpha_stair, subset_label, subsets
+from .hypercube import alpha_stair, kcubes, subset_label, subsets
 from .polymap import Poly, PolyMap
 from .presentation import (BoxConstraint, CoordSchema, EdgeCat,
-                           NFoldPresentation, subset_faces,
+                           NFoldPresentation, edge_order, subset_faces,
                            subsets_presentation_vertices, tagged)
 from .rings import QQ, Ring, RingError
 
@@ -27,8 +28,7 @@ class ConstructionError(ValueError):
 
 
 def additive_edge_cat(ring: Ring, direction, lo, hi, dom: CoordSchema,
-                      cod: CoordSchema, target: PolyMap,
-                      with_inverse: bool = True) -> EdgeCat:
+                      cod: CoordSchema, target: PolyMap) -> EdgeCat:
     """Edge category whose source is the coordinate projection, unit the
     zero-padding inclusion, and composition addition of the fiber block."""
     dom_l, cod_l = dom.labels, cod.labels
@@ -48,13 +48,76 @@ def additive_edge_cat(ring: Ring, direction, lo, hi, dom: CoordSchema,
         **{l: Poly.var(ring, n2, pos2[("b", l)]) for l in cod_l},
         **{l: Poly.var(ring, n2, pos2[("a", l)]) + Poly.var(ring, n2, pos2[("b", l)])
            for l in fiber}})
-    inverse = None
-    if with_inverse:
-        inverse = PolyMap.from_label_exprs(ring, dom_l, {
-            **{l: target.component(l) for l in cod_l},
-            **{l: -Poly.var(ring, len(dom_l), dom_l.index(l)) for l in fiber}})
+    inverse = PolyMap.from_label_exprs(ring, dom_l, {
+        **{l: target.component(l) for l in cod_l},
+        **{l: -Poly.var(ring, len(dom_l), dom_l.index(l)) for l in fiber}})
     return EdgeCat(direction, lo, hi, dom, cod, source, target, unit, compose,
                    inverse)
+
+
+def action_edge(ring: Ring, k: int, lo, hi, dom: CoordSchema, cod: CoordSchema,
+                scaled) -> EdgeCat:
+    """Edge category of the scale action in direction k; the morphisms carry
+    the object coordinates and s_k.  The source multiplies s_k into t_k, the
+    target multiplies it into the `scaled` block, the unit sets s_k = 1, and
+    composition multiplies the s_k and keeps the left t_k.  Not a groupoid.
+
+    Composable chains are parameterized from the left scales, so that no
+    division is needed: t_k chains leftwards (t_right = s_left t_left) and
+    the scaled block of an element is the rightmost one's times the s_k of
+    everything to its right."""
+    sk, tk = slab({k}), tlab({k})
+    dom_l, cod_l = dom.labels, cod.labels
+    scaled = tuple(scaled)
+    nd = len(dom_l)
+    pos = {l: i for i, l in enumerate(dom_l)}
+    x = lambda l: Poly.var(ring, nd, pos[l])
+    source = PolyMap.from_label_exprs(ring, dom_l, {
+        **{l: x(l) for l in cod_l if l != tk}, tk: x(sk) * x(tk)})
+    target = PolyMap.from_label_exprs(ring, dom_l, {
+        l: x(sk) * x(l) if l in scaled else x(l) for l in cod_l})
+    nc = len(cod_l)
+    unit = PolyMap.from_label_exprs(ring, cod_l, {
+        **{l: Poly.var(ring, nc, i) for i, l in enumerate(cod_l)},
+        sk: Poly.const(ring, nc, ring.one())})
+    pair_labels = tagged("a", dom_l) + tagged("b", dom_l)
+    n2 = len(pair_labels)
+    pos2 = {l: i for i, l in enumerate(pair_labels)}
+    ab = lambda tag, l: Poly.var(ring, n2, pos2[(tag, l)])
+    compose = PolyMap.from_label_exprs(ring, pair_labels, {
+        **{l: ab("b", l) for l in cod_l if l != tk},
+        sk: ab("a", sk) * ab("b", sk), tk: ab("a", tk)})
+    fixed = tuple(l for l in cod_l if l != tk and l not in scaled)
+
+    def chain(tags: tuple) -> PolyMap:
+        last = tags[-1]
+        params = tuple((last, l) for l in fixed + scaled) \
+            + tuple((tg, sk) for tg in tags) + ((tags[0], tk),)
+        n = len(params)
+        at = {l: i for i, l in enumerate(params)}
+        v = lambda l: Poly.var(ring, n, at[l])
+        t_of = {tags[0]: v((tags[0], tk))}
+        for left, right in zip(tags, tags[1:]):
+            t_of[right] = v((left, sk)) * t_of[left]
+        exprs = {}
+        for idx, tg in enumerate(tags):
+            for l in fixed:
+                exprs[(tg, l)] = v((last, l))
+            for l in scaled:
+                acc = v((last, l))
+                for right in tags[idx + 1:]:
+                    acc = v((right, sk)) * acc
+                exprs[(tg, l)] = acc
+            exprs[(tg, sk)] = v((tg, sk))
+            exprs[(tg, tk)] = t_of[tg]
+        return PolyMap.from_label_exprs(ring, params, exprs)
+
+    pair_param = chain(("a", "b"))
+    return EdgeCat(k, lo, hi, dom, cod, source, target, unit, compose, None,
+                   pair_param=pair_param,
+                   pair_section=PolyMap.projection(ring, pair_labels,
+                                                   pair_param.in_labels),
+                   triple_param=chain(("a", "b", "c")))
 
 
 # ---------------------------------------------------------------------------
@@ -68,34 +131,33 @@ def pair_groupoid(n: int, carrier_dim: int = 1, ring: Ring = QQ) -> NFoldPresent
     verts = subsets_presentation_vertices(n)
     schemas = {a: CoordSchema(ring, _v_labels(a, carrier_dim)) for a in verts}
     edges = {}
-    for lo in verts:
-        for i in sorted(set(range(1, n + 1)) - set(lo)):
-            hi = lo | {i}
-            dom, cod = schemas[hi], schemas[lo]
-            nd = len(dom.labels)
-            var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
-            target = PolyMap.from_label_exprs(ring, dom.labels, {
-                vlab(g, c): var[vlab(g | {i}, c)]
-                for g in subsets(lo) for c in range(carrier_dim)})
-            source = PolyMap.projection(ring, dom.labels, cod.labels)
-            ncod = len(cod.labels)
-            unit = PolyMap.from_label_exprs(ring, cod.labels, {
-                **{l: Poly.var(ring, ncod, cod.labels.index(l)) for l in cod.labels},
-                **{vlab(g | {i}, c): Poly.var(ring, ncod, cod.labels.index(vlab(g, c)))
-                   for g in subsets(lo) for c in range(carrier_dim)}})
-            pair_labels = tagged("a", dom.labels) + tagged("b", dom.labels)
-            n2 = len(pair_labels)
-            pos2 = {l: k for k, l in enumerate(pair_labels)}
-            compose = PolyMap.from_label_exprs(ring, pair_labels, {
-                l: Poly.var(ring, n2, pos2[(("b" if i not in l.index else "a"), l)])
-                for l in dom.labels})
-            inverse = PolyMap.from_label_exprs(ring, dom.labels, {
-                **{vlab(g, c): var[vlab(g | {i}, c)]
-                   for g in subsets(lo) for c in range(carrier_dim)},
-                **{vlab(g | {i}, c): var[vlab(g, c)]
-                   for g in subsets(lo) for c in range(carrier_dim)}})
-            edges[(lo, hi)] = EdgeCat(i, lo, hi, dom, cod, source, target, unit,
-                                      compose, inverse)
+    for lo, hi in kcubes(verts, 1):
+        (i,) = hi - lo
+        dom, cod = schemas[hi], schemas[lo]
+        nd = len(dom.labels)
+        var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
+        target = PolyMap.from_label_exprs(ring, dom.labels, {
+            vlab(g, c): var[vlab(g | {i}, c)]
+            for g in subsets(lo) for c in range(carrier_dim)})
+        source = PolyMap.projection(ring, dom.labels, cod.labels)
+        ncod = len(cod.labels)
+        unit = PolyMap.from_label_exprs(ring, cod.labels, {
+            **{l: Poly.var(ring, ncod, cod.labels.index(l)) for l in cod.labels},
+            **{vlab(g | {i}, c): Poly.var(ring, ncod, cod.labels.index(vlab(g, c)))
+               for g in subsets(lo) for c in range(carrier_dim)}})
+        pair_labels = tagged("a", dom.labels) + tagged("b", dom.labels)
+        n2 = len(pair_labels)
+        pos2 = {l: k for k, l in enumerate(pair_labels)}
+        compose = PolyMap.from_label_exprs(ring, pair_labels, {
+            l: Poly.var(ring, n2, pos2[(("b" if i not in l.index else "a"), l)])
+            for l in dom.labels})
+        inverse = PolyMap.from_label_exprs(ring, dom.labels, {
+            **{vlab(g, c): var[vlab(g | {i}, c)]
+               for g in subsets(lo) for c in range(carrier_dim)},
+            **{vlab(g | {i}, c): var[vlab(g, c)]
+               for g in subsets(lo) for c in range(carrier_dim)}})
+        edges[(lo, hi)] = EdgeCat(i, lo, hi, dom, cod, source, target, unit,
+                                  compose, inverse)
     return NFoldPresentation(f"PG^{n}", ring, tuple(range(1, n + 1)), verts,
                              schemas, edges, subset_faces(verts))
 
@@ -109,7 +171,7 @@ def scaled_action(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
     """A^n V: each s_i acts on V and multiplies into the i-th scale slot.
 
     Not a groupoid (no inverses); the source maps are not projections, so all
-    composability parameterizations are attached explicitly.
+    composability parameterizations come with the edges (`action_edge`).
     """
     verts = subsets_presentation_vertices(n)
     schemas = {}
@@ -118,38 +180,12 @@ def scaled_action(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
         labels += [slab({k}) for k in sorted(a)]
         labels += [tlab({k}) for k in range(1, n + 1)]
         schemas[a] = CoordSchema(ring, _canon(labels))
+    v_block = tuple(vlab((), c) for c in range(vdim))
     edges = {}
-    for lo in verts:
-        for i in sorted(set(range(1, n + 1)) - set(lo)):
-            hi = lo | {i}
-            dom, cod = schemas[hi], schemas[lo]
-            nd = len(dom.labels)
-            var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
-            source = PolyMap.from_label_exprs(ring, dom.labels, {
-                **{l: var[l] for l in cod.labels if l != tlab({i})},
-                tlab({i}): var[slab({i})] * var[tlab({i})]})
-            target = PolyMap.from_label_exprs(ring, dom.labels, {
-                **{l: var[l] for l in cod.labels if l.kind != "v"},
-                **{vlab((), c): var[vlab((), c)] * var[slab({i})]
-                   for c in range(vdim)}})
-            ncod = len(cod.labels)
-            unit = PolyMap.from_label_exprs(ring, cod.labels, {
-                **{l: Poly.var(ring, ncod, cod.labels.index(l)) for l in cod.labels},
-                slab({i}): Poly.const(ring, ncod, ring.one())})
-            pair_labels = tagged("a", dom.labels) + tagged("b", dom.labels)
-            n2 = len(pair_labels)
-            pos2 = {l: k for k, l in enumerate(pair_labels)}
-            compose = PolyMap.from_label_exprs(ring, pair_labels, {
-                **{l: Poly.var(ring, n2, pos2[("b", l)])
-                   for l in dom.labels if l.kind == "v" or
-                   (l.kind == "s" and l != slab({i}))},
-                slab({i}): Poly.var(ring, n2, pos2[("a", slab({i}))])
-                * Poly.var(ring, n2, pos2[("b", slab({i}))]),
-                **{l: Poly.var(ring, n2, pos2[("a", l)])
-                   for l in dom.labels if l.kind == "t"}})
-            e = EdgeCat(i, lo, hi, dom, cod, source, target, unit, compose, None)
-            _sa_pair_params(e, i)
-            edges[(lo, hi)] = e
+    for lo, hi in kcubes(verts, 1):
+        (i,) = hi - lo
+        edges[(lo, hi)] = action_edge(ring, i, lo, hi, schemas[hi], schemas[lo],
+                                      v_block)
     faces = subset_faces(verts)
     quads = {}
     pres = NFoldPresentation(f"SA^{n}", ring, tuple(range(1, n + 1)), verts,
@@ -157,70 +193,6 @@ def scaled_action(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
     for face in faces:
         quads[face] = _sa_quad_param(pres, face, vdim)
     return pres
-
-
-def _sa_pair_params(e: EdgeCat, i: int) -> None:
-    """Composable tuples for a scale-action edge: parameterize from the left
-    scales so that no division is needed (b.t_i := a.s_i * a.t_i, ...)."""
-    ring = e.dom.ring
-    dom_l = e.dom.labels
-    ti, si = tlab({i}), slab({i})
-
-    params = tuple(with_tag("b", l) for l in dom_l if l != ti) \
-        + (("a", si), ("a", ti))
-    n = len(params)
-    pos = {l: k for k, l in enumerate(params)}
-    v = lambda l: Poly.var(ring, n, pos[l])
-    b_pt = {l: v(("b", l)) for l in dom_l if l != ti}
-    b_pt[ti] = v(("a", si)) * v(("a", ti))
-    a_pt = {}
-    for l in dom_l:
-        if l.kind == "v":
-            a_pt[l] = b_pt[l] * b_pt[si]
-        elif l == si:
-            a_pt[l] = v(("a", si))
-        elif l == ti:
-            a_pt[l] = v(("a", ti))
-        else:
-            a_pt[l] = b_pt[l]
-    exprs = {}
-    for l in dom_l:
-        exprs[("a", l)] = a_pt[l]
-        exprs[("b", l)] = b_pt[l]
-    e.pair_param = PolyMap.from_label_exprs(ring, params, exprs)
-    sec_in = tagged("a", dom_l) + tagged("b", dom_l)
-    e.pair_section = PolyMap.projection(ring, sec_in, params)
-
-    params3 = tuple(with_tag("c", l) for l in dom_l if l != ti) \
-        + (("b", si), ("a", si), ("a", ti))
-    n3 = len(params3)
-    pos3 = {l: k for k, l in enumerate(params3)}
-    v3 = lambda l: Poly.var(ring, n3, pos3[l])
-    b_ti = v3(("a", si)) * v3(("a", ti))
-    c_ti = v3(("b", si)) * b_ti
-    c_pt = {l: v3(("c", l)) for l in dom_l if l != ti}
-    c_pt[ti] = c_ti
-    b_pt3 = {}
-    a_pt3 = {}
-    for l in dom_l:
-        if l.kind == "v":
-            b_pt3[l] = c_pt[l] * c_pt[si]
-            a_pt3[l] = b_pt3[l] * v3(("b", si))
-        elif l == si:
-            b_pt3[l] = v3(("b", si))
-            a_pt3[l] = v3(("a", si))
-        elif l == ti:
-            b_pt3[l] = b_ti
-            a_pt3[l] = v3(("a", ti))
-        else:
-            b_pt3[l] = c_pt[l]
-            a_pt3[l] = c_pt[l]
-    exprs3 = {}
-    for l in dom_l:
-        exprs3[("a", l)] = a_pt3[l]
-        exprs3[("b", l)] = b_pt3[l]
-        exprs3[("c", l)] = c_pt[l]
-    e.triple_param = PolyMap.from_label_exprs(ring, params3, exprs3)
 
 
 def _sa_quad_param(p: NFoldPresentation, face, vdim: int) -> PolyMap:
@@ -285,6 +257,17 @@ def _tprod(ring: Ring, t: dict, gamma) -> object:
     return acc
 
 
+def _scaled_sum(ring: Ring, labels: tuple, t: dict, gamma, c: int) -> Poly:
+    """The sum over delta within gamma of t_delta * v_{delta,c}, over the
+    coordinates `labels`."""
+    nl = len(labels)
+    acc = Poly.zero(ring, nl)
+    for d in subsets(gamma):
+        acc = acc + Poly.var(ring, nl, labels.index(vlab(d, c))) \
+            .scale(_tprod(ring, t, d))
+    return acc
+
+
 def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
         name: str | None = None) -> NFoldPresentation:
     """Gsy^n_t U: vertex alpha carries (v_gamma) for gamma within alpha; the
@@ -304,30 +287,22 @@ def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
         constraints = ()
         if box is not None:
             lo_b, hi_b = box
-            nl = len(labels)
-            cons = []
-            for beta in subsets(a):
-                comps = []
-                for c in range(vdim):
-                    acc = Poly.zero(ring, nl)
-                    for g in subsets(beta):
-                        acc = acc + Poly.var(ring, nl, labels.index(vlab(g, c))) \
-                            .scale(_tprod(ring, t, g))
-                    comps.append(acc)
-                cons.append(BoxConstraint(PolyMap(ring, labels, tuple(comps)), lo_b, hi_b))
-            constraints = tuple(cons)
+            constraints = tuple(
+                BoxConstraint(PolyMap(ring, labels, tuple(
+                    _scaled_sum(ring, labels, t, beta, c) for c in range(vdim))),
+                    lo_b, hi_b)
+                for beta in subsets(a))
         schemas[a] = CoordSchema(ring, labels, constraints)
     edges = {}
-    for lo in verts:
-        for i in sorted(set(range(1, n + 1)) - set(lo)):
-            hi = lo | {i}
-            dom, cod = schemas[hi], schemas[lo]
-            nd = len(dom.labels)
-            var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
-            target = PolyMap.from_label_exprs(ring, dom.labels, {
-                vlab(g, c): var[vlab(g, c)] + var[vlab(g | {i}, c)].scale(t[i])
-                for g in subsets(lo) for c in range(vdim)})
-            edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
+    for lo, hi in kcubes(verts, 1):
+        (i,) = hi - lo
+        dom, cod = schemas[hi], schemas[lo]
+        nd = len(dom.labels)
+        var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
+        target = PolyMap.from_label_exprs(ring, dom.labels, {
+            vlab(g, c): var[vlab(g, c)] + var[vlab(g | {i}, c)].scale(t[i])
+            for g in subsets(lo) for c in range(vdim)})
+        edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
     label = name or f"Gsy^{n}_{{{','.join(ring.fmt(t[k]) for k in sorted(t))}}}"
     return NFoldPresentation(label, ring, tuple(range(1, n + 1)), verts,
                              schemas, edges, subset_faces(verts))
@@ -349,19 +324,18 @@ def gsy_symbolic(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
                         + t_labels)
         schemas[a] = CoordSchema(ring, labels)
     edges = {}
-    for lo in verts:
-        for i in sorted(set(range(1, n + 1)) - set(lo)):
-            hi = lo | {i}
-            dom, cod = schemas[hi], schemas[lo]
-            nd = len(dom.labels)
-            var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
-            exprs = {tlab({k}): var[tlab({k})] for k in range(1, n + 1)}
-            for g in subsets(lo):
-                for c in range(vdim):
-                    exprs[vlab(g, c)] = var[vlab(g, c)] \
-                        + var[tlab({i})] * var[vlab(g | {i}, c)]
-            target = PolyMap.from_label_exprs(ring, dom.labels, exprs)
-            edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
+    for lo, hi in kcubes(verts, 1):
+        (i,) = hi - lo
+        dom, cod = schemas[hi], schemas[lo]
+        nd = len(dom.labels)
+        var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
+        exprs = {tlab({k}): var[tlab({k})] for k in range(1, n + 1)}
+        for g in subsets(lo):
+            for c in range(vdim):
+                exprs[vlab(g, c)] = var[vlab(g, c)] \
+                    + var[tlab({i})] * var[vlab(g | {i}, c)]
+        target = PolyMap.from_label_exprs(ring, dom.labels, exprs)
+        edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
     return NFoldPresentation(f"Gsy^{n}(sym)", ring, tuple(range(1, n + 1)),
                              verts, schemas, edges, subset_faces(verts))
 
@@ -407,11 +381,7 @@ def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
         fexprs, bexprs = {}, {}
         for g in subsets(a):
             for c in range(vdim):
-                acc = Poly.zero(ring, nl)
-                for d in subsets(g):
-                    acc = acc + Poly.var(ring, nl, labels.index(vlab(d, c))) \
-                        .scale(_tprod(ring, t, d))
-                fexprs[vlab(g, c)] = acc
+                fexprs[vlab(g, c)] = _scaled_sum(ring, labels, t, g, c)
                 # Moebius inversion: t.v_g = sum (-1)^{|g - d|} x_d
                 inv_acc = Poly.zero(ring, nl)
                 for d in subsets(g):
@@ -478,13 +448,11 @@ def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
         schemas[a] = CoordSchema(ring, _full_labels(N, a, vdim),
                                  unit_labels=unit_labels & set(_full_labels(N, a, vdim)))
     edges = {}
-    for lo in verts:
-        for d in sorted(set(N) - lo):
-            hi = lo | {d}
-            target = _full_target(N, lo, hi, vdim, ring)
-            target = target.extend_inputs(schemas[hi].labels)
-            edges[(lo, hi)] = additive_edge_cat(ring, d, lo, hi, schemas[hi],
-                                                schemas[lo], target)
+    for lo, hi in kcubes(verts, 1):
+        (d,) = hi - lo
+        edges[(lo, hi)] = additive_edge_cat(ring, d, lo, hi, schemas[hi],
+                                            schemas[lo],
+                                            _full_target(N, lo, hi, vdim, ring))
     label = name or (f"G^{{{subset_label(set(N))}}}" + ("fi" if finite else ""))
     return NFoldPresentation(label, ring, N, verts, schemas, edges,
                              subset_faces(verts))
@@ -607,8 +575,7 @@ def imbed_gsy_into_gfull(n: int, vdim: int = 1, ring: Ring = QQ) -> list:
     full = gfull(n, vdim, ring)
     sym = gsy_symbolic(n, vdim, ring)
     results = []
-    for key in sorted(full.edges, key=lambda k: (len(k[1]), tuple(sorted(k[1])),
-                                                 tuple(sorted(k[0])))):
+    for key in sorted(full.edges, key=edge_order):
         ef, es = full.edges[key], sym.edges[key]
         for name in ("source", "target", "unit", "compose", "inverse"):
             mf, ms = getattr(ef, name), getattr(es, name)

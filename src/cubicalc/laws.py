@@ -20,7 +20,7 @@ from .extension import ExtElement, eval_over_extension
 from .hypercube import subsets
 from .polymap import Poly, PolyMap, PolyRing
 from .presentation import (LEFT, RIGHT, NFoldPresentation,
-                           attach_generic_params,
+                           attach_generic_params, edge_order,
                            subsets_presentation_vertices)
 from .rings import QQ, Ring, RingError
 from .slopes import _closed_formula, _cubic_base, _sym_slope_step
@@ -136,12 +136,11 @@ def _symbolic_morphism_reports(src: NFoldPresentation, dst: NFoldPresentation,
     """Exact symbolic morphism check on every edge (source, target, unit and
     composition along the composable-pair parameterization)."""
     out = []
-    for key in sorted(src.edges, key=lambda k: (len(k[1]), sorted(k[1]),
-                                                sorted(k[0]))):
+    for key in sorted(src.edges, key=edge_order):
         e = attach_generic_params(src.edges[key])
         e2 = dst.edges[key]
         f_hi, f_lo = maps[e.hi], maps[e.lo]
-        loc = location_prefix + f"edge {sorted(key[0])}>{sorted(key[1])}"
+        loc = location_prefix + _edge_location(key)
         ok_st = (e2.source.compose(f_hi).equals(f_lo.compose(e.source))
                  and e2.target.compose(f_hi).equals(f_lo.compose(e.target)))
         out.append(CheckReport("law-source-target", loc,
@@ -155,6 +154,11 @@ def _symbolic_morphism_reports(src: NFoldPresentation, dst: NFoldPresentation,
         out.append(CheckReport("law-compose", loc,
                                "pass" if lhs.equals(rhs) else "fail", 0))
     return out
+
+
+def _edge_location(key) -> str:
+    lo, hi = key
+    return f"edge {sorted(lo)}>{sorted(hi)}"
 
 
 def _tagwise(m: PolyMap, tags) -> PolyMap:
@@ -330,8 +334,7 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
     dst = gsy(plaw.n, list(plaw.t), vdim=plaw.out_dim, ring=ring)
     rng = random.Random(seed)
     out = []
-    for key in sorted(src.edges, key=lambda k: (len(k[1]), sorted(k[1]),
-                                                sorted(k[0]))):
+    for key in sorted(src.edges, key=edge_order):
         e = attach_generic_params(src.edges[key])
         e2 = dst.edges[key]
         dom, cod = e.dom.labels, e.cod.labels
@@ -339,7 +342,7 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
         k = len(dom)
         source, target, _, compose = _edge_plans(e)
         source2, target2, _, compose2 = _edge_plans(e2)
-        loc = f"edge {sorted(key[0])}>{sorted(key[1])}"
+        loc = _edge_location(key)
         st_run = _LawRun("finite-law-source-target", loc, seed)
         c_run = _LawRun("finite-law-compose", loc, seed)
         for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):

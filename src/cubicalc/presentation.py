@@ -117,83 +117,61 @@ def tagged(tag, labels):
     return tuple(with_tag(tag, l) for l in labels)
 
 
-def generic_pair_param(ring: Ring, dom_labels, cod_labels, target: PolyMap):
-    """Composable-pair parameterization when the source map is the projection
-    onto the object coordinates: the right element is free and the left
-    element's base block is its target."""
-    dom_labels = tuple(dom_labels)
-    fiber = [l for l in dom_labels if l not in set(cod_labels)]
-    params = tagged(RIGHT, dom_labels) + tagged(LEFT, fiber)
+def _generic_chain(edge: EdgeCat, tags: tuple) -> PolyMap:
+    """Composable chains (tags[0], ..., tags[-1]) of an edge whose source map
+    is the projection onto the object coordinates: the rightmost element is
+    free, and the base block of every other one is the target of its right
+    neighbour, with its fiber block free.  The parameters are the rightmost
+    element, then the fibers from right to left."""
+    ring, dom_labels = edge.dom.ring, edge.dom.labels
+    base = set(edge.cod.labels)
+    fiber = [l for l in dom_labels if l not in base]
+    params = tagged(tags[-1], dom_labels)
+    for tag in reversed(tags[:-1]):
+        params += tagged(tag, fiber)
     n = len(params)
     pos = {l: i for i, l in enumerate(params)}
-    b_assign = {l: Poly.var(ring, n, pos[(RIGHT, l)]) for l in dom_labels}
-    tgt_b = target.subst(b_assign, params)
-    exprs = {}
-    for l in dom_labels:
-        exprs[(RIGHT, l)] = Poly.var(ring, n, pos[(RIGHT, l)])
-    for l, c in zip(tgt_b.out_labels, tgt_b.comps):
-        exprs[(LEFT, l)] = c
-    for l in fiber:
-        exprs[(LEFT, l)] = Poly.var(ring, n, pos[(LEFT, l)])
-    param = PolyMap.from_label_exprs(ring, params, exprs)
-    section = PolyMap.projection(ring,
-                                 tagged(LEFT, dom_labels) + tagged(RIGHT, dom_labels),
-                                 params)
-    return param, section
-
-
-def generic_triple_param(ring: Ring, dom_labels, cod_labels, target: PolyMap):
-    """Composable triples (a, b, c) with source(a)=target(b), source(b)=target(c)."""
-    dom_labels = tuple(dom_labels)
-    fiber = [l for l in dom_labels if l not in set(cod_labels)]
-    params = tagged("c", dom_labels) + tagged(RIGHT, fiber) + tagged(LEFT, fiber)
-    n = len(params)
-    pos = {l: i for i, l in enumerate(params)}
-
-    exprs = {}
-    c_point = {l: Poly.var(ring, n, pos[("c", l)]) for l in dom_labels}
-    for l in dom_labels:
-        exprs[("c", l)] = c_point[l]
-    tgt_c = target.subst(c_point, params)
-    b_point = {}
-    for l in dom_labels:
-        if l in set(cod_labels):
-            b_point[l] = tgt_c.component(l)
-        else:
-            b_point[l] = Poly.var(ring, n, pos[(RIGHT, l)])
-        exprs[(RIGHT, l)] = b_point[l]
-    tgt_b = target.subst(b_point, params)
-    for l in dom_labels:
-        if l in set(cod_labels):
-            exprs[(LEFT, l)] = tgt_b.component(l)
-        else:
-            exprs[(LEFT, l)] = Poly.var(ring, n, pos[(LEFT, l)])
+    point = {l: Poly.var(ring, n, pos[(tags[-1], l)]) for l in dom_labels}
+    exprs = {(tags[-1], l): point[l] for l in dom_labels}
+    for tag in reversed(tags[:-1]):
+        tgt = edge.target.subst(point, params)
+        point = {l: tgt.component(l) if l in base
+                 else Poly.var(ring, n, pos[(tag, l)]) for l in dom_labels}
+        exprs.update(((tag, l), point[l]) for l in dom_labels)
     return PolyMap.from_label_exprs(ring, params, exprs)
 
 
 def source_is_projection(edge: EdgeCat) -> bool:
-    idx = {l: i for i, l in enumerate(edge.dom.labels)}
-    for out_l, comp in zip(edge.source.out_labels, edge.source.comps):
-        want = Poly.var(edge.dom.ring, len(edge.dom.labels), idx[out_l])
-        if edge.source.extend_inputs(edge.dom.labels).component(out_l) != want:
-            return False
-    return True
+    ring, dom = edge.dom.ring, edge.dom.labels
+    return edge.source.extend_inputs(dom).equals(
+        PolyMap.projection(ring, dom, edge.source.out_labels))
 
 
 def attach_generic_params(edge: EdgeCat) -> EdgeCat:
-    ring = edge.dom.ring
-    if edge.pair_param is None or edge.triple_param is None:
-        if not source_is_projection(edge):
-            raise PolyError(
-                f"edge {edge.lo}>{edge.hi}: generic composability sampling "
-                "requires a projection source; attach explicit parameterizations")
+    """Fill in the pair and triple parameterizations (and the pair section,
+    a projection) of an edge whose source is a projection; an edge that
+    carries both is returned as it is."""
+    if edge.pair_param is not None and edge.triple_param is not None:
+        return edge
+    if not source_is_projection(edge):
+        raise PolyError(
+            f"edge {edge.lo}>{edge.hi}: generic composability sampling "
+            "requires a projection source; attach explicit parameterizations")
     if edge.pair_param is None:
-        edge.pair_param, edge.pair_section = generic_pair_param(
-            ring, edge.dom.labels, edge.cod.labels, edge.target)
+        dom = edge.dom.labels
+        edge.pair_param = _generic_chain(edge, (LEFT, RIGHT))
+        edge.pair_section = PolyMap.projection(
+            edge.dom.ring, tagged(LEFT, dom) + tagged(RIGHT, dom),
+            edge.pair_param.in_labels)
     if edge.triple_param is None:
-        edge.triple_param = generic_triple_param(
-            ring, edge.dom.labels, edge.cod.labels, edge.target)
+        edge.triple_param = _generic_chain(edge, (LEFT, RIGHT, "c"))
     return edge
+
+
+def edge_order(key) -> tuple:
+    """Sort key of an edge (lo, hi): the size of hi, then hi, then lo."""
+    lo, hi = key
+    return (len(hi), sorted(hi), sorted(lo))
 
 
 @dataclass

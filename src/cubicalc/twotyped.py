@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .constructions import action_edge, additive_edge_cat
 from .derive import (_canon, _shift_target, derive_labels, derive_polymap,
-                     extend_labels, extend_polymap, partner, slab, tlab, vlab,
-                     with_tag)
+                     extend_labels, extend_polymap, partner, slab, tlab, vlab)
 from .hypercube import direction_key, tt_edges, tt_faces, tt_vertices
 from .polymap import Poly, PolyMap
 from .presentation import (CoordSchema, EdgeCat, NFoldPresentation,
-                           generic_pair_param, generic_triple_param, tagged)
+                           attach_generic_params)
 from .rings import QQ, Ring
 
 
@@ -77,115 +77,26 @@ def _apply_stage(m: PolyMap | None, k: int, plain: bool, primed: bool,
 # the four elementary edge categories over a coordinate space X
 # ---------------------------------------------------------------------------
 
-
-def _elem_first_kind(ring: Ring, base: tuple, k: int, with_s: bool) -> dict:
-    """E1 / E2: groupoid with target shift by t_k (resp. s_k t_k)."""
-    dom_l = _canon(derive_labels(base, k, with_s))
-    cod_l = _canon(extend_labels(base, k, with_s))
-    target = _shift_target(ring, base, k, with_s, dom_l)
-
-    source = PolyMap.projection(ring, dom_l, cod_l)
-    nc = len(cod_l)
-    unit = PolyMap.from_label_exprs(ring, cod_l, {
-        **{l: Poly.var(ring, nc, cod_l.index(l)) for l in cod_l},
-        **{partner(l, k): Poly.zero(ring, nc) for l in base}})
-    pair_labels = tagged("a", dom_l) + tagged("b", dom_l)
-    n2 = len(pair_labels)
-    pos2 = {l: i for i, l in enumerate(pair_labels)}
-    compose = PolyMap.from_label_exprs(ring, pair_labels, {
-        **{l: Poly.var(ring, n2, pos2[("b", l)]) for l in cod_l},
-        **{partner(l, k): Poly.var(ring, n2, pos2[("a", partner(l, k))])
-           + Poly.var(ring, n2, pos2[("b", partner(l, k))]) for l in base}})
-    inverse = PolyMap.from_label_exprs(ring, dom_l, {
-        **{l: target.component(l) for l in cod_l},
-        **{partner(l, k): -Poly.var(ring, len(dom_l), dom_l.index(partner(l, k)))
-           for l in base}})
-    pair_param, pair_section = generic_pair_param(ring, dom_l, cod_l, target)
-    triple_param = generic_triple_param(ring, dom_l, cod_l, target)
-    return {"source": source, "target": target, "unit": unit,
-            "compose": compose, "inverse": inverse, "pair_param": pair_param,
-            "pair_section": pair_section, "triple_param": triple_param}
+_EDGE_MAPS = ("source", "target", "unit", "compose", "inverse", "pair_param",
+              "pair_section", "triple_param")
 
 
-def _elem_second_kind(ring: Ring, base: tuple, k: int, derived: bool) -> dict:
-    """E3 / E4: the action edge; `derived` means the carrier is X^<k> and s_k
-    scales the partner block."""
-    x_block = tuple(base)
-    part = tuple(partner(l, k) for l in base) if derived else ()
-    dom_l = _canon(x_block + part + (slab({k}), tlab({k})))
-    cod_l = _canon(x_block + part + (tlab({k}),))
-    nd = len(dom_l)
-    pos = {l: i for i, l in enumerate(dom_l)}
-    v = lambda l: Poly.var(ring, nd, pos[l])
-
-    src = {l: v(l) for l in x_block + part}
-    src[tlab({k})] = v(slab({k})) * v(tlab({k}))
-    source = PolyMap.from_label_exprs(ring, dom_l, src)
-
-    tgt = {l: v(l) for l in x_block}
-    for l in part:
-        tgt[l] = v(slab({k})) * v(l)
-    tgt[tlab({k})] = v(tlab({k}))
-    target = PolyMap.from_label_exprs(ring, dom_l, tgt)
-
-    nc = len(cod_l)
-    unit = PolyMap.from_label_exprs(ring, cod_l, {
-        **{l: Poly.var(ring, nc, cod_l.index(l)) for l in cod_l},
-        slab({k}): Poly.const(ring, nc, ring.one())})
-
-    pair_labels = tagged("a", dom_l) + tagged("b", dom_l)
-    n2 = len(pair_labels)
-    pos2 = {l: i for i, l in enumerate(pair_labels)}
-    compose = PolyMap.from_label_exprs(ring, pair_labels, {
-        **{l: Poly.var(ring, n2, pos2[("b", l)]) for l in x_block + part},
-        slab({k}): Poly.var(ring, n2, pos2[("a", slab({k}))])
-        * Poly.var(ring, n2, pos2[("b", slab({k}))]),
-        tlab({k}): Poly.var(ring, n2, pos2[("a", tlab({k}))])})
-
-    pair_param, pair_section, triple_param = _action_chain_params(
-        ring, dom_l, x_block, part, k)
-    return {"source": source, "target": target, "unit": unit,
-            "compose": compose, "inverse": None, "pair_param": pair_param,
-            "pair_section": pair_section, "triple_param": triple_param}
-
-
-def _action_chain_params(ring: Ring, dom_l: tuple, x_block: tuple,
-                         part: tuple, k: int):
-    """Composable chains for an action edge.  Scales chain leftwards
-    (t_right = s_left t_left) and the partner block of an element is the
-    rightmost block scaled by the s of everything to its right."""
-    sk, tk = slab({k}), tlab({k})
-
-    def chain(tags: tuple) -> PolyMap:
-        last = tags[-1]
-        params = [with_tag(last, l) for l in x_block + part]
-        params += [(tg, sk) for tg in tags]
-        params += [(tags[0], tk)]
-        params = tuple(params)
-        n = len(params)
-        pos = {l: i for i, l in enumerate(params)}
-        v = lambda l: Poly.var(ring, n, pos[l])
-        t_of = {tags[0]: v((tags[0], tk))}
-        for idx in range(1, len(tags)):
-            t_of[tags[idx]] = v((tags[idx - 1], sk)) * t_of[tags[idx - 1]]
-        exprs = {}
-        for idx, tg in enumerate(tags):
-            for l in x_block:
-                exprs[(tg, l)] = v((last, l))
-            for l in part:
-                acc = v((last, l))
-                for r in range(idx + 1, len(tags)):
-                    acc = v((tags[r], sk)) * acc
-                exprs[(tg, l)] = acc
-            exprs[(tg, sk)] = v((tg, sk))
-            exprs[(tg, tk)] = t_of[tg]
-        return PolyMap.from_label_exprs(ring, params, exprs)
-
-    pair = chain(("a", "b"))
-    section = PolyMap.projection(ring, tagged("a", dom_l) + tagged("b", dom_l),
-                                 pair.in_labels)
-    triple = chain(("a", "b", "c"))
-    return pair, section, triple
+def _elementary_edge(ring: Ring, base: tuple, k: int, lo: frozenset,
+                     hi: frozenset) -> EdgeCat:
+    """The fresh-direction edge (lo, hi) of stage k over the coordinates
+    `base`: E1 / E2 are groupoids with target shift by t_k (resp. s_k t_k),
+    E3 / E4 the action of s_k (on the partner block when k is in hi)."""
+    plain, primed = _sel(hi, k)
+    if _direction(lo, hi) > 0:
+        dom_l = _canon(derive_labels(base, k, primed))
+        dom = CoordSchema(ring, dom_l)
+        cod = CoordSchema(ring, _canon(extend_labels(base, k, primed)))
+        return attach_generic_params(additive_edge_cat(
+            ring, k, lo, hi, dom, cod, _shift_target(ring, base, k, primed, dom_l)))
+    part = tuple(partner(l, k) for l in base) if plain else ()
+    dom = CoordSchema(ring, _canon(base + part + (slab({k}), tlab({k}))))
+    cod = CoordSchema(ring, _canon(base + part + (tlab({k}),)))
+    return action_edge(ring, k, lo, hi, dom, cod, part)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +107,11 @@ def _action_chain_params(ring: Ring, dom_l: tuple, x_block: tuple,
 @lru_cache(maxsize=None)
 def _tt_edge_maps(lo: frozenset, hi: frozenset, m: int, vdim: int,
                   ring: Ring) -> dict:
-    d = _direction(lo, hi)
     plain_hi, primed_hi = _sel(hi, m)
-    if abs(d) == m:
+    if abs(_direction(lo, hi)) == m:
         base = tt_schema_labels(_strip(hi, m), m - 1, vdim)
-        if d > 0:
-            return _elem_first_kind(ring, base, m, with_s=primed_hi)
-        return _elem_second_kind(ring, base, m, derived=plain_hi)
+        e = _elementary_edge(ring, base, m, lo, hi)
+        return {name: getattr(e, name) for name in _EDGE_MAPS}
     lower = _tt_edge_maps(_strip(lo, m), _strip(hi, m), m - 1, vdim, ring)
     return {name: _apply_stage(mp, m, plain_hi, primed_hi,
                                copies=name in ("compose", "pair_section"))

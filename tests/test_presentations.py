@@ -187,6 +187,21 @@ def test_scaled_action_edge_formulas():
                                    | {("b", l): pt[l] for l in pt})
     assert comp == {vlab((), 0): F(3), slab({1}): F(14), tlab({1}): F(5)}
 
+    # n = 2, direction 1: the scale t_2 passes through source, target and
+    # the composition of a composable pair
+    e = scaled_action(2, 1).edges[(fs(), fs({1}))]
+    b = {vlab((), 0): F(3), slab({1}): F(2), tlab({1}): F(5), tlab({2}): F(7)}
+    assert eval_labeled(e.target, b) == {vlab((), 0): F(6), tlab({1}): F(5),
+                                         tlab({2}): F(7)}
+    a = {vlab((), 0): F(6), slab({1}): F(5), tlab({1}): F(1), tlab({2}): F(7)}
+    assert eval_labeled(e.source, a) == eval_labeled(e.target, b)
+    comp = eval_labeled(e.compose, {("a", l): a[l] for l in a}
+                                   | {("b", l): b[l] for l in b})
+    assert comp == {vlab((), 0): F(3), slab({1}): F(10), tlab({1}): F(1),
+                    tlab({2}): F(7)}
+    assert eval_labeled(e.source, comp) == eval_labeled(e.source, b)
+    assert eval_labeled(e.target, comp) == eval_labeled(e.target, a)
+
 
 def test_mutation_detection_compose_target_unit():
     """Planted single-term corruptions must produce failing reports with a

@@ -1,4 +1,4 @@
-"""Pinned vertex, edge and face orders of three presentations.
+"""Pinned vertex, edge and face orders of six presentations.
 
 `p.vertices`, `list(p.edges)` and `list(p.faces)` fix the order in which
 callers meet the cube, and callers may pick edges and faces by index (the
@@ -7,8 +7,12 @@ its report locations.  A change to the vertex model must leave all four
 sequences as they are.  Vertices are named as the report locations name
 them, so the test does not depend on how a vertex is stored.
 """
+from fractions import Fraction
+
+import pytest
+
 from cubicalc.checks import check_edge_category, check_face, check_presentation
-from cubicalc.constructions import gfull
+from cubicalc.constructions import gfull, gsy, pair_groupoid, scaled_action
 from cubicalc.twotyped import g_overline
 
 
@@ -101,6 +105,29 @@ GFULL_3 = {
 }
 
 
+# P(3) in binary-code vertex order: the cube of the pair groupoid, the scaled
+# action cat and the symmetric cubic groupoid (G^n lists its vertices by size
+# instead, see GFULL_3)
+BINARY_CUBE_3 = {
+    "vertices": [
+        '0', '1', '2', '12', '3', '13', '23', '123',
+    ],
+    "edges": [
+        '0>1', '0>2', '0>3', '1>12', '1>13', '2>12', '2>23', '12>123', '3>13',
+        '3>23', '13>123', '23>123',
+    ],
+    "faces": [
+        '0>12', '0>13', '0>23', '1>123', '2>123', '3>123',
+    ],
+    "locations": [
+        'edge 0>1', 'edge 1>12', 'edge 2>12', 'edge 12>123', 'edge 13>123',
+        'edge 23>123', 'edge 1>13', 'edge 3>13', 'edge 0>2', 'edge 2>23',
+        'edge 3>23', 'edge 0>3', 'face 0>12', 'face 1>123', 'face 2>123',
+        'face 3>123', 'face 0>13', 'face 0>23',
+    ],
+}
+
+
 def test_orders_g_overline_1():
     assert _orders(g_overline(1)) == G_OVERLINE_1
 
@@ -111,3 +138,12 @@ def test_orders_g_overline_2():
 
 def test_orders_gfull_3():
     assert _orders(gfull(3)) == GFULL_3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pair_groupoid(3),
+    lambda: scaled_action(3),
+    lambda: gsy(3, [Fraction(1), Fraction(2), Fraction(1, 2)]),
+], ids=["pair_groupoid_3", "scaled_action_3", "gsy_3"])
+def test_orders_binary_cube_3(build):
+    assert _orders(build()) == BINARY_CUBE_3
