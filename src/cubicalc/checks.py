@@ -1,24 +1,30 @@
-"""Randomized exact law checkers for n-fold presentations.
+"""Law checkers for n-fold presentations and their morphisms.
 
-Every check evaluates exact ring arithmetic on sampled composable tuples; a
-pass is an identity on the sampled set, never an approximation.  Reports are
-JSON-able: law, location, status, witness, samples, seed.
-
-Points are positional: a point is the list of its values in its schema's
-`labels` order, and a tagged pair, triple or quadruple is the concatenation
-of its copies.  Each check resolves the maps it evaluates to positions once
-(`_plan`); labels come back only in witnesses.
+Each law is written once, as a record (`_Law`): a name, witness keys, and
+clauses that pair a space with a body, a plain function over lifted maps
+that returns the truth of the law at one point.  `_edge_laws`, `_face_laws`
+and `_morphism_laws` list the laws of one structure in report order, and
+`_run` checks them on a back-end: `_Sampled` evaluates exact ring arithmetic
+at seeded random points (a pass is an identity on the sampled set, never an
+approximation), `_Symbolic` composes polynomial maps (a pass is a polynomial
+identity).  Sampled points are positional: a point lists its values in its
+schema's `labels` order, and each map is resolved to positions once
+(`_plan`); labels come back only in witnesses.  Reports are JSON-able: law,
+location, status, witness, samples, seed.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .derive import display_label, tag_of
 from .hypercube import subset_label
-from .polymap import PolyError, PolyMap
-from .presentation import (LEFT, RIGHT, EdgeCat, NFoldPresentation,
-                           SamplingError, attach_generic_params, tagged)
+from .polymap import Poly, PolyError, PolyMap
+from .presentation import (LEFT, RIGHT, CoordSchema, EdgeCat,
+                           NFoldPresentation, SamplingError,
+                           attach_generic_params, tagged)
 
 
 @dataclass
@@ -90,15 +96,6 @@ def _tuple_layout(tags, schema) -> tuple:
     return tuple(l for tag in tags for l in tagged(tag, schema.labels))
 
 
-def _edge_plans(e: EdgeCat) -> tuple:
-    """Source, target, unit and compose of an edge, on the positional points
-    of its own schemas."""
-    dom, cod = e.dom.labels, e.cod.labels
-    return (_plan(e.source, dom, cod), _plan(e.target, dom, cod),
-            _plan(e.unit, cod, dom),
-            _plan(e.compose, _tuple_layout((LEFT, RIGHT), e.dom), dom))
-
-
 def _sample_tuples(param: PolyMap, schema, tags, rng, count, span=2,
                    max_tries=5000) -> list[list]:
     """Evaluate a composability parameterization at random points.  A tuple
@@ -123,22 +120,188 @@ def _sample_tuples(param: PolyMap, schema, tags, rng, count, span=2,
     return out
 
 
-class _LawRun:
-    """Collects the first witness for one law."""
-
-    def __init__(self, law: str, location: str, seed):
-        self.report = CheckReport(law, location, "pass", 0, seed)
-
-    def check(self, equal: bool, witness_factory):
-        self.report.samples += 1
-        if not equal and self.report.status == "pass":
-            self.report.status = "fail"
-            self.report.witness = witness_factory()
-
-
 def _require_samples(samples: int) -> None:
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+
+
+@dataclass(eq=False)
+class _Space:
+    """The points of `schema` or, given `param`, the tuples it yields, one
+    copy of the schema per tag.  Laws share a space as one object, drawn
+    once per check call."""
+
+    schema: CoordSchema
+    param: PolyMap | None = None
+    tags: tuple = ()
+
+
+class _Law(NamedTuple):
+    """A law: its name, the witness keys of a point's elements, and its
+    clauses, (space, body) pairs; a body returns the law's truth at one
+    point of its space."""
+
+    name: str
+    witness: tuple
+    clauses: tuple
+
+
+class _Sampled:
+    """Seeded random points: a map is a positional `_plan`, a point is a
+    list, and equality is `==`."""
+
+    eq = staticmethod(operator.eq)
+
+    def __init__(self, ring, seed: int, samples: int):
+        self.ring, self.seed, self.samples = ring, seed, samples
+        self.rng = random.Random(seed)
+
+    @staticmethod
+    def map(m: PolyMap, frm, to):
+        return _plan(m, frm.labels, to.labels)
+
+    @staticmethod
+    def composer(edge: EdgeCat, schema):
+        run = _plan(edge.compose, _tuple_layout((LEFT, RIGHT), schema),
+                    schema.labels)
+        return lambda x, y: run(x + y)
+
+    def draw(self, space: _Space) -> list:
+        if space.param is None:
+            return [(pt,) for pt in space.schema.sample(self.rng, self.samples)]
+        k = space.schema.dim()
+        return [tuple(tup[j * k:(j + 1) * k] for j in range(len(space.tags)))
+                for tup in _sample_tuples(space.param, space.schema, space.tags,
+                                          self.rng, self.samples)]
+
+    def report(self, law: _Law, location: str, samples: int, failure):
+        out = CheckReport(law.name, location, "pass", samples, self.seed)
+        if failure is not None:
+            labels, pt = failure
+            out.status, out.witness = "fail", {
+                key: _fmt_point(labels, x, self.ring)
+                for key, x in zip(law.witness, pt)}
+        return out
+
+
+class _Symbolic:
+    """Polynomial identities: a point is a `PolyMap` from the parameters of
+    its space, a map acts by `compose`, and equality is `PolyMap.equals`."""
+
+    def __init__(self, ring):
+        self.ring = ring
+        # each free point drawn, by id; holding it keeps its id from reuse
+        self._free: dict = {}
+
+    @staticmethod
+    def eq(x: PolyMap, y: PolyMap) -> bool:
+        return x.equals(y)
+
+    def map(self, m: PolyMap, frm, to):
+        free = self._free
+
+        def run(x):
+            # at the free point, an identity, m is m over the point's inputs
+            if free.get(id(x)) is x:
+                return m.extend_inputs(x.in_labels)
+            return m.compose(x)
+        return run
+
+    def composer(self, edge: EdgeCat, schema):
+        # the pair (x, y) is both points' components under the tags: nothing
+        # is substituted until compose
+        return lambda x, y: edge.compose.compose(PolyMap(
+            self.ring, x.in_labels, x.comps + y.comps,
+            tagged(LEFT, x.out_labels) + tagged(RIGHT, y.out_labels)))
+
+    def draw(self, space: _Space) -> list:
+        labels = space.schema.labels
+        if space.param is None:
+            x = PolyMap.identity(self.ring, labels)
+            self._free[id(x)] = x
+            return [(x,)]
+        comps = dict(zip(space.param.out_labels, space.param.comps))
+        return [tuple(PolyMap(self.ring, space.param.in_labels,
+                              tuple(comps[l] for l in tagged(tag, labels)), labels)
+                      for tag in space.tags)]
+
+    @staticmethod
+    def report(law: _Law, location: str, samples: int, failure):
+        return CheckReport(law.name, location,
+                           "pass" if failure is None else "fail", 0)
+
+
+def _run(B, location: str, laws) -> list[CheckReport]:
+    """One report per law of a table, in table order, on back-end B.  A space
+    is drawn on its first use, which keeps the draws in law order; every
+    point is a sample, and the first that fails is the witness."""
+    drawn, out = {}, []
+    for law in laws:
+        samples, failure = 0, None
+        for space, body in law.clauses:
+            if space not in drawn:
+                drawn[space] = B.draw(space)
+            for pt in drawn[space]:
+                samples += 1
+                if not body(*pt) and failure is None:
+                    failure = space.schema.labels, pt
+        out.append(B.report(law, location, samples, failure))
+    return out
+
+
+def _commutes(eq, squares):
+    """The body of commuting squares (f, g, h, k): g after f is k after h."""
+    return lambda x: all(eq(g(f(x)), k(h(x))) for f, g, h, k in squares)
+
+
+def _functorial(eq, maps, compose, img_compose):
+    """The body of `maps` carrying composites to composites of images."""
+    def body(a, b):
+        comp = compose(a, b)
+        return all(eq(m(comp), img_compose(m(a), m(b))) for m in maps)
+    return body
+
+
+def _edge_laws(B, e: EdgeCat) -> list[_Law]:
+    """The category axioms of one edge, and the inverse law of a groupoid
+    edge."""
+    source, target = B.map(e.source, e.dom, e.cod), B.map(e.target, e.dom, e.cod)
+    unit, compose, eq = B.map(e.unit, e.cod, e.dom), B.composer(e, e.dom), B.eq
+    pairs = _Space(e.dom, e.pair_param, (LEFT, RIGHT))
+
+    def unit_source_target(y):
+        zy = unit(y)
+        return eq(source(zy), y) and eq(target(zy), y)
+
+    def compose_source_target(a, b):
+        c = compose(a, b)
+        return eq(source(c), source(b)) and eq(target(c), target(a))
+
+    def unit_absorption(a, b):
+        return eq(compose(a, unit(source(a))), a) \
+            and eq(compose(unit(target(b)), b), b)
+
+    def associativity(a, b, c):
+        return eq(compose(compose(a, b), c), compose(a, compose(b, c)))
+
+    laws = [_Law("unit-source-target", ("object",),
+                 ((_Space(e.cod), unit_source_target),)),
+            _Law("compose-source-target", ("left", "right"),
+                 ((pairs, compose_source_target),)),
+            _Law("unit-absorption", ("left", "right"), ((pairs, unit_absorption),)),
+            _Law("associativity", ("a", "b", "c"),
+                 ((_Space(e.dom, e.triple_param, (LEFT, RIGHT, "c")),
+                   associativity),))]
+    if e.inverse is not None:
+        inverse = B.map(e.inverse, e.dom, e.dom)
+
+        def inverse_law(a, b):
+            ia = inverse(a)
+            return (eq(source(ia), target(a)) and eq(target(ia), source(a))
+                    and eq(compose(ia, a), unit(source(a)))
+                    and eq(compose(a, ia), unit(target(a))))
+        laws.append(_Law("inverse", ("element",), ((pairs, inverse_law),)))
+    return laws
 
 
 def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
@@ -147,55 +310,8 @@ def check_edge_category(p: NFoldPresentation, key, seed: int = 0,
     _require_samples(samples)
     e = p.edges[key] if not isinstance(key, EdgeCat) else key
     attach_generic_params(e)
-    rng = random.Random(seed)
-    ring = p.ring
-    loc = _edge_loc(e)
-    dom, cod = e.dom.labels, e.cod.labels
-    k = len(dom)
-    source, target, unit, compose = _edge_plans(e)
-    inverse = _plan(e.inverse, dom, dom) if e.inverse is not None else None
-
-    unit_st = _LawRun("unit-source-target", loc, seed)
-    comp_st = _LawRun("compose-source-target", loc, seed)
-    unit_abs = _LawRun("unit-absorption", loc, seed)
-    assoc = _LawRun("associativity", loc, seed)
-    inv_laws = _LawRun("inverse", loc, seed) if inverse is not None else None
-    runs = [unit_st, comp_st, unit_abs, assoc] + ([inv_laws] if inv_laws else [])
-
-    for y in e.cod.sample(rng, samples):
-        zy = unit(y)
-        unit_st.check(source(zy) == y and target(zy) == y,
-                      lambda y=y: {"object": _fmt_point(cod, y, ring)})
-
-    for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):
-        a, b = pair[:k], pair[k:]
-        wit = lambda a=a, b=b: {"left": _fmt_point(dom, a, ring),
-                                "right": _fmt_point(dom, b, ring)}
-        c = compose(pair)
-        comp_st.check(source(c) == source(b) and target(c) == target(a), wit)
-        za = unit(source(a))
-        zb = unit(target(b))
-        unit_abs.check(compose(a + za) == a and compose(zb + b) == b, wit)
-        if inverse is not None:
-            ia = inverse(a)
-            inv_laws.check(
-                source(ia) == target(a)
-                and target(ia) == source(a)
-                and compose(ia + a) == unit(source(a))
-                and compose(a + ia) == unit(target(a)),
-                lambda a=a: {"element": _fmt_point(dom, a, ring)})
-
-    for trip in _sample_tuples(e.triple_param, e.dom, (LEFT, RIGHT, "c"), rng,
-                               samples):
-        a, b, c = trip[:k], trip[k:2 * k], trip[2 * k:]
-        ab = compose(trip[:2 * k])
-        bc = compose(trip[k:])
-        assoc.check(compose(ab + c) == compose(a + bc),
-                    lambda a=a, b=b, c=c: {"a": _fmt_point(dom, a, ring),
-                                           "b": _fmt_point(dom, b, ring),
-                                           "c": _fmt_point(dom, c, ring)})
-
-    return [r.report for r in runs]
+    B = _Sampled(p.ring, seed, samples)
+    return _run(B, _edge_loc(e), _edge_laws(B, e))
 
 
 def _edge_loc(e: EdgeCat) -> str:
@@ -206,49 +322,85 @@ def generic_quad_param(p: NFoldPresentation, face) -> PolyMap:
     """Interchange-quadruple parameterization for faces whose source maps are
     coordinate projections: d free, c over tgt_i(d), b over tgt_j(d), a pinned
     by tgt_i(b) and tgt_j(c) with the double fiber free."""
-    i, j, ei_bot, ei_top, ej_bot, ej_top = p.face_frame(face)
-    ring = p.ring
+    _, _, _, ei_top, _, ej_top = p.face_frame(face)
     top = ei_top.dom.labels
     base_i = set(ei_top.cod.labels)  # alpha minus i
     base_j = set(ej_top.cod.labels)  # alpha minus j
-    fiber_i = [l for l in top if l not in base_i]
-    fiber_j = [l for l in top if l not in base_j]
-    rest = [l for l in top if l not in base_i and l not in base_j]
+    fiber_i, fiber_j, rest = ([l for l in top if l not in base]
+                              for base in (base_i, base_j, base_i | base_j))
+    params = tagged("d", top) + tagged("c", fiber_i) + tagged("b", fiber_j) \
+        + tagged("a", rest)
+    var = {l: Poly.var(p.ring, len(params), k) for k, l in enumerate(params)}
 
-    params = tuple(("d", l) for l in top) + tuple(("c", l) for l in fiber_i) \
-        + tuple(("b", l) for l in fiber_j) + tuple(("a", l) for l in rest)
-    n = len(params)
-    pos = {l: k for k, l in enumerate(params)}
+    def element(tag, pinned: dict) -> dict:
+        return {l: pinned[l] if l in pinned else var[(tag, l)] for l in top}
 
-    from .polymap import Poly
+    def below(edge, point: dict, base) -> dict:
+        tgt = edge.target.subst(point, params)
+        return {l: tgt.component(l) for l in base}
 
-    d_pt = {l: Poly.var(ring, n, pos[("d", l)]) for l in top}
-    tgt_i_d = ei_top.target.subst(d_pt, params)
-    tgt_j_d = ej_top.target.subst(d_pt, params)
+    d = element("d", {})
+    c = element("c", below(ei_top, d, base_i))
+    b = element("b", below(ej_top, d, base_j))
+    # on base_i, a is pinned by tgt_i(b); on the rest of base_j, by tgt_j(c)
+    a = element("a", {**below(ej_top, c, base_j), **below(ei_top, b, base_i)})
+    return PolyMap.from_label_exprs(p.ring, params, {
+        (tag, l): pt[l] for tag, pt in (("a", a), ("b", b), ("c", c), ("d", d))
+        for l in top})
 
-    c_pt = {}
-    for l in top:
-        c_pt[l] = tgt_i_d.component(l) if l in base_i else Poly.var(ring, n, pos[("c", l)])
-    b_pt = {}
-    for l in top:
-        b_pt[l] = tgt_j_d.component(l) if l in base_j else Poly.var(ring, n, pos[("b", l)])
 
-    tgt_i_b = ei_top.target.subst(b_pt, params)
-    tgt_j_c = ej_top.target.subst(c_pt, params)
-    a_pt = {}
-    for l in top:
-        if l in base_i:
-            a_pt[l] = tgt_i_b.component(l)
-        elif l in base_j:
-            a_pt[l] = tgt_j_c.component(l)
-        else:
-            a_pt[l] = Poly.var(ring, n, pos[("a", l)])
+def _face_laws(B, p: NFoldPresentation, face) -> list[_Law]:
+    """Double-category laws of one face: commuting projections and units,
+    functoriality of projections and units, and the interchange law."""
+    i, j, ei_bot, ei_top, ej_bot, ej_top = p.face_frame(face)
+    for e in (ei_bot, ei_top, ej_bot, ej_top):
+        attach_generic_params(e)
+    # the four vertex schemas: alpha on top, gamma+j below it in direction
+    # i, gamma+i below it in direction j, gamma at the bottom
+    top, at_gj, at_gi, bottom = ei_top.dom, ei_top.cod, ej_top.cod, ei_bot.cod
+    move, composer, eq = B.map, B.composer, B.eq
 
-    exprs = {}
-    for tag, pt in (("a", a_pt), ("b", b_pt), ("c", c_pt), ("d", d_pt)):
-        for l in top:
-            exprs[(tag, l)] = pt[l]
-    return PolyMap.from_label_exprs(ring, params, exprs)
+    def functorial(maps, pair_edge, img_edge, frm, to):
+        return (_Space(frm, pair_edge.pair_param, (LEFT, RIGHT)),
+                _functorial(eq, [move(m, frm, to) for m in maps],
+                            composer(pair_edge, frm), composer(img_edge, to)))
+
+    # down in direction i then j equals down in j then i, for the source or
+    # the target in each direction
+    projections = [(move(m_i, top, at_gj), move(mj_bot, at_gj, bottom),
+                    move(m_j, top, at_gi), move(mi_bot, at_gi, bottom))
+                   for m_i, mi_bot in ((ei_top.source, ei_bot.source),
+                                       (ei_top.target, ei_bot.target))
+                   for m_j, mj_bot in ((ej_top.source, ej_bot.source),
+                                       (ej_top.target, ej_bot.target))]
+    units = [(move(ei_bot.unit, bottom, at_gi), move(ej_top.unit, at_gi, top),
+              move(ej_bot.unit, bottom, at_gj), move(ei_top.unit, at_gj, top))]
+    quad_param = p.quad_params.get(face)
+    if quad_param is None:
+        quad_param = generic_quad_param(p, face)
+    compose_i, compose_j = composer(ei_top, top), composer(ej_top, top)
+
+    def interchange(a, b, c, d):
+        return eq(compose_j(compose_i(a, b), compose_i(c, d)),
+                  compose_i(compose_j(a, c), compose_j(b, d)))
+
+    pair = ("left", "right")
+    return [
+        _Law("projections-commute", ("element",),
+             ((_Space(top), _commutes(eq, projections)),)),
+        _Law("units-commute", ("object",), ((_Space(bottom), _commutes(eq, units)),)),
+        # projections are morphisms: pi_sigma^{j-top}(a *_i b) equals
+        # pi_sigma^{j-top}(a) *_{i-bot} pi_sigma^{j-top}(b), and with i, j swapped
+        _Law("projection-functorial", pair, (
+            functorial((ej_top.source, ej_top.target), ei_top, ei_bot, top, at_gi),
+            functorial((ei_top.source, ei_top.target), ej_top, ej_bot, top, at_gj))),
+        # units are morphisms:
+        # z^{j-top}(u *_{i-bot} v) = z^{j-top}(u) *_{i-top} z^{j-top}(v)
+        _Law("unit-functorial", pair, (
+            functorial((ej_top.unit,), ei_bot, ei_top, at_gi, top),
+            functorial((ei_top.unit,), ej_bot, ej_top, at_gj, top))),
+        _Law("interchange", tuple("abcd"),
+             ((_Space(top, quad_param, tuple("abcd")), interchange),))]
 
 
 def check_face(p: NFoldPresentation, face, seed: int = 0,
@@ -256,99 +408,40 @@ def check_face(p: NFoldPresentation, face, seed: int = 0,
     """Double-category laws of one face: commuting projections and units,
     functoriality of projections and units, and the interchange law."""
     _require_samples(samples)
-    i, j, ei_bot, ei_top, ej_bot, ej_top = p.face_frame(face)
-    for e in (ei_bot, ei_top, ej_bot, ej_top):
-        attach_generic_params(e)
-    rng = random.Random(seed)
-    ring = p.ring
-    loc = f"face {subset_label(face[0])}>{subset_label(face[1])}"
-    # the four vertex schemas: alpha on top, gamma+j below it in direction
-    # i, gamma+i below it in direction j, gamma at the bottom
-    top, at_gj, at_gi, bottom = ei_top.dom, ei_top.cod, ej_top.cod, ei_bot.cod
+    B = _Sampled(p.ring, seed, samples)
+    laws = _face_laws(B, p, face)
+    return _run(B, f"face {subset_label(face[0])}>{subset_label(face[1])}", laws)
 
-    def move(m, frm, to):
-        return _plan(m, frm.labels, to.labels)
 
-    def composer(edge, schema):
-        return _plan(edge.compose, _tuple_layout((LEFT, RIGHT), schema),
-                     schema.labels)
+def _morphism_laws(B, src: NFoldPresentation, dst: NFoldPresentation, key,
+                   lift, prefix: str, finite: bool = False) -> list[_Law]:
+    """The laws of vertex maps, lifted by `lift(vertex, frm, to)`, commuting
+    with the structure maps of the edge `key`.  A finite-part law is known
+    only pointwise: its source-target law runs on the left element of each
+    composable pair, and it has no unit law."""
+    e = attach_generic_params(src.edges[key])
+    e2 = dst.edges[key]
+    f_hi, f_lo = lift(e.hi, e.dom, e2.dom), lift(e.lo, e.cod, e2.cod)
+    source, target = B.map(e.source, e.dom, e.cod), B.map(e.target, e.dom, e.cod)
+    source2 = B.map(e2.source, e2.dom, e2.cod)
+    target2 = B.map(e2.target, e2.dom, e2.cod)
+    compose, compose2, eq = B.composer(e, e.dom), B.composer(e2, e2.dom), B.eq
+    pairs = _Space(e.dom, e.pair_param, (LEFT, RIGHT))
 
-    proj_comm = _LawRun("projections-commute", loc, seed)
-    unit_comm = _LawRun("units-commute", loc, seed)
-    proj_fun = _LawRun("projection-functorial", loc, seed)
-    unit_fun = _LawRun("unit-functorial", loc, seed)
-    inter = _LawRun("interchange", loc, seed)
+    def source_target(a, *right):
+        fa = f_hi(a)
+        return eq(source2(fa), f_lo(source(a))) and eq(target2(fa), f_lo(target(a)))
 
-    # down in direction i then j equals down in j then i, for the source or
-    # the target in each direction
-    squares = [(move(m_i, top, at_gj), move(mj_bot, at_gj, bottom),
-                move(m_j, top, at_gi), move(mi_bot, at_gi, bottom))
-               for m_i, mi_bot in ((ei_top.source, ei_bot.source),
-                                   (ei_top.target, ei_bot.target))
-               for m_j, mj_bot in ((ej_top.source, ej_bot.source),
-                                   (ej_top.target, ej_bot.target))]
-    for a in top.sample(rng, samples):
-        ok = True
-        for down_i, then_j, down_j, then_i in squares:
-            ok = ok and then_j(down_i(a)) == then_i(down_j(a))
-        proj_comm.check(ok, lambda a=a: {"element": _fmt_point(top.labels, a, ring)})
-
-    up_i = move(ei_bot.unit, bottom, at_gi)
-    up_i_j = move(ej_top.unit, at_gi, top)
-    up_j = move(ej_bot.unit, bottom, at_gj)
-    up_j_i = move(ei_top.unit, at_gj, top)
-    for y in bottom.sample(rng, samples):
-        unit_comm.check(up_i_j(up_i(y)) == up_j_i(up_j(y)),
-                        lambda y=y: {"object": _fmt_point(bottom.labels, y, ring)})
-
-    # projections are morphisms: pi_sigma^{j-top}(a *_i b) equals
-    # pi_sigma^{j-top}(a) *_{i-bot} pi_sigma^{j-top}(b), and with i, j swapped.
-    k = top.dim()
-    for pair_edge, proj_edge, img_edge, side in ((ei_top, ej_top, ei_bot, at_gi),
-                                                 (ej_top, ei_top, ej_bot, at_gj)):
-        compose = composer(pair_edge, top)
-        img_compose = composer(img_edge, side)
-        projs = [move(m, top, side) for m in (proj_edge.source, proj_edge.target)]
-        for pair in _sample_tuples(pair_edge.pair_param, top, (LEFT, RIGHT),
-                                   rng, samples):
-            a, b = pair[:k], pair[k:]
-            comp = compose(pair)
-            ok = True
-            for m in projs:
-                ok = ok and m(comp) == img_compose(m(a) + m(b))
-            proj_fun.check(ok, lambda a=a, b=b: {
-                "left": _fmt_point(top.labels, a, ring),
-                "right": _fmt_point(top.labels, b, ring)})
-
-    # units are morphisms: z^{j-top}(u *_{i-bot} v) = z^{j-top}(u) *_{i-top} z^{j-top}(v)
-    for unit_edge, pair_edge, top_edge, side in ((ej_top, ei_bot, ei_top, at_gi),
-                                                 (ei_top, ej_bot, ej_top, at_gj)):
-        compose = composer(pair_edge, side)
-        top_compose = composer(top_edge, top)
-        up = move(unit_edge.unit, side, top)
-        n = side.dim()
-        for pair in _sample_tuples(pair_edge.pair_param, side, (LEFT, RIGHT),
-                                   rng, samples):
-            u, v = pair[:n], pair[n:]
-            unit_fun.check(up(compose(pair)) == top_compose(up(u) + up(v)),
-                           lambda u=u, v=v: {
-                               "left": _fmt_point(side.labels, u, ring),
-                               "right": _fmt_point(side.labels, v, ring)})
-
-    quad_param = p.quad_params.get(face)
-    if quad_param is None:
-        quad_param = generic_quad_param(p, face)
-    compose_i = composer(ei_top, top)
-    compose_j = composer(ej_top, top)
-    for q in _sample_tuples(quad_param, top, "abcd", rng, samples):
-        a, b, c, d = q[:k], q[k:2 * k], q[2 * k:3 * k], q[3 * k:]
-        lhs = compose_j(compose_i(a + b) + compose_i(c + d))
-        rhs = compose_i(compose_j(a + c) + compose_j(b + d))
-        inter.check(lhs == rhs, lambda a=a, b=b, c=c, d=d: {
-            tag: _fmt_point(top.labels, x, ring)
-            for tag, x in (("a", a), ("b", b), ("c", c), ("d", d))})
-
-    return [r.report for r in (proj_comm, unit_comm, proj_fun, unit_fun, inter)]
+    st = _Law(prefix + "source-target", ("element",),
+              ((pairs if finite else _Space(e.dom), source_target),))
+    comp = _Law(prefix + "compose", ("left", "right"),
+                ((pairs, _functorial(eq, [f_hi], compose, compose2)),))
+    if finite:
+        return [st, comp]
+    unit_square = (f_lo, B.map(e2.unit, e2.cod, e2.dom),
+                   B.map(e.unit, e.cod, e.dom), f_hi)
+    return [st, _Law(prefix + "unit", ("object",),
+                     ((_Space(e.cod), _commutes(eq, [unit_square])),)), comp]
 
 
 def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
@@ -357,38 +450,13 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
     """Verify that a family of vertex maps commutes with source, target, unit
     and composition on every edge (sampled, exact)."""
     _require_samples(samples)
-    rng = random.Random(seed)
-    ring = src.ring
-    out = []
-    for key, e in sorted(src.edges.items(), key=lambda kv: _edge_sort_key(kv[0])):
-        attach_generic_params(e)
-        e2 = dst.edges[key]
-        dom, cod = e.dom.labels, e.cod.labels
-        dom2, cod2 = e2.dom.labels, e2.cod.labels
-        k = len(dom)
-        f_hi = _plan(vertex_maps[e.hi], dom, dom2)
-        f_lo = _plan(vertex_maps[e.lo], cod, cod2)
-        source, target, unit, compose = _edge_plans(e)
-        source2, target2, unit2, compose2 = _edge_plans(e2)
-        loc = _edge_loc(e)
-        st_run = _LawRun("morphism-source-target", loc, seed)
-        z_run = _LawRun("morphism-unit", loc, seed)
-        c_run = _LawRun("morphism-compose", loc, seed)
-        for a in e.dom.sample(rng, samples):
-            fa = f_hi(a)
-            st_run.check(
-                source2(fa) == f_lo(source(a)) and target2(fa) == f_lo(target(a)),
-                lambda a=a: {"element": _fmt_point(dom, a, ring)})
-        for y in e.cod.sample(rng, samples):
-            z_run.check(unit2(f_lo(y)) == f_hi(unit(y)),
-                        lambda y=y: {"object": _fmt_point(cod, y, ring)})
-        for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):
-            a, b = pair[:k], pair[k:]
-            c_run.check(f_hi(compose(pair)) == compose2(f_hi(a) + f_hi(b)),
-                        lambda a=a, b=b: {"left": _fmt_point(dom, a, ring),
-                                          "right": _fmt_point(dom, b, ring)})
-        out.extend((st_run.report, z_run.report, c_run.report))
-    return out
+    B = _Sampled(src.ring, seed, samples)
+
+    def lift(vertex, frm, to):
+        return B.map(vertex_maps[vertex], frm, to)
+    return [r for key in sorted(src.edges, key=_edge_sort_key)
+            for r in _run(B, _edge_loc(src.edges[key]),
+                          _morphism_laws(B, src, dst, key, lift, "morphism-"))]
 
 
 def _edge_sort_key(key):

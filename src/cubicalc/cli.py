@@ -13,9 +13,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .checks import check_presentation, first_failure, reports_ok
-from .constructions import (gfull, gsy, pair_groupoid, scaled_action,
-                            scaleoid, tangent)
+from .checks import (check_morphism, check_presentation, first_failure,
+                     reports_ok)
+from .constructions import (gfull, gsy, gsy_scalar_action, pair_groupoid,
+                            scaled_action, scaleoid, tangent)
 from .derive import display_label, monomial_key, vlab, tlab
 from .hypercube import MAX_DIM, subsets
 from .laws import derive_law_full
@@ -173,6 +174,7 @@ def cmd_check(args) -> int:
     _require_range("--vdim", args.vdim, 0)
     _require_range("--vdim", args.vdim, 0, MAX_DIM)
     kind = args.construction
+    scalars, reports = None, []
     if kind == "pg":
         pres = pair_groupoid(n, args.vdim, ring)
     elif kind == "sa":
@@ -181,27 +183,10 @@ def cmd_check(args) -> int:
         t = _parse_scalars(ring, args.t, n) if args.t else [ring.one()] * n
         pres = gsy(n, t, args.vdim, ring)
         if args.s:
-            from .checks import check_morphism
-            from .constructions import gsy_scalar_action
-
-            s = _parse_scalars(ring, args.s, n)
-            src, dst, maps = gsy_scalar_action(n, s, t, args.vdim, ring)
+            scalars = _parse_scalars(ring, args.s, n)
+            src, dst, maps = gsy_scalar_action(n, scalars, t, args.vdim, ring)
             reports = check_morphism(src, dst, maps, seed=args.seed,
                                      samples=args.samples)
-            reports += check_presentation(pres, seed=args.seed,
-                                          samples=args.samples)
-            payload = [r.to_json() for r in reports]
-            if args.format == "json":
-                print(json.dumps({"construction": pres.name,
-                                  "scalar_action": [ring.fmt(x) for x in s],
-                                  "reports": payload}, indent=2, sort_keys=True))
-            else:
-                bad = first_failure(reports)
-                print(f"{pres.name} with Phi_s: "
-                      f"{'all pass' if bad is None else 'FAILURES'}")
-                if bad is not None:
-                    print(f"first failure: {bad.law} at {bad.location}")
-            return 0 if reports_ok(reports) else 1
     elif kind == "gfull":
         pres = gfull(n, args.vdim, ring)
     elif kind == "scaleoid":
@@ -212,15 +197,17 @@ def cmd_check(args) -> int:
         pres = g_overline(n, args.vdim, ring)
     else:
         raise UsageError(f"--construction must be one of {_CONSTRUCTIONS}")
-    reports = check_presentation(pres, seed=args.seed, samples=args.samples)
-    payload = [r.to_json() for r in reports]
+    reports += check_presentation(pres, seed=args.seed, samples=args.samples)
     if args.format == "json":
-        print(json.dumps({"construction": pres.name, "reports": payload},
-                         indent=2, sort_keys=True))
+        out = {"construction": pres.name, "reports": [r.to_json() for r in reports]}
+        if scalars is not None:
+            out["scalar_action"] = [ring.fmt(x) for x in scalars]
+        print(json.dumps(out, indent=2, sort_keys=True))
     else:
         bad = first_failure(reports)
-        print(f"{pres.name}: {len(reports)} laws checked, "
-              f"{'all pass' if bad is None else 'FAILURES'}")
+        verdict = "all pass" if bad is None else "FAILURES"
+        print(f"{pres.name}: {len(reports)} laws checked, {verdict}"
+              if scalars is None else f"{pres.name} with Phi_s: {verdict}")
         if bad is not None:
             print(f"first failure: {bad.law} at {bad.location}")
             print(json.dumps(bad.witness, indent=2, sort_keys=True))

@@ -3,24 +3,25 @@
 derive_law_full builds the vertex maps of the full cubic law of a polynomial
 map by the same selector iteration that builds the vertex sets;
 derive_law_sym builds the symmetric law at fixed scales from the higher order
-difference factorizers.  The check_* functions verify the morphism and
-compatibility properties symbolically; finite_law_from_map drives an
-arbitrary (black-box) base map through the finite part.
+difference factorizers.  The morphism laws are the one morphism table of
+`checks`: check_law_compatibility runs it through the symbolic back-end, a
+proof, and check_finite_law through the sampled back-end, for the finite
+part that finite_law_from_map builds from an arbitrary (black-box) base
+map.  Homogeneity and symmetry are checked as identities of vertex maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import (CheckReport, _edge_plans, _fmt_point, _LawRun,
-                     _sample_tuples, check_morphism)
+from .checks import (CheckReport, _morphism_laws, _run, _Sampled, _Symbolic,
+                     check_morphism)
 from .constructions import gfull, gsy, _scalar_action_maps, _tprod
 from .derive import (_v_labels, CoordLabel, derive_polymap, extend_polymap,
                      vlab)
 from .extension import ExtElement, eval_over_extension
 from .hypercube import subsets
 from .polymap import Poly, PolyMap, PolyRing
-from .presentation import (LEFT, RIGHT, NFoldPresentation,
-                           attach_generic_params, edge_order,
+from .presentation import (NFoldPresentation, edge_order,
                            subsets_presentation_vertices)
 from .rings import QQ, Ring, RingError
 from .slopes import _closed_formula, _cubic_base, _sym_slope_step
@@ -132,45 +133,21 @@ def _sym_vertex_maps(f: PolyMap, n: int, t, ring: Ring) -> dict:
 
 
 def _symbolic_morphism_reports(src: NFoldPresentation, dst: NFoldPresentation,
-                               maps: dict, location_prefix: str = "") -> list:
-    """Exact symbolic morphism check on every edge (source, target, unit and
-    composition along the composable-pair parameterization)."""
-    out = []
-    for key in sorted(src.edges, key=edge_order):
-        e = attach_generic_params(src.edges[key])
-        e2 = dst.edges[key]
-        f_hi, f_lo = maps[e.hi], maps[e.lo]
-        loc = location_prefix + _edge_location(key)
-        ok_st = (e2.source.compose(f_hi).equals(f_lo.compose(e.source))
-                 and e2.target.compose(f_hi).equals(f_lo.compose(e.target)))
-        out.append(CheckReport("law-source-target", loc,
-                               "pass" if ok_st else "fail", 0))
-        ok_z = f_hi.compose(e.unit).equals(e2.unit.compose(f_lo))
-        out.append(CheckReport("law-unit", loc, "pass" if ok_z else "fail", 0))
-        phi = e.pair_param
-        lhs = f_hi.compose(e.compose.compose(phi))
-        f_pair = _tagwise(f_hi, ("a", "b")).compose(phi)
-        rhs = e2.compose.compose(f_pair)
-        out.append(CheckReport("law-compose", loc,
-                               "pass" if lhs.equals(rhs) else "fail", 0))
-    return out
+                               maps: dict) -> list:
+    """The morphism table run symbolically on every edge: source, target,
+    unit and composition along the composable-pair parameterization."""
+    B = _Symbolic(src.ring)
+
+    def lift(vertex, frm, to):
+        return B.map(maps[vertex], frm, to)
+    return [r for key in sorted(src.edges, key=edge_order)
+            for r in _run(B, _edge_location(key),
+                          _morphism_laws(B, src, dst, key, lift, "law-"))]
 
 
 def _edge_location(key) -> str:
     lo, hi = key
     return f"edge {sorted(lo)}>{sorted(hi)}"
-
-
-def _tagwise(m: PolyMap, tags) -> PolyMap:
-    """Apply one map to several tagged copies at once."""
-    in_labels = tuple((tg, l) for tg in tags for l in m.in_labels)
-    pos = {l: i for i, l in enumerate(in_labels)}
-    exprs = {}
-    for tg in tags:
-        index = [pos[(tg, l)] for l in m.in_labels]
-        for out_l, c in zip(m.out_labels, m.comps):
-            exprs[(tg, out_l)] = c._reindexed(index, len(in_labels))
-    return PolyMap.from_label_exprs(m.ring, in_labels, exprs)
 
 
 def check_law_compatibility(law: Law) -> list:
@@ -323,42 +300,20 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
                      samples: int = 30) -> list:
     """Morphism identities of a black-box finite-part law on sampled
     composable pairs (exact rational arithmetic)."""
-    import random
-
-    def law_at(vertex, labels, point, order):
-        value = plaw.vertex_value(vertex, dict(zip(labels, point)))
-        return [value[l] for l in order]
-
     ring = plaw.ring
     src = gsy(plaw.n, list(plaw.t), vdim=in_dim, ring=ring)
     dst = gsy(plaw.n, list(plaw.t), vdim=plaw.out_dim, ring=ring)
-    rng = random.Random(seed)
-    out = []
-    for key in sorted(src.edges, key=edge_order):
-        e = attach_generic_params(src.edges[key])
-        e2 = dst.edges[key]
-        dom, cod = e.dom.labels, e.cod.labels
-        dom2, cod2 = e2.dom.labels, e2.cod.labels
-        k = len(dom)
-        source, target, _, compose = _edge_plans(e)
-        source2, target2, _, compose2 = _edge_plans(e2)
-        loc = _edge_location(key)
-        st_run = _LawRun("finite-law-source-target", loc, seed)
-        c_run = _LawRun("finite-law-compose", loc, seed)
-        for pair in _sample_tuples(e.pair_param, e.dom, (LEFT, RIGHT), rng, samples):
-            a, b = pair[:k], pair[k:]
-            fa = law_at(e.hi, dom, a, dom2)
-            fb = law_at(e.hi, dom, b, dom2)
-            st_run.check(
-                source2(fa) == law_at(e.lo, cod, source(a), cod2)
-                and target2(fa) == law_at(e.lo, cod, target(a), cod2),
-                lambda a=a: {"element": _fmt_point(dom, a, ring)})
-            lhs = law_at(e.hi, dom, compose(pair), dom2)
-            c_run.check(lhs == compose2(fa + fb),
-                        lambda a=a, b=b: {"left": _fmt_point(dom, a, ring),
-                                          "right": _fmt_point(dom, b, ring)})
-        out.extend((st_run.report, c_run.report))
-    return out
+    B = _Sampled(ring, seed, samples)
+
+    def lift(vertex, frm, to):
+        def law_at(point):
+            value = plaw.vertex_value(vertex, dict(zip(frm.labels, point)))
+            return [value[l] for l in to.labels]
+        return law_at
+    return [r for key in sorted(src.edges, key=edge_order)
+            for r in _run(B, _edge_location(key),
+                          _morphism_laws(B, src, dst, key, lift, "finite-law-",
+                                         finite=True))]
 
 
 # ---------------------------------------------------------------------------

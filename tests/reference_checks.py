@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from operator import add as _add_ints
 
-from cubicalc.checks import (_edge_loc, _edge_sort_key, _LawRun,
+from cubicalc.checks import (CheckReport, _edge_loc, _edge_sort_key,
                              _require_samples, generic_quad_param)
 from cubicalc.constructions import gsy
 from cubicalc.derive import CoordLabel, display_label, tag_of, vlab
@@ -103,6 +103,19 @@ def reference_sample_tuples(param, schema, tags, rng, count, span=2,
         if all(_satisfies(schema, pt) for pt in tup.values()):
             out.append(tup)
     return out
+
+
+class _LawRun:
+    """Collects the first witness for one law."""
+
+    def __init__(self, law: str, location: str, seed):
+        self.report = CheckReport(law, location, "pass", 0, seed)
+
+    def check(self, equal: bool, witness_factory):
+        self.report.samples += 1
+        if not equal and self.report.status == "pass":
+            self.report.status = "fail"
+            self.report.witness = witness_factory()
 
 
 def reference_check_edge_category(p, key, seed=0, samples=50) -> list:

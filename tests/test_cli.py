@@ -285,3 +285,22 @@ def test_eval_counts_v_values_before_enumerating_subsets(capsys, monkeypatch):
                                 "--order", str(MAX_DIM),
                                 "--t", ",".join(["1"] * MAX_DIM)])
     assert err.startswith(f"error: --v needs {2 ** MAX_DIM - 1} values ")
+
+
+def test_failing_scalar_action_check_prints_its_witness(capsys, monkeypatch):
+    """Phi_{2s} is no morphism Gsy_{s.t} -> Gsy_t: the run exits 1 and
+    prints the first failure with its witness, as a plain check does."""
+    import cubicalc.cli
+    from cubicalc.constructions import _scalar_action_maps, gsy_scalar_action
+
+    def doubled(n, s, t, vdim, ring):
+        src, dst, _ = gsy_scalar_action(n, s, t, vdim, ring)
+        return src, dst, _scalar_action_maps(n, [2 * x for x in s], vdim, ring)
+
+    monkeypatch.setattr(cubicalc.cli, "gsy_scalar_action", doubled)
+    assert run(["check", "--construction", "gsy", "--n", "2", "--s", "1,3",
+                "--samples", "3"]) == 1
+    header, failure, *witness = capsys.readouterr().out.splitlines()
+    assert header == "Gsy^2_{1,1} with Phi_s: FAILURES"
+    assert failure.startswith("first failure: morphism-")
+    assert json.loads("\n".join(witness))

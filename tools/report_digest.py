@@ -22,7 +22,13 @@ line.  It prints:
   associativity too, so their witnesses, and with them the draw order of
   the composable pairs and triples, are in the digest.  A passing report
   holds no witness, so the per-construction lines show only verdicts and
-  sample counts.
+  sample counts;
+- one line per construction of the c04 list: the SHA-256 of every point
+  that `check_presentation(p, seed=42, samples=S)` passes to
+  `CoordSchema.satisfies`, one line of values per point, rejected draws
+  included.  These pin what the passing reports were drawn on.  The script
+  installs the recording wrapper (`point_recorder`) itself and removes it
+  afterwards; nothing under `src/` is edited.
 """
 from __future__ import annotations
 
@@ -98,6 +104,31 @@ def planted_corruptions() -> list:
     return out
 
 
+def point_recorder(satisfies, sink):
+    """`CoordSchema.satisfies` wrapped so that it first writes the point it
+    is passed to `sink`, a hashlib object, as one line of values."""
+    def recorded(schema, point):
+        sink.update((" ".join(map(str, point)) + "\n").encode())
+        return satisfies(schema, point)
+    return recorded
+
+
+def draw_digest(p, samples: int, seed: int = SEED) -> str:
+    """SHA-256 of every point `check_presentation(p, seed, samples)` passes
+    to `CoordSchema.satisfies`."""
+    from cubicalc.checks import check_presentation
+    from cubicalc.presentation import CoordSchema
+
+    sink = hashlib.sha256()
+    satisfies = CoordSchema.satisfies
+    CoordSchema.satisfies = point_recorder(satisfies, sink)
+    try:
+        check_presentation(p, seed=seed, samples=samples)
+    finally:
+        CoordSchema.satisfies = satisfies
+    return sink.hexdigest()
+
+
 def digest(reports) -> str:
     text = json.dumps([r.to_json() for r in reports], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -121,6 +152,9 @@ def main() -> int:
         reports = check_edge_category(p, key, seed=6, samples=25) \
             + check_face(p, face, seed=6, samples=25)
         print(f"{digest(reports)}  {name}")
+    print(f"draws of check_presentation seed={SEED} samples={args.samples}")
+    for p in c04_presentations():
+        print(f"{draw_digest(p, args.samples)}  {p.name}")
     return 0
 
 
