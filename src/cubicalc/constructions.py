@@ -2,19 +2,19 @@
 
 Pair groupoids and scaled action cats come from their closed-form structure
 theorems; the symmetric cubic groupoid from its explicit edge formulas; the
-full cubic groupoid and the scaleoids from the inductive three-case recursion
-for targets (old / copy of old / new) with source, unit and composition read
-off the coordinate labels.  Every edge category except the pair groupoid's
-splice comes from one of two builders, `additive_edge_cat` and `action_edge`.
+full cubic groupoid and the scaleoids from the one-step groupoid of each
+direction, pushed through the later directions by `derive._staged`, with
+source, unit and composition read off the coordinate labels.  Every edge
+category except the pair groupoid's splice comes from one of two builders,
+`additive_edge_cat` and `action_edge`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .derive import (_canon, _shift_target, _v_labels, derive_labels,
-                     derive_polymap, extend_polymap, slab, tlab, vlab,
-                     with_tag)
+from .derive import (_canon, _shift_target, _staged, _staged_labels, _v_labels,
+                     slab, tlab, vlab, with_tag)
 from .hypercube import alpha_stair, kcubes, subset_label, subsets
 from .polymap import Poly, PolyMap
 from .presentation import (BoxConstraint, CoordSchema, EdgeCat,
@@ -112,11 +112,8 @@ def action_edge(ring: Ring, k: int, lo, hi, dom: CoordSchema, cod: CoordSchema,
             exprs[(tg, tk)] = t_of[tg]
         return PolyMap.from_label_exprs(ring, params, exprs)
 
-    pair_param = chain(("a", "b"))
     return EdgeCat(k, lo, hi, dom, cod, source, target, unit, compose, None,
-                   pair_param=pair_param,
-                   pair_section=PolyMap.projection(ring, pair_labels,
-                                                   pair_param.in_labels),
+                   pair_param=chain(("a", "b")),
                    triple_param=chain(("a", "b", "c")))
 
 
@@ -396,38 +393,25 @@ def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
 
 
 # ---------------------------------------------------------------------------
-# full cubic groupoid G^N and scaleoids (three-case target recursion)
+# full cubic groupoid G^N and scaleoids (staged one-step targets)
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _full_labels(N: tuple, alpha: frozenset, vdim: int) -> tuple:
-    labels: tuple = tuple(vlab((), c) for c in range(vdim))
-    for j in N:
-        if j in alpha:
-            labels = derive_labels(labels, j, with_s=False)
-        else:
-            labels = labels + (tlab({j}),)
-    return _canon(labels)
+    return _staged_labels(vdim, N, alpha)
 
 
 @lru_cache(maxsize=None)
 def _full_target(N: tuple, beta: frozenset, alpha: frozenset, vdim: int,
                  ring: Ring = QQ) -> PolyMap:
-    """Target projection of the edge (beta, alpha) of G^N, by the inductive
-    cases: old (extend by the new scale), copy of old (derive the lower
-    target), new (base target of the one-step groupoid)."""
+    """Target projection of the edge (beta, alpha) of G^N: the target of the
+    one-step groupoid in direction d over the stages before d, pushed
+    through the stages after d (derived inside alpha, extended outside)."""
     (d,) = tuple(alpha - beta)
-    a_n = N[-1]
-    N1 = N[:-1]
-    if a_n not in alpha:
-        m = _full_target(N1, beta, alpha, vdim, ring)
-        return extend_polymap(m, a_n, with_s=False)
-    if d != a_n:
-        m = _full_target(N1, beta - {a_n}, alpha - {a_n}, vdim, ring)
-        return derive_polymap(m, a_n, with_s=False)
-    return _shift_target(ring, _full_labels(N1, frozenset(beta), vdim), a_n,
-                         with_s=False)
+    i = N.index(d)
+    return _staged(_shift_target(ring, _staged_labels(vdim, N[:i], beta), d,
+                                 with_s=False), N[i + 1:], alpha)
 
 
 def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,

@@ -160,19 +160,19 @@ def _shift_target(ring, base, j: int, with_s: bool, dom=None) -> PolyMap:
     return PolyMap.from_label_exprs(ring, dom, exprs)
 
 
-def derive_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
-                   copies: bool | None = None) -> PolyMap:
+def derive_polymap(m: PolyMap, j: int, with_s: bool,
+                   copies: bool = False) -> PolyMap:
     """Apply the one-step derivation functor to a map.
 
     Every input and output coordinate acquires a partner; partner components
     are exact slopes at scale t_j (or s_j*t_j when with_s).  With copies=True
-    the domain consists of several tagged copies of one space (a composition
-    or a section): each copy gets its own fresh scale coordinates and the
-    slope is taken at the scale of `tau_tag` (the right operand) -- on
+    the domain consists of several tagged copies of one space (a
+    composition): each copy gets its own fresh scale coordinates and the
+    slope is taken at the scale of the last copy (the right operand) -- on
     composable tuples all copies agree.  With copies=False the domain is a
     parameter space and receives a single shared fresh scale.
     """
-    fresh, scale_in, src = _fresh_scales(m, j, with_s, tau_tag, copies)
+    fresh, scale_in, src = _fresh_scales(m, j, with_s, copies)
     new_in = m.in_labels + tuple(partner(l, j) for l in m.in_labels) + scale_in
     out: dict = {}
     for lbl, (value, slope) in zip(m.out_labels, _quotients(
@@ -183,10 +183,10 @@ def derive_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
     return PolyMap.from_label_exprs(m.ring, new_in, out)
 
 
-def extend_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
-                   copies: bool | None = None) -> PolyMap:
+def extend_polymap(m: PolyMap, j: int, with_s: bool,
+                   copies: bool = False) -> PolyMap:
     """Extend a map by the identity on fresh scale coordinates (x id)."""
-    fresh, scale_in, src = _fresh_scales(m, j, with_s, tau_tag, copies)
+    fresh, scale_in, src = _fresh_scales(m, j, with_s, copies)
     new_in = m.in_labels + scale_in
     n = len(new_in)
     images = [Poly.var(m.ring, n, i) for i in range(m.in_arity)]
@@ -195,17 +195,37 @@ def extend_polymap(m: PolyMap, j: int, with_s: bool, tau_tag=None,
     return PolyMap.from_label_exprs(m.ring, new_in, out)
 
 
-def _fresh_scales(m: PolyMap, j: int, with_s: bool, tau_tag, copies):
+def _staged(m: PolyMap, stages, v: frozenset, copies: bool = False) -> PolyMap:
+    """Push m through the one-step functors of the directions `stages`, in
+    order: direction k is derived when k is in the vertex v and extended by
+    the identity otherwise, with s_k when k' (stored as -k) is in v."""
+    for k in stages:
+        step = derive_polymap if k in v else extend_polymap
+        m = step(m, k, with_s=-k in v, copies=copies)
+    return m
+
+
+def _staged_labels(vdim: int, stages, v: frozenset) -> tuple:
+    """The coordinates, in canonical order, that `_staged` gives a map out of
+    the vdim-dimensional space v0."""
+    labels: tuple = tuple(vlab((), c) for c in range(vdim))
+    for k in stages:
+        step = derive_labels if k in v else extend_labels
+        labels = step(labels, k, with_s=-k in v)
+    return _canon(labels)
+
+
+def _fresh_scales(m: PolyMap, j: int, with_s: bool, copies: bool):
     """The fresh scale labels of direction j, the fresh scale inputs of m
     (one set per tagged copy when the domain is several copies, see
     derive_polymap) and the tag of the copy whose scales are the shift scale
     and the fresh outputs (None for a single space)."""
     fresh = (slab({j}), tlab({j})) if with_s else (tlab({j}),)
-    dom_tags = _grouped(m.in_labels)
-    if not ((dom_tags != [None]) if copies is None else copies):
+    if not copies:
         return fresh, fresh, None
-    src = dom_tags[-1] if tau_tag is None else tau_tag
-    return fresh, tuple(with_tag(tg, l) for tg in dom_tags for l in fresh), src
+    dom_tags = _grouped(m.in_labels)
+    scale_in = tuple(with_tag(tg, l) for tg in dom_tags for l in fresh)
+    return fresh, scale_in, dom_tags[-1]
 
 
 def _scale_outputs(m: PolyMap, new_in, fresh, src) -> dict:

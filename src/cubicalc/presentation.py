@@ -106,7 +106,6 @@ class EdgeCat:
     compose: PolyMap  # domain labels tagged "a" (left) and "b" (right)
     inverse: PolyMap | None = None
     pair_param: PolyMap | None = None
-    pair_section: PolyMap | None = None
     triple_param: PolyMap | None = None
 
     def is_groupoid(self) -> bool:
@@ -148,9 +147,8 @@ def source_is_projection(edge: EdgeCat) -> bool:
 
 
 def attach_generic_params(edge: EdgeCat) -> EdgeCat:
-    """Fill in the pair and triple parameterizations (and the pair section,
-    a projection) of an edge whose source is a projection; an edge that
-    carries both is returned as it is."""
+    """Fill in the pair and triple parameterizations of an edge whose source
+    is a projection; an edge that carries both is returned as it is."""
     if edge.pair_param is not None and edge.triple_param is not None:
         return edge
     if not source_is_projection(edge):
@@ -158,11 +156,7 @@ def attach_generic_params(edge: EdgeCat) -> EdgeCat:
             f"edge {edge.lo}>{edge.hi}: generic composability sampling "
             "requires a projection source; attach explicit parameterizations")
     if edge.pair_param is None:
-        dom = edge.dom.labels
         edge.pair_param = _generic_chain(edge, (LEFT, RIGHT))
-        edge.pair_section = PolyMap.projection(
-            edge.dom.ring, tagged(LEFT, dom) + tagged(RIGHT, dom),
-            edge.pair_param.in_labels)
     if edge.triple_param is None:
         edge.triple_param = _generic_chain(edge, (LEFT, RIGHT, "c"))
     return edge
@@ -238,19 +232,12 @@ class NFoldPresentation:
             if e.direction in gamma:
                 e = attach_generic_params(replace(e))
                 swap = {LEFT: RIGHT, RIGHT: LEFT}
-                new_compose = _retag_inputs(e.compose, swap)
-                pair_param = None
-                pair_section = None
-                if e.pair_param is not None:
-                    pair_param = _retag_outputs(e.pair_param, swap)
-                if e.pair_section is not None:
-                    pair_section = _retag_inputs(e.pair_section, swap)
-                triple = None
-                if e.triple_param is not None:
-                    triple = _retag_outputs(e.triple_param, {LEFT: "c", "c": LEFT})
-                edges[key] = replace(e, source=e.target, target=e.source,
-                                     compose=new_compose, pair_param=pair_param,
-                                     pair_section=pair_section, triple_param=triple)
+                edges[key] = replace(
+                    e, source=e.target, target=e.source,
+                    compose=e.compose.rename(_retag(swap)),
+                    pair_param=e.pair_param.rename(None, _retag(swap)),
+                    triple_param=e.triple_param.rename(
+                        None, _retag({LEFT: "c", "c": LEFT})))
             else:
                 edges[key] = e
         quads = {}
@@ -264,7 +251,7 @@ class NFoldPresentation:
             if j in gamma:  # outer composition reverses: (a c)(b d)
                 perm = {k: {"a": "c", "c": "a", "b": "d", "d": "b"}[v]
                         for k, v in perm.items()}
-            quads[key] = _retag_outputs(q, perm) if any(k != v for k, v in perm.items()) else q
+            quads[key] = q.rename(None, _retag(perm)) if any(k != v for k, v in perm.items()) else q
         return NFoldPresentation(f"{self.name}^opp", self.ring, self.directions,
                                  self.vertices, dict(self.schemas), edges,
                                  self.faces, quads)
@@ -286,24 +273,13 @@ class NFoldPresentation:
         return m
 
 
-def _retag_inputs(m: PolyMap, table: dict) -> PolyMap:
+def _retag(table: dict):
+    """The relabelling that moves a tagged label to the tag `table` gives its
+    tag; other labels stay."""
     def f(l):
         tg = tag_of(l)
-        if tg in table:
-            return (table[tg], l[1])
-        return l
-
-    return m.rename(f, None)
-
-
-def _retag_outputs(m: PolyMap, table: dict) -> PolyMap:
-    def f(l):
-        tg = tag_of(l)
-        if tg in table:
-            return (table[tg], l[1])
-        return l
-
-    return m.rename(None, f)
+        return (table[tg], l[1]) if tg in table else l
+    return f
 
 
 def subsets_presentation_vertices(n: int) -> tuple:

@@ -11,22 +11,22 @@ s_k + t_k).  Fresh-direction edges are the four elementary categories:
   E3  second kind, (w, w+{k'}), k absent: the scale action on t_k;
   E4  second kind, k present: s_k acts on the partner block.
 
-Older edges are images of lower ones under the stage functor.  Composable
-pairs, triples and interchange quadruples are polynomial parameterizations
-assembled at the base and pushed through the same functors, so samplers never
-solve equations.  A vertex is the frozenset of its signed directions, k for
-the plain direction k and -k for the primed k' (see `hypercube`).  The
-recursion strips the top stage: removing m and -m from a vertex of stage
-count m gives the vertex, at stage count m-1, of the structure built from
-stages 1..m-1.
+Older edges are images of lower ones under the later stage functors
+(`derive._staged`).  Composable pairs, triples and interchange quadruples are
+polynomial parameterizations assembled at the base and pushed through the
+same functors, so samplers never solve equations.  A vertex is the frozenset
+of its signed directions, k for the plain direction k and -k for the primed
+k' (see `hypercube`); the stages 1..m of a vertex read only its directions
+of absolute value at most m.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .constructions import action_edge, additive_edge_cat
-from .derive import (_canon, _shift_target, derive_labels, derive_polymap,
-                     extend_labels, extend_polymap, partner, slab, tlab, vlab)
+from .derive import (_canon, _shift_target, _staged, _staged_labels,
+                     derive_labels, derive_polymap, extend_labels, partner,
+                     slab, tlab)
 from .hypercube import direction_key, tt_edges, tt_faces, tt_vertices
 from .polymap import Poly, PolyMap
 from .presentation import (CoordSchema, EdgeCat, NFoldPresentation,
@@ -38,15 +38,6 @@ class TwoTypedError(ValueError):
     pass
 
 
-def _sel(v: frozenset, k: int) -> tuple[bool, bool]:
-    return (k in v, -k in v)
-
-
-def _strip(v: frozenset, m: int) -> frozenset:
-    """Remove the top stage m."""
-    return v - {m, -m}
-
-
 def _direction(lo: frozenset, hi: frozenset) -> int:
     return next(iter(hi - lo))
 
@@ -54,23 +45,7 @@ def _direction(lo: frozenset, hi: frozenset) -> int:
 @lru_cache(maxsize=None)
 def tt_schema_labels(v: frozenset, n: int, vdim: int) -> tuple:
     """Coordinate labels of vertex v of P(n-bar)."""
-    labels: tuple = tuple(vlab((), c) for c in range(vdim))
-    for k in range(1, n + 1):
-        plain, primed = _sel(v, k)
-        if plain:
-            labels = derive_labels(labels, k, with_s=primed)
-        else:
-            labels = extend_labels(labels, k, with_s=primed)
-    return _canon(labels)
-
-
-def _apply_stage(m: PolyMap | None, k: int, plain: bool, primed: bool,
-                 copies: bool = False):
-    if m is None:
-        return None
-    if plain:
-        return derive_polymap(m, k, with_s=primed, copies=copies)
-    return extend_polymap(m, k, with_s=primed, copies=copies)
+    return _staged_labels(vdim, range(1, n + 1), v)
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +53,7 @@ def _apply_stage(m: PolyMap | None, k: int, plain: bool, primed: bool,
 # ---------------------------------------------------------------------------
 
 _EDGE_MAPS = ("source", "target", "unit", "compose", "inverse", "pair_param",
-              "pair_section", "triple_param")
+              "triple_param")
 
 
 def _elementary_edge(ring: Ring, base: tuple, k: int, lo: frozenset,
@@ -86,7 +61,7 @@ def _elementary_edge(ring: Ring, base: tuple, k: int, lo: frozenset,
     """The fresh-direction edge (lo, hi) of stage k over the coordinates
     `base`: E1 / E2 are groupoids with target shift by t_k (resp. s_k t_k),
     E3 / E4 the action of s_k (on the partner block when k is in hi)."""
-    plain, primed = _sel(hi, k)
+    plain, primed = k in hi, -k in hi
     if _direction(lo, hi) > 0:
         dom_l = _canon(derive_labels(base, k, primed))
         dom = CoordSchema(ring, dom_l)
@@ -100,53 +75,48 @@ def _elementary_edge(ring: Ring, base: tuple, k: int, lo: frozenset,
 
 
 # ---------------------------------------------------------------------------
-# edge maps by recursion on the top stage
+# edge maps and interchange quadruples: a base built at one stage, pushed
+# through the later stages
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _tt_edge_maps(lo: frozenset, hi: frozenset, m: int, vdim: int,
+def _tt_edge_maps(lo: frozenset, hi: frozenset, n: int, vdim: int,
                   ring: Ring) -> dict:
-    plain_hi, primed_hi = _sel(hi, m)
-    if abs(_direction(lo, hi)) == m:
-        base = tt_schema_labels(_strip(hi, m), m - 1, vdim)
-        e = _elementary_edge(ring, base, m, lo, hi)
-        return {name: getattr(e, name) for name in _EDGE_MAPS}
-    lower = _tt_edge_maps(_strip(lo, m), _strip(hi, m), m - 1, vdim, ring)
-    return {name: _apply_stage(mp, m, plain_hi, primed_hi,
-                               copies=name in ("compose", "pair_section"))
-            for name, mp in lower.items()}
-
-
-# ---------------------------------------------------------------------------
-# interchange quadruples by recursion on the top stage
-# ---------------------------------------------------------------------------
+    """The structure maps of the edge (lo, hi) of stages 1..n: the
+    elementary edge of the edge's stage k over the coordinates of stages
+    1..k-1, pushed through stages k+1..n."""
+    k = abs(_direction(lo, hi))
+    e = _elementary_edge(ring, _staged_labels(vdim, range(1, k), hi), k,
+                         lo, hi)
+    maps = {name: getattr(e, name) for name in _EDGE_MAPS}
+    return {name: mp if mp is None else _staged(
+        mp, range(k + 1, n + 1), hi, copies=name == "compose")
+        for name, mp in maps.items()}
 
 
 @lru_cache(maxsize=None)
-def _tt_quad(gamma: frozenset, alpha: frozenset, m: int, vdim: int,
+def _tt_quad(gamma: frozenset, alpha: frozenset, n: int, vdim: int,
              ring: Ring) -> PolyMap:
-    dirs = sorted(alpha - gamma, key=direction_key)
-    touches = [d for d in dirs if abs(d) == m]
-    if not touches:
-        lower = _tt_quad(_strip(gamma, m), _strip(alpha, m), m - 1, vdim, ring)
-        plain_hi, primed_hi = _sel(alpha, m)
-        return _apply_stage(lower, m, plain_hi, primed_hi)
-    if len(touches) == 2:
-        base = tt_schema_labels(_strip(alpha, m), m - 1, vdim)
-        return _elementary_square_quad(ring, base, m)
-    new_d = touches[0]
-    old_d = next(d for d in dirs if d != new_d)
-    # lower i-edge: the face's stage-m part stripped from both endpoints
-    lower = _tt_edge_maps(_strip(gamma, m), _strip(gamma | {old_d}, m), m - 1,
-                          vdim, ring)
-    phi, rho = lower["pair_param"], lower["pair_section"]
-    plain_g, primed_g = _sel(gamma, m)
-    if new_d > 0:
-        return _mixed_quad_first_kind(ring, phi, rho, m, with_s=primed_g)
-    if plain_g:
-        return _mixed_quad_e4(ring, phi, m)
-    return _mixed_quad_e3(ring, phi, m)
+    """The interchange quadruples of the face (gamma, alpha): the base quad
+    at the last stage m that the face touches, pushed through stages
+    m+1..n."""
+    old_d, new_d = sorted(alpha - gamma, key=direction_key)
+    m = abs(new_d)
+    if abs(old_d) == m:
+        quad = _elementary_square_quad(
+            ring, _staged_labels(vdim, range(1, m), alpha), m)
+    else:
+        # the i-edge of the face over stages 1..m-1
+        phi = _tt_edge_maps(gamma, gamma | {old_d}, m - 1, vdim,
+                            ring)["pair_param"]
+        if new_d > 0:
+            quad = _mixed_quad_first_kind(ring, phi, m, with_s=-m in gamma)
+        elif m in gamma:
+            quad = _mixed_quad_e4(ring, phi, m)
+        else:
+            quad = _mixed_quad_e3(ring, phi, m)
+    return _staged(quad, range(m + 1, n + 1), alpha)
 
 
 def _elementary_square_quad(ring: Ring, base: tuple, k: int) -> PolyMap:
@@ -185,7 +155,7 @@ def _elementary_square_quad(ring: Ring, base: tuple, k: int) -> PolyMap:
     return PolyMap.from_label_exprs(ring, params, exprs)
 
 
-def _mixed_quad_first_kind(ring: Ring, phi: PolyMap, rho: PolyMap, m: int,
+def _mixed_quad_first_kind(ring: Ring, phi: PolyMap, m: int,
                            with_s: bool) -> PolyMap:
     """New first-kind direction over an old edge: (C,D) is a free derived
     pair; the value pair of (A,B) is pinned to tgt_j x tgt_j of (C,D)."""
@@ -205,12 +175,13 @@ def _mixed_quad_first_kind(ring: Ring, phi: PolyMap, rho: PolyMap, m: int,
     y = {}
     for (tg, lbl) in phi.out_labels:
         y[(tg, lbl)] = cd.component((tg, lbl)) + tau * cd.component((tg, partner(lbl, m)))
-    rho_sub = rho.subst(y, params)
 
+    # phi is an unstaged stage-1 edge (n <= 2): its parameters are
+    # coordinates of the pair, so they are read off y
     ab_assign = {}
     for l in phi_d.in_labels:
         if l in set(phi.in_labels):
-            ab_assign[l] = rho_sub.component(l)
+            ab_assign[l] = y[l]
         elif l in fresh:
             ab_assign[l] = v(("cd", l))
         else:
@@ -309,7 +280,6 @@ def g_overline(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
                     None if maps["inverse"] is None
                     else maps["inverse"].extend_inputs(dom.labels),
                     pair_param=maps["pair_param"],
-                    pair_section=maps["pair_section"],
                     triple_param=maps["triple_param"])
         edges[(lo, hi)] = e
     faces = tuple(tt_faces(n))

@@ -118,10 +118,10 @@ def test_gamma_opposite_involution_and_axioms():
 
 def test_gamma_opposite_leaves_its_input_unchanged():
     p = gfull(2)
-    before = {key: (e.pair_param, e.pair_section, e.triple_param)
+    before = {key: (e.pair_param, e.triple_param)
               for key, e in p.edges.items()}
     q = p.gamma_opposite({1})
-    assert {key: (e.pair_param, e.pair_section, e.triple_param)
+    assert {key: (e.pair_param, e.triple_param)
             for key, e in p.edges.items()} == before
     assert all(q.edges[key].pair_param is not None
                for key, e in p.edges.items() if e.direction == 1)

@@ -253,19 +253,18 @@ def tagged_derivations(draw):
         st.dictionaries(exps, st.integers(-5, 5), max_size=4)).items()})
         for _ in range(2)]
     m = PolyMap(ring, in_labels, comps, (("a", vlab((), 0)), ("b", vlab({1}, 0))))
-    return (m, draw(st.booleans()), draw(st.sampled_from((None, "a", "b"))),
-            draw(st.booleans()))
+    return m, draw(st.booleans()), draw(st.booleans())
 
 
 @given(tagged_derivations())
 @settings(max_examples=100, deadline=None)
 def test_derive_polymap_on_tagged_copies_matches_reference(case):
     """Each partner component is the subst-subtract-divide slope at the
-    scale of the copy tau_tag (the right operand "b" by default), or at the
-    one shared scale of a parameter space (copies=False)."""
-    m, with_s, tau_tag, copies = case
-    d = derive_polymap(m, 2, with_s, tau_tag=tau_tag, copies=copies)
-    src = (tau_tag or "b") if copies else None
+    scale of the last copy (the right operand "b"), or at the one shared
+    scale of a parameter space (copies=False)."""
+    m, with_s, copies = case
+    d = derive_polymap(m, 2, with_s, copies=copies)
+    src = "b" if copies else None
     fresh = (slab({2}), tlab({2})) if with_s else (tlab({2}),)
     pos = {l: i for i, l in enumerate(d.in_labels)}
     tau = [pos[with_tag(src, l)] for l in fresh]

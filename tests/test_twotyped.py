@@ -67,17 +67,22 @@ def test_n_prime_subcat_sources_n2():
 
 
 def test_n_vertices_carry_gfull():
-    """The N-vertex subcube of G^{n-bar} is the full cubic groupoid."""
+    """The N-vertex subcube of G^{n-bar} is the full cubic groupoid: the same
+    vertex sets, targets, units and inverses, for n = 1, 2 and vdim 0..2."""
     from cubicalc.constructions import gfull
 
-    p = g_overline(2)
-    g = gfull(2)
-    for alpha in g.vertices:
-        v = TT(sorted(alpha), [])
-        assert p.schemas[v].labels == g.schemas[alpha].labels
-    for (lo, hi), e in g.edges.items():
-        e2 = p.edges[(TT(sorted(lo), []), TT(sorted(hi), []))]
-        assert e2.target.equals(e.target)
+    for n in (1, 2):
+        for vdim in (0, 1, 2):
+            p = g_overline(n, vdim)
+            g = gfull(n, vdim)
+            for alpha in g.vertices:
+                v = TT(sorted(alpha), [])
+                assert p.schemas[v].labels == g.schemas[alpha].labels
+            for (lo, hi), e in g.edges.items():
+                e2 = p.edges[(TT(sorted(lo), []), TT(sorted(hi), []))]
+                for name in ("target", "unit", "inverse"):
+                    assert getattr(e2, name).equals(getattr(e, name)), \
+                        (n, vdim, lo, hi, name)
         assert e2.source.equals(e.source)
         assert e2.compose.equals(e.compose)
 
