@@ -42,6 +42,11 @@ def _direction(lo: frozenset, hi: frozenset) -> int:
     return next(iter(hi - lo))
 
 
+def _upto(v: frozenset, k: int) -> frozenset:
+    """The directions of v of absolute value at most k."""
+    return frozenset(d for d in v if abs(d) <= k)
+
+
 @lru_cache(maxsize=None)
 def tt_schema_labels(v: frozenset, n: int, vdim: int) -> tuple:
     """Coordinate labels of vertex v of P(n-bar)."""
@@ -87,12 +92,15 @@ def _tt_edge_maps(lo: frozenset, hi: frozenset, n: int, vdim: int,
     elementary edge of the edge's stage k over the coordinates of stages
     1..k-1, pushed through stages k+1..n."""
     k = abs(_direction(lo, hi))
+    if n > k:
+        # stages 1..k read only the directions of absolute value <= k
+        maps = _tt_edge_maps(_upto(lo, k), _upto(hi, k), k, vdim, ring)
+        return {name: mp if mp is None else _staged(
+            mp, range(k + 1, n + 1), hi, copies=name == "compose")
+            for name, mp in maps.items()}
     e = _elementary_edge(ring, _staged_labels(vdim, range(1, k), hi), k,
                          lo, hi)
-    maps = {name: getattr(e, name) for name in _EDGE_MAPS}
-    return {name: mp if mp is None else _staged(
-        mp, range(k + 1, n + 1), hi, copies=name == "compose")
-        for name, mp in maps.items()}
+    return {name: getattr(e, name) for name in _EDGE_MAPS}
 
 
 @lru_cache(maxsize=None)
@@ -108,8 +116,8 @@ def _tt_quad(gamma: frozenset, alpha: frozenset, n: int, vdim: int,
             ring, _staged_labels(vdim, range(1, m), alpha), m)
     else:
         # the i-edge of the face over stages 1..m-1
-        phi = _tt_edge_maps(gamma, gamma | {old_d}, m - 1, vdim,
-                            ring)["pair_param"]
+        lo = _upto(gamma, m - 1)
+        phi = _tt_edge_maps(lo, lo | {old_d}, m - 1, vdim, ring)["pair_param"]
         if new_d > 0:
             quad = _mixed_quad_first_kind(ring, phi, m, with_s=-m in gamma)
         elif m in gamma:
