@@ -18,13 +18,13 @@ from .extension import (ExtElement, eval_over_extension, ext_add, ext_mul,
 from .presentation import CoordSchema, EdgeCat, NFoldPresentation, sample
 from .checks import (CheckReport, check_edge_category, check_face,
                      check_morphism, check_presentation, reports_ok)
-from .constructions import (PullbackC1, finite_part, gfull,
+from .constructions import (PullbackC1, finite_part, gfull, gfull_edge_target,
                             gfull_vertex_schema, gsy, gsy_scalar_action,
                             imbed_gsy_into_gfull, pair_groupoid,
                             scaled_action, scaleoid, tangent)
 from .laws import (Law, check_homogeneity, check_law_compatibility,
                    check_symmetry, derive_law_full, derive_law_sym,
-                   finite_law_from_map, ring_goid_structure)
+                   finite_law_from_map, full_vertex_map, ring_goid_structure)
 from .twotyped import g_overline
 
 __all__ = [
@@ -37,12 +37,13 @@ __all__ = [
     "CoordSchema", "EdgeCat", "NFoldPresentation", "sample",
     "CheckReport", "check_edge_category", "check_face", "check_morphism",
     "check_presentation", "reports_ok",
-    "PullbackC1", "finite_part", "gfull", "gfull_vertex_schema", "gsy",
+    "PullbackC1", "finite_part", "gfull", "gfull_edge_target",
+    "gfull_vertex_schema", "gsy",
     "gsy_scalar_action", "imbed_gsy_into_gfull", "pair_groupoid",
     "scaled_action", "scaleoid", "tangent",
     "Law", "check_homogeneity", "check_law_compatibility", "check_symmetry",
     "derive_law_full", "derive_law_sym", "finite_law_from_map",
-    "ring_goid_structure",
+    "full_vertex_map", "ring_goid_structure",
     "g_overline",
     "__version__",
 ]

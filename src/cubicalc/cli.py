@@ -18,8 +18,8 @@ from .checks import (check_morphism, check_presentation, first_failure,
 from .constructions import (gfull, gsy, gsy_scalar_action, pair_groupoid,
                             scaled_action, scaleoid, tangent)
 from .derive import display_label, monomial_key, vlab, tlab
-from .hypercube import MAX_DIM, subsets
-from .laws import derive_law_full
+from .hypercube import MAX_DIM, cube_directions, subsets
+from .laws import full_vertex_map
 from .parser import ParseError, parse
 from .polymap import ExactDivisionError, PolyError
 from .presentation import SamplingError
@@ -65,6 +65,17 @@ def _parse_directions(text: str) -> tuple:
     if min(N) < 1 or len(set(N)) != len(N):
         raise UsageError(f"--N must list distinct positive directions, got {text!r}")
     return N
+
+
+def _parse_alpha(text: str) -> frozenset:
+    """--alpha: a vertex as a string of distinct digits, "0" the bottom."""
+    if text == "0":
+        return frozenset()
+    if not text or any(c not in "0123456789" for c in text) \
+            or len(set(text)) != len(text):
+        raise UsageError(f"--alpha must be 0 or a string of distinct digits, "
+                         f"got {text!r}")
+    return frozenset(int(c) for c in text)
 
 
 def _require_range(name: str, value: int, least: int, most: int | None = None) -> int:
@@ -119,17 +130,12 @@ def cmd_derive(args) -> int:
         N = _parse_directions(args.N)
     else:
         n = 1 if args.n is None else _require_positive("--n", args.n)
-        N = tuple(range(1, n + 1))
-    if args.alpha is not None:
-        alpha = frozenset(int(c) for c in args.alpha) if args.alpha != "0" \
-            else frozenset()
-        if not alpha <= set(N):
-            raise UsageError(f"--alpha {args.alpha} is not a subset of the "
-                             f"directions {','.join(map(str, N))}")
-    else:
-        alpha = frozenset(N)
-    law = derive_law_full(f, N)
-    m = law.vertex_maps[alpha]
+        N = cube_directions(n)
+    alpha = frozenset(N) if args.alpha is None else _parse_alpha(args.alpha)
+    if not alpha <= set(N):
+        raise UsageError(f"--alpha {args.alpha} is not a subset of the "
+                         f"directions {','.join(map(str, N))}")
+    m = full_vertex_map(f, N, alpha)
     text = m.fmt(monomial_order=monomial_key)
     _emit(args, text, {
         "alpha": sorted(alpha),

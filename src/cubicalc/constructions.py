@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from .derive import (_canon, _shift_target, _staged, _staged_labels, _v_labels,
                      slab, tlab, vlab, with_tag)
-from .hypercube import alpha_stair, kcubes, subset_label, subsets
+from .hypercube import (alpha_stair, cube_directions, kcubes, subset_label,
+                        subsets)
 from .polymap import Poly, PolyMap
 from .presentation import (BoxConstraint, CoordSchema, EdgeCat,
                            NFoldPresentation, edge_order, subset_faces,
@@ -405,13 +406,23 @@ def _full_labels(N: tuple, alpha: frozenset, vdim: int) -> tuple:
 @lru_cache(maxsize=None)
 def _full_target(N: tuple, beta: frozenset, alpha: frozenset, vdim: int,
                  ring: Ring = QQ) -> PolyMap:
-    """Target projection of the edge (beta, alpha) of G^N: the target of the
-    one-step groupoid in direction d over the stages before d, pushed
-    through the stages after d (derived inside alpha, extended outside)."""
+    """Target projection of the edge (beta, alpha) of G^N over the vertex
+    set at alpha: the target of the one-step groupoid in direction d over
+    the stages before d, pushed through the stages after d (derived inside
+    alpha, extended outside)."""
     (d,) = tuple(alpha - beta)
     i = N.index(d)
     return _staged(_shift_target(ring, _staged_labels(vdim, N[:i], beta), d,
-                                 with_s=False), N[i + 1:], alpha)
+                                 with_s=False), N[i + 1:], alpha
+                   ).extend_inputs(_full_labels(N, alpha, vdim))
+
+
+def gfull_edge_target(N, lo, hi, vdim: int = 1, ring: Ring = QQ) -> PolyMap:
+    """The target projection of the edge lo > hi of G^N U, from the vertex
+    set at hi (its input labels) to the one at lo, with no presentation
+    built; vdim=0 gives the scaleoid's."""
+    return _full_target(cube_directions(N), frozenset(lo), frozenset(hi),
+                        vdim, ring)
 
 
 def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
@@ -421,10 +432,7 @@ def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
     With finite=True the singleton scales are constrained to units (the
     finite part); vdim=0 gives the scaleoid G^N 0.
     """
-    if isinstance(N, int):
-        N = tuple(range(1, N + 1))
-    N = tuple(sorted(N))
-    n = len(N)
+    N = cube_directions(N)
     verts = tuple(subsets(N))
     unit_labels = frozenset(tlab({j}) for j in N) if finite else frozenset()
     schemas = {}
@@ -444,8 +452,7 @@ def gfull(N, vdim: int = 1, ring: Ring = QQ, finite: bool = False,
 
 def scaleoid(N, ring: Ring = QQ) -> NFoldPresentation:
     """G^N 0: the full cubic structure of the one-point space (no v-block)."""
-    if isinstance(N, int):
-        N = tuple(range(1, N + 1))
+    N = cube_directions(N)
     return gfull(N, vdim=0, ring=ring, name=f"G^{{{subset_label(set(N))}}}0")
 
 
@@ -503,9 +510,7 @@ class FiberProductSchema:
 def gfull_vertex_schema(N, alpha, vdim: int = 1) -> FiberProductSchema:
     """Vertex set of G^{alpha;N} U as a fiber product, from the alpha-stair:
     U^alpha glued with the non-redundant stair factors 0^{S_i}."""
-    if isinstance(N, int):
-        N = tuple(range(1, N + 1))
-    N = tuple(sorted(N))
+    N = cube_directions(N)
     alpha = frozenset(alpha)
     if not alpha <= set(N):
         raise ConstructionError(f"alpha {set(alpha)} not inside N {set(N)}")

@@ -22,6 +22,17 @@ def _check_dim(n: int) -> None:
         raise HypercubeError(f"dimension must be in 0..{MAX_DIM}, got {n}")
 
 
+def cube_directions(N) -> tuple:
+    """The sorted directions of a cube: those of N, or 1..N for an int N;
+    at most MAX_DIM of them, like every vertex enumerator here."""
+    if isinstance(N, int):
+        _check_dim(N)
+        return tuple(range(1, N + 1))
+    N = tuple(sorted(N))
+    _check_dim(len(N))
+    return N
+
+
 def subsets(elems, binary: bool = False) -> list[frozenset]:
     """All subsets of `elems` as frozensets, by (size, sorted elements); with
     binary=True in binary-code order (bit i <-> the i-th smallest element),
@@ -53,8 +64,7 @@ def direction_key(d: int) -> tuple:
 
 def vertices(n: int) -> list[frozenset]:
     """All 2^n subsets in lexicographic (binary code) order; refines inclusion."""
-    _check_dim(n)
-    return subsets(range(1, n + 1), binary=True)
+    return subsets(cube_directions(n), binary=True)
 
 
 def edges(n: int) -> list[tuple[frozenset, frozenset]]:

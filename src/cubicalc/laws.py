@@ -1,7 +1,8 @@
 """Laws: compatible families of n-fold groupoid morphisms over a base map.
 
-derive_law_full builds the vertex maps of the full cubic law of a polynomial
-map by the stage iteration that builds the vertex sets (`derive._staged`);
+full_vertex_map builds the vertex map at one vertex of the full cubic law
+of a polynomial map by the stage iteration that builds the vertex sets
+(`derive._staged`), and derive_law_full collects it over every vertex;
 derive_law_sym builds the symmetric law at fixed scales from the higher order
 difference factorizers.  The morphism laws are the one morphism table of
 `checks`: check_law_compatibility runs it through the symbolic back-end, a
@@ -15,13 +16,14 @@ from dataclasses import dataclass
 
 from .checks import (CheckReport, _morphism_laws, _run, _Sampled, _Symbolic,
                      check_morphism)
-from .constructions import gfull, gsy, _scalar_action_maps, _tprod
+from .constructions import (gfull, gsy, _full_labels, _scalar_action_maps,
+                            _tprod)
 # derive_polymap stays bound here: perfbench/tests checks that the tracer
 # wraps and restores it at every binding, this one included
 from .derive import (_staged, _v_labels, CoordLabel, derive_polymap,  # noqa: F401
                      vlab)
 from .extension import ExtElement, eval_over_extension
-from .hypercube import subsets
+from .hypercube import cube_directions, subsets
 from .polymap import Poly, PolyMap, PolyRing
 from .presentation import (NFoldPresentation, edge_order,
                            subsets_presentation_vertices)
@@ -48,17 +50,23 @@ class Law:
         return self.vertex_maps[frozenset(alpha)]
 
 
+def full_vertex_map(f: PolyMap, N, alpha) -> PolyMap:
+    """The vertex map of G^N f at alpha, over the vertex set at alpha: f
+    derived at the directions inside alpha and extended by the identity
+    elsewhere; at the bottom vertex it is f x id."""
+    N, alpha = cube_directions(N), frozenset(alpha)
+    if not alpha <= set(N):
+        raise LawError(f"alpha {sorted(alpha)} is not inside N {list(N)}")
+    return _staged(_cubic_base(f), N, alpha).extend_inputs(
+        _full_labels(N, alpha, f.in_arity))
+
+
 def derive_law_full(f: PolyMap, N) -> Law:
-    """G^N f: vertex maps built by deriving at directions inside alpha and
-    extending by the identity elsewhere; the bottom map is f x id."""
-    if isinstance(N, int):
-        N = tuple(range(1, N + 1))
-    N = tuple(sorted(N))
-    base = _cubic_base(f)
+    """G^N f: the vertex map of every vertex, between G^N U and G^N V."""
+    N = cube_directions(N)
     src = gfull(N, vdim=f.in_arity)
     dst = gfull(N, vdim=f.out_arity)
-    maps = {alpha: _staged(base, N, alpha).extend_inputs(
-        src.schemas[alpha].labels) for alpha in src.vertices}
+    maps = {alpha: full_vertex_map(f, N, alpha) for alpha in src.vertices}
     return Law("full", f, src, dst, maps)
 
 

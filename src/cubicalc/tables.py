@@ -6,9 +6,9 @@ elements).  These renderings are the golden-file source for the table tests.
 """
 from __future__ import annotations
 
-from .constructions import gfull, gfull_vertex_schema, scaleoid
+from .constructions import gfull_edge_target, gfull_vertex_schema
 from .derive import display_label, monomial_key
-from .hypercube import kcubes, subset_label, subsets
+from .hypercube import cube_directions, kcubes, subset_label, subsets
 from .rings import QQ, Ring
 
 
@@ -19,8 +19,7 @@ def coords_str(labels) -> str:
 def vertex_table(N, vdim: int = 1, ring: Ring = QQ) -> list[dict]:
     """One row per vertex: the fiber-product expression and the affine
     coordinates of G^{alpha;N} U (vdim=0 gives the scaleoid table)."""
-    if isinstance(N, int):
-        N = tuple(range(1, N + 1))
+    N = cube_directions(N)
     rows = []
     for alpha in subsets(N, binary=True):
         if vdim == 0 and not alpha:
@@ -36,21 +35,19 @@ def vertex_table(N, vdim: int = 1, ring: Ring = QQ) -> list[dict]:
 
 
 def edge_table(N, scaleoid_table: bool = False, ring: Ring = QQ) -> list[dict]:
-    """One row per edge: the target projection in affine coordinates."""
-    if isinstance(N, int):
-        N = tuple(range(1, N + 1))
-    pres = scaleoid(N, ring) if scaleoid_table else gfull(N, ring=ring)
+    """One row per edge: the target projection in affine coordinates, read
+    off the staged target alone (no presentation is built)."""
+    N = cube_directions(N)
+    vdim = 0 if scaleoid_table else 1
     rows = []
     for lo, hi in kcubes(subsets(N, binary=True), 1):
-        e = pres.edges[(lo, hi)]
-        if not e.dom.labels:
-            continue
+        target = gfull_edge_target(N, lo, hi, vdim, ring)
         rows.append({
             "N": subset_label(set(N)),
             "edge": f"{subset_label(lo)}>{subset_label(hi)}",
-            "formula": "pi" + coords_str(e.dom.labels) + " = "
-            + e.target.fmt(monomial_order=monomial_key),
-            "outputs": coords_str(e.target.out_labels),
+            "formula": "pi" + coords_str(target.in_labels) + " = "
+            + target.fmt(monomial_order=monomial_key),
+            "outputs": coords_str(target.out_labels),
         })
     return rows
 
