@@ -18,14 +18,16 @@ from .checks import (check_morphism, check_presentation, first_failure,
 from .constructions import (gfull, gsy, gsy_scalar_action, pair_groupoid,
                             scaled_action, scaleoid, tangent)
 from .derive import display_label, monomial_key, vlab, tlab
-from .hypercube import MAX_DIM, cube_directions, subsets
+from .hypercube import (MAX_DIM, cube_directions, edges, subset_label,
+                        subsets, vertices)
 from .laws import full_vertex_map
 from .parser import ParseError, parse
 from .polymap import ExactDivisionError, PolyError
 from .presentation import SamplingError
 from .rings import RingError, ring_from_spec
 from .slopes import slope, sym_slope_closed, sym_slope_iterated
-from .tables import edge_table, render_rows, vertex_table
+from .tables import (edge_label, edge_row, edge_table, render_rows, vertex_row,
+                     vertex_table)
 from .twotyped import g_overline
 
 
@@ -89,11 +91,13 @@ def _require_positive(name: str, value: int) -> int:
     return _require_range(name, value, 1)
 
 
-def _emit(args, payload_text: str, payload_json):
+def _emit(args, text, payload):
+    """Print the output in the requested format; `text` and `payload` are
+    callables, so only that format is built."""
     if args.format == "json":
-        print(json.dumps(payload_json, indent=2, sort_keys=True))
+        print(json.dumps(payload(), indent=2, sort_keys=True))
     else:
-        print(payload_text)
+        print(text())
 
 
 def _fmt_scalar(ring, x, digits: int | None):
@@ -113,13 +117,11 @@ def _fmt_scalar(ring, x, digits: int | None):
 def cmd_slope(args) -> int:
     ring = ring_from_spec(args.ring)
     f = parse(_read_expr(args), ring)
-    s = slope(f)
-    text = s.factorizer.fmt(monomial_order=None)
-    _emit(args, text, {
+    m = slope(f).factorizer
+    _emit(args, lambda: m.fmt(monomial_order=None), lambda: {
         "inputs": [display_label(l) if not isinstance(l, str) else l
-                   for l in s.factorizer.in_labels],
-        "components": [c.fmt([str(l) for l in s.factorizer.in_labels])
-                       for c in s.factorizer.comps]})
+                   for l in m.in_labels],
+        "components": [c.fmt([str(l) for l in m.in_labels]) for c in m.comps]})
     return 0
 
 
@@ -136,8 +138,7 @@ def cmd_derive(args) -> int:
         raise UsageError(f"--alpha {args.alpha} is not a subset of the "
                          f"directions {','.join(map(str, N))}")
     m = full_vertex_map(f, N, alpha)
-    text = m.fmt(monomial_order=monomial_key)
-    _emit(args, text, {
+    _emit(args, lambda: m.fmt(monomial_order=monomial_key), lambda: {
         "alpha": sorted(alpha),
         "inputs": [display_label(l) for l in m.in_labels],
         "outputs": [display_label(l) for l in m.out_labels],
@@ -154,19 +155,34 @@ def cmd_table(args) -> int:
     kind = args.construction
     if kind not in ("gfull", "scaleoid"):
         raise UsageError("tables exist for --construction gfull|scaleoid")
+    N, vdim = cube_directions(N), 0 if kind == "scaleoid" else 1
+    # a filtered table builds only the row it prints
     if args.what == "vertex":
-        rows = vertex_table(N, vdim=0 if kind == "scaleoid" else 1, ring=ring)
-        if args.alpha is not None:
-            rows = [r for r in rows if r["alpha"] == args.alpha]
-        _emit(args, render_rows(rows, ["N", "alpha", "vertex_set", "coords"]), rows)
-        return 0
-    if args.what == "edge":
-        rows = edge_table(N, scaleoid_table=(kind == "scaleoid"), ring=ring)
-        if args.edge:
-            rows = [r for r in rows if r["edge"] == args.edge]
-        _emit(args, render_rows(rows, ["N", "edge", "formula", "outputs"]), rows)
-        return 0
-    raise UsageError("--what must be vertex or edge")
+        columns = ["N", "alpha", "vertex_set", "coords"]
+        if args.alpha is None:
+            rows = vertex_table(N, vdim, ring)
+        else:
+            alpha = next((a for a in vertices(N)
+                          if (vdim or a) and subset_label(a) == args.alpha), None)
+            if alpha is None:
+                raise UsageError(f"--alpha {args.alpha} names no vertex of "
+                                 f"the table")
+            rows = [vertex_row(N, alpha, vdim)]
+    elif args.what == "edge":
+        columns = ["N", "edge", "formula", "outputs"]
+        if not args.edge:
+            rows = edge_table(N, scaleoid_table=(kind == "scaleoid"), ring=ring)
+        else:
+            edge = next((e for e in edges(N) if edge_label(*e) == args.edge),
+                        None)
+            if edge is None:
+                raise UsageError(f"--edge {args.edge} names no edge of the "
+                                 f"table")
+            rows = [edge_row(N, *edge, vdim, ring)]
+    else:
+        raise UsageError("--what must be vertex or edge")
+    _emit(args, lambda: render_rows(rows, columns), lambda: rows)
+    return 0
 
 
 _CONSTRUCTIONS = ("pg", "sa", "gsy", "gfull", "scaleoid", "tangent", "goverline")
@@ -253,8 +269,9 @@ def cmd_eval(args) -> int:
             pt[tlab({i + 1})] = tv
         vals = [m.component(l).eval([pt[x] for x in m.in_labels])
                 for l in m.out_labels]
-    text = ", ".join(_fmt_scalar(ring, x, args.digits) for x in vals)
-    _emit(args, text, {"value": [ring.fmt(x) for x in vals]})
+    _emit(args, lambda: ", ".join(_fmt_scalar(ring, x, args.digits)
+                                  for x in vals),
+          lambda: {"value": [ring.fmt(x) for x in vals]})
     return 0
 
 

@@ -62,15 +62,16 @@ def direction_key(d: int) -> tuple:
     return (abs(d), d < 0)
 
 
-def vertices(n: int) -> list[frozenset]:
-    """All 2^n subsets in lexicographic (binary code) order; refines inclusion."""
-    return subsets(cube_directions(n), binary=True)
+def vertices(N) -> list[frozenset]:
+    """All 2^n subsets of the directions of N (see `cube_directions`) in
+    lexicographic (binary code) order; refines inclusion."""
+    return subsets(cube_directions(N), binary=True)
 
 
-def edges(n: int) -> list[tuple[frozenset, frozenset]]:
+def edges(N) -> list[tuple[frozenset, frozenset]]:
     """Oriented edges (lo, hi), hi = lo + one direction: by hi in vertex
     order, then by direction."""
-    return [(hi - {d}, hi) for hi in vertices(n) for d in sorted(hi)]
+    return [(hi - {d}, hi) for hi in vertices(N) for d in sorted(hi)]
 
 
 def kcubes(verts, k: int) -> list[tuple[frozenset, frozenset]]:

@@ -5,6 +5,7 @@ floating point anywhere in the computational path.
 """
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from math import gcd
@@ -166,13 +167,27 @@ class Rationals(Ring):
         return operator.add, operator.mul, operator.neg, operator.not_, int
 
     def rand(self, rng, span: int = 6):
-        return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+        """Fraction(rng.randint(-span, span), rng.randint(1, 4)), read off a
+        table: `choice` makes the same `_randbelow` calls as those two
+        `randint`s, so the value and the generator state after it are the
+        same, and no Fraction is built per draw."""
+        return rng.choice(rng.choice(_small_rationals(span)))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
     def __hash__(self):
         return hash(self.kind)
+
+
+@functools.cache
+def _small_rationals(span: int) -> tuple:
+    """The values of `Rationals.rand`: one row per numerator n in
+    -span..span, each row the fractions n/d for d in 1..4.  Every sampler in
+    the package passes span 2, 3 or the default 6, so the cache holds at most
+    three tables of 20 to 52 fractions."""
+    return tuple(tuple(Fraction(n, d) for d in range(1, 5))
+                 for n in range(-span, span + 1))
 
 
 class IntegersMod(Ring):

@@ -104,6 +104,58 @@ def test_edge_table_rows_are_the_presentation_targets(ring):
                 assert target.equals(e.target)
 
 
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("construction", ("gfull", "scaleoid"))
+def test_one_row_tables_are_rows_of_the_full_table(construction, ring):
+    for cube in ("1", "1,2", "1,2,3", "1,3"):
+        for what, option, columns in (
+                ("vertex", "--alpha", ["N", "alpha", "vertex_set", "coords"]),
+                ("edge", "--edge", ["N", "edge", "formula", "outputs"])):
+            argv = ["table", "--construction", construction, "--N", cube,
+                    "--what", what, "--ring", ring]
+            code, out, _ = _out(argv + ["--format", "json"])
+            rows = json.loads(out)
+            assert code == 0 and rows
+            for row in rows:
+                one = argv + [option, row[columns[1]]]
+                code, out, _ = _out(one + ["--format", "json"])
+                assert (code, json.loads(out)) == (0, [row])
+                assert _out(one) == (
+                    0, tables.render_rows([row], columns) + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--N", "1,2", "--what", "vertex", "--alpha", "11"],
+    ["--N", "1,2", "--what", "vertex", "--alpha", "3"],
+    ["--N", "1,2", "--what", "vertex", "--alpha", "21"],
+    ["--N", "1,2", "--what", "vertex", "--alpha", "0",
+     "--construction", "scaleoid"],
+    ["--N", "1,2", "--what", "edge", "--edge", "1>13"],
+    ["--N", "1,2", "--what", "edge", "--edge", "12>1"],
+    ["--N", "1,2", "--what", "edge", "--edge", "0>12"],
+])
+def test_table_rejects_a_label_that_names_nothing(argv):
+    code, out, err = _out(["table"] + argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and "names no" in err
+
+
+def test_one_edge_row_builds_one_target(monkeypatch):
+    calls = []
+    real = constructions.gfull_edge_target
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "gfull_edge_target", counted)
+    monkeypatch.setattr(tables, "gfull_edge_target", counted)
+    code, out, _ = _out(["table", "--N", "1,2,3", "--what", "edge",
+                         "--edge", "1>13"])
+    assert code == 0 and "1>13" in out
+    assert len(calls) == 1
+
+
 def test_derive_and_edge_tables_build_no_edge_category(monkeypatch):
     calls = []
     real = constructions.additive_edge_cat

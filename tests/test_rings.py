@@ -27,6 +27,27 @@ def test_mod_ring_units():
         z4.inv(2)
 
 
+@pytest.mark.parametrize("span", (2, 3, 6))
+def test_rational_draws_keep_the_randint_stream(span):
+    """QQ.rand reads its values off a table, but draws what the two randint
+    calls drew and leaves the generator where they left it."""
+    def reference(rng):
+        return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+
+    def reference_unit(rng):
+        x = reference(rng)
+        while x == 0:
+            x = reference(rng)
+        return x
+
+    for seed in range(10):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert QQ.rand(rng, span) == reference(ref)
+            assert QQ.rand_unit(rng, span) == reference_unit(ref)
+        assert rng.getstate() == ref.getstate()
+
+
 def _elem(rng, alpha, t, span=4):
     coeffs = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 3))
                    for _ in range(1 << len(alpha)))
