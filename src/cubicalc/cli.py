@@ -155,7 +155,8 @@ def cmd_table(args) -> int:
     kind = args.construction
     if kind not in ("gfull", "scaleoid"):
         raise UsageError("tables exist for --construction gfull|scaleoid")
-    N, vdim = cube_directions(N), 0 if kind == "scaleoid" else 1
+    N = cube_directions(N)
+    vdim = 0 if kind == "scaleoid" else 1
     # a filtered table builds only the row it prints
     if args.what == "vertex":
         columns = ["N", "alpha", "vertex_set", "coords"]
