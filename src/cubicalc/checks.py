@@ -330,10 +330,10 @@ def generic_quad_param(p: NFoldPresentation, face) -> PolyMap:
                               for base in (base_i, base_j, base_i | base_j))
     params = tagged("d", top) + tagged("c", fiber_i) + tagged("b", fiber_j) \
         + tagged("a", rest)
-    var = {l: Poly.var(p.ring, len(params), k) for k, l in enumerate(params)}
+    var = Poly.coords(p.ring, params)
 
     def element(tag, pinned: dict) -> dict:
-        return {l: pinned[l] if l in pinned else var[(tag, l)] for l in top}
+        return {l: pinned[l] if l in pinned else var((tag, l)) for l in top}
 
     def below(edge, point: dict, base) -> dict:
         tgt = edge.target.subst(point, params)

@@ -38,20 +38,19 @@ def additive_edge_cat(ring: Ring, direction, lo, hi, dom: CoordSchema,
     cod_set = set(cod_l)
     fiber = [l for l in dom_l if l not in cod_set]
     source = PolyMap.projection(ring, dom_l, cod_l)
-    n_c = len(cod_l)
+    y = Poly.coords(ring, cod_l)
     unit = PolyMap.from_label_exprs(ring, cod_l, {
-        **{l: Poly.var(ring, n_c, cod_l.index(l)) for l in cod_l},
-        **{l: Poly.zero(ring, n_c) for l in fiber}})
+        **{l: y(l) for l in cod_l},
+        **{l: Poly.zero(ring, len(cod_l)) for l in fiber}})
     pair_labels = tagged("a", dom_l) + tagged("b", dom_l)
-    n2 = len(pair_labels)
-    pos2 = {l: i for i, l in enumerate(pair_labels)}
+    ab = Poly.coords(ring, pair_labels)
     compose = PolyMap.from_label_exprs(ring, pair_labels, {
-        **{l: Poly.var(ring, n2, pos2[("b", l)]) for l in cod_l},
-        **{l: Poly.var(ring, n2, pos2[("a", l)]) + Poly.var(ring, n2, pos2[("b", l)])
-           for l in fiber}})
+        **{l: ab(("b", l)) for l in cod_l},
+        **{l: ab(("a", l)) + ab(("b", l)) for l in fiber}})
+    x = Poly.coords(ring, dom_l)
     inverse = PolyMap.from_label_exprs(ring, dom_l, {
         **{l: target.component(l) for l in cod_l},
-        **{l: -Poly.var(ring, len(dom_l), dom_l.index(l)) for l in fiber}})
+        **{l: -x(l) for l in fiber}})
     return EdgeCat(direction, lo, hi, dom, cod, source, target, unit, compose,
                    inverse)
 
@@ -70,33 +69,26 @@ def action_edge(ring: Ring, k: int, lo, hi, dom: CoordSchema, cod: CoordSchema,
     sk, tk = slab({k}), tlab({k})
     dom_l, cod_l = dom.labels, cod.labels
     scaled = tuple(scaled)
-    nd = len(dom_l)
-    pos = {l: i for i, l in enumerate(dom_l)}
-    x = lambda l: Poly.var(ring, nd, pos[l])
+    x = Poly.coords(ring, dom_l)
     source = PolyMap.from_label_exprs(ring, dom_l, {
         **{l: x(l) for l in cod_l if l != tk}, tk: x(sk) * x(tk)})
     target = PolyMap.from_label_exprs(ring, dom_l, {
         l: x(sk) * x(l) if l in scaled else x(l) for l in cod_l})
-    nc = len(cod_l)
+    y = Poly.coords(ring, cod_l)
     unit = PolyMap.from_label_exprs(ring, cod_l, {
-        **{l: Poly.var(ring, nc, i) for i, l in enumerate(cod_l)},
-        sk: Poly.const(ring, nc, ring.one())})
+        **{l: y(l) for l in cod_l}, sk: Poly.const(ring, len(cod_l), ring.one())})
     pair_labels = tagged("a", dom_l) + tagged("b", dom_l)
-    n2 = len(pair_labels)
-    pos2 = {l: i for i, l in enumerate(pair_labels)}
-    ab = lambda tag, l: Poly.var(ring, n2, pos2[(tag, l)])
+    ab = Poly.coords(ring, pair_labels)
     compose = PolyMap.from_label_exprs(ring, pair_labels, {
-        **{l: ab("b", l) for l in cod_l if l != tk},
-        sk: ab("a", sk) * ab("b", sk), tk: ab("a", tk)})
+        **{l: ab(("b", l)) for l in cod_l if l != tk},
+        sk: ab(("a", sk)) * ab(("b", sk)), tk: ab(("a", tk))})
     fixed = tuple(l for l in cod_l if l != tk and l not in scaled)
 
     def chain(tags: tuple) -> PolyMap:
         last = tags[-1]
         params = tuple((last, l) for l in fixed + scaled) \
             + tuple((tg, sk) for tg in tags) + ((tags[0], tk),)
-        n = len(params)
-        at = {l: i for i, l in enumerate(params)}
-        v = lambda l: Poly.var(ring, n, at[l])
+        v = Poly.coords(ring, params)
         t_of = {tags[0]: v((tags[0], tk))}
         for left, right in zip(tags, tags[1:]):
             t_of[right] = v((left, sk)) * t_of[left]
@@ -132,27 +124,23 @@ def pair_groupoid(n: int, carrier_dim: int = 1, ring: Ring = QQ) -> NFoldPresent
     for lo, hi in kcubes(verts, 1):
         (i,) = hi - lo
         dom, cod = schemas[hi], schemas[lo]
-        nd = len(dom.labels)
-        var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
+        x, y = Poly.coords(ring, dom.labels), Poly.coords(ring, cod.labels)
         target = PolyMap.from_label_exprs(ring, dom.labels, {
-            vlab(g, c): var[vlab(g | {i}, c)]
+            vlab(g, c): x(vlab(g | {i}, c))
             for g in subsets(lo) for c in range(carrier_dim)})
         source = PolyMap.projection(ring, dom.labels, cod.labels)
-        ncod = len(cod.labels)
         unit = PolyMap.from_label_exprs(ring, cod.labels, {
-            **{l: Poly.var(ring, ncod, cod.labels.index(l)) for l in cod.labels},
-            **{vlab(g | {i}, c): Poly.var(ring, ncod, cod.labels.index(vlab(g, c)))
+            **{l: y(l) for l in cod.labels},
+            **{vlab(g | {i}, c): y(vlab(g, c))
                for g in subsets(lo) for c in range(carrier_dim)}})
         pair_labels = tagged("a", dom.labels) + tagged("b", dom.labels)
-        n2 = len(pair_labels)
-        pos2 = {l: k for k, l in enumerate(pair_labels)}
+        ab = Poly.coords(ring, pair_labels)
         compose = PolyMap.from_label_exprs(ring, pair_labels, {
-            l: Poly.var(ring, n2, pos2[(("b" if i not in l.index else "a"), l)])
-            for l in dom.labels})
+            l: ab(("b" if i not in l.index else "a", l)) for l in dom.labels})
         inverse = PolyMap.from_label_exprs(ring, dom.labels, {
-            **{vlab(g, c): var[vlab(g | {i}, c)]
+            **{vlab(g, c): x(vlab(g | {i}, c))
                for g in subsets(lo) for c in range(carrier_dim)},
-            **{vlab(g | {i}, c): var[vlab(g, c)]
+            **{vlab(g | {i}, c): x(vlab(g, c))
                for g in subsets(lo) for c in range(carrier_dim)}})
         edges[(lo, hi)] = EdgeCat(i, lo, hi, dom, cod, source, target, unit,
                                   compose, inverse)
@@ -203,9 +191,7 @@ def _sa_quad_param(p: NFoldPresentation, face, vdim: int) -> PolyMap:
 
     params = tuple(with_tag("d", l) for l in top if l not in (ti, tj)) \
         + (("c", si), ("c", ti), ("b", sj), ("b", tj))
-    n = len(params)
-    pos = {l: k for k, l in enumerate(params)}
-    v = lambda l: Poly.var(ring, n, pos[l])
+    v = Poly.coords(ring, params)
     d_pt = {l: v(("d", l)) for l in top if l not in (ti, tj)}
     d_pt[ti] = v(("c", si)) * v(("c", ti))
     d_pt[tj] = v(("b", sj)) * v(("b", tj))
@@ -258,11 +244,10 @@ def _tprod(ring: Ring, t: dict, gamma) -> object:
 def _scaled_sum(ring: Ring, labels: tuple, t: dict, gamma, c: int) -> Poly:
     """The sum over delta within gamma of t_delta * v_{delta,c}, over the
     coordinates `labels`."""
-    nl = len(labels)
-    acc = Poly.zero(ring, nl)
+    x = Poly.coords(ring, labels)
+    acc = Poly.zero(ring, len(labels))
     for d in subsets(gamma):
-        acc = acc + Poly.var(ring, nl, labels.index(vlab(d, c))) \
-            .scale(_tprod(ring, t, d))
+        acc = acc + x(vlab(d, c)).scale(_tprod(ring, t, d))
     return acc
 
 
@@ -295,10 +280,9 @@ def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
     for lo, hi in kcubes(verts, 1):
         (i,) = hi - lo
         dom, cod = schemas[hi], schemas[lo]
-        nd = len(dom.labels)
-        var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
+        x = Poly.coords(ring, dom.labels)
         target = PolyMap.from_label_exprs(ring, dom.labels, {
-            vlab(g, c): var[vlab(g, c)] + var[vlab(g | {i}, c)].scale(t[i])
+            vlab(g, c): x(vlab(g, c)) + x(vlab(g | {i}, c)).scale(t[i])
             for g in subsets(lo) for c in range(vdim)})
         edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
     label = name or f"Gsy^{n}_{{{','.join(ring.fmt(t[k]) for k in sorted(t))}}}"
@@ -325,13 +309,12 @@ def gsy_symbolic(n: int, vdim: int = 1, ring: Ring = QQ) -> NFoldPresentation:
     for lo, hi in kcubes(verts, 1):
         (i,) = hi - lo
         dom, cod = schemas[hi], schemas[lo]
-        nd = len(dom.labels)
-        var = {l: Poly.var(ring, nd, dom.labels.index(l)) for l in dom.labels}
-        exprs = {tlab({k}): var[tlab({k})] for k in range(1, n + 1)}
+        x = Poly.coords(ring, dom.labels)
+        exprs = {l: x(l) for l in t_labels}
         for g in subsets(lo):
             for c in range(vdim):
-                exprs[vlab(g, c)] = var[vlab(g, c)] \
-                    + var[tlab({i})] * var[vlab(g | {i}, c)]
+                exprs[vlab(g, c)] = x(vlab(g, c)) \
+                    + exprs[tlab({i})] * x(vlab(g | {i}, c))
         target = PolyMap.from_label_exprs(ring, dom.labels, exprs)
         edges[(lo, hi)] = additive_edge_cat(ring, i, lo, hi, dom, cod, target)
     return NFoldPresentation(f"Gsy^{n}(sym)", ring, tuple(range(1, n + 1)),
@@ -356,10 +339,9 @@ def _scalar_action_maps(n: int, s, vdim: int, ring: Ring) -> dict:
     maps = {}
     for a in subsets_presentation_vertices(n):
         labels = _v_labels(a, vdim)
-        nl = len(labels)
+        x = Poly.coords(ring, labels)
         maps[a] = PolyMap.from_label_exprs(ring, labels, {
-            l: Poly.var(ring, nl, i).scale(_tprod(ring, s, l.index))
-            for i, l in enumerate(labels)})
+            l: x(l).scale(_tprod(ring, s, l.index)) for l in labels})
     return maps
 
 
@@ -375,15 +357,15 @@ def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
     fwd, back = {}, {}
     for a in verts:
         labels = _v_labels(a, vdim)
-        nl = len(labels)
+        x = Poly.coords(ring, labels)
         fexprs, bexprs = {}, {}
         for g in subsets(a):
             for c in range(vdim):
                 fexprs[vlab(g, c)] = _scaled_sum(ring, labels, t, g, c)
                 # Moebius inversion: t.v_g = sum (-1)^{|g - d|} x_d
-                inv_acc = Poly.zero(ring, nl)
+                inv_acc = Poly.zero(ring, len(labels))
                 for d in subsets(g):
-                    term = Poly.var(ring, nl, labels.index(vlab(d, c)))
+                    term = x(vlab(d, c))
                     if (len(g) - len(d)) % 2:
                         term = -term
                     inv_acc = inv_acc + term
@@ -543,14 +525,9 @@ def restrict_to_sym_locus(m: PolyMap, ring: Ring) -> PolyMap:
         return not (inner.kind == "t" and len(inner.index) >= 2)
 
     new_in = tuple(l for l in m.in_labels if keeps(l))
-    n = len(new_in)
-    assign = {}
-    for l in m.in_labels:
-        if keeps(l):
-            assign[l] = Poly.var(ring, n, new_in.index(l))
-        else:
-            assign[l] = Poly.zero(ring, n)
-    out = m.subst(assign, new_in)
+    x = Poly.coords(ring, new_in)
+    out = m.subst({l: x(l) if keeps(l) else Poly.zero(ring, len(new_in))
+                   for l in m.in_labels}, new_in)
     keep_out = tuple(l for l in out.out_labels if keeps(l))
     return out.restrict_outputs(keep_out)
 

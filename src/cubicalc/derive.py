@@ -149,9 +149,7 @@ def _shift_target(ring, base, j: int, with_s: bool, dom=None) -> PolyMap:
     through.  The domain is `dom`, by default derive_labels(base, j, with_s).
     """
     dom = derive_labels(base, j, with_s) if dom is None else dom
-    n = len(dom)
-    pos = {l: i for i, l in enumerate(dom)}
-    v = lambda l: Poly.var(ring, n, pos[l])
+    v = Poly.coords(ring, dom)
     tau = v(slab({j})) * v(tlab({j})) if with_s else v(tlab({j}))
     exprs = {l: v(l) + tau * v(partner(l, j)) for l in base}
     exprs[tlab({j})] = v(tlab({j}))
@@ -188,9 +186,7 @@ def extend_polymap(m: PolyMap, j: int, with_s: bool,
     """Extend a map by the identity on fresh scale coordinates (x id)."""
     fresh, scale_in, src = _fresh_scales(m, j, with_s, copies)
     new_in = m.in_labels + scale_in
-    n = len(new_in)
-    images = [Poly.var(m.ring, n, i) for i in range(m.in_arity)]
-    out = {l: c.subst(images, n) for l, c in zip(m.out_labels, m.comps)}
+    out = dict(zip(m.out_labels, m.extend_inputs(new_in).comps))
     out.update(_scale_outputs(m, new_in, fresh, src))
     return PolyMap.from_label_exprs(m.ring, new_in, out)
 
@@ -230,7 +226,6 @@ def _fresh_scales(m: PolyMap, j: int, with_s: bool, copies: bool):
 
 def _scale_outputs(m: PolyMap, new_in, fresh, src) -> dict:
     """Every output copy of m passes the fresh scales of the copy src on."""
-    n = len(new_in)
-    pos = {l: i for i, l in enumerate(new_in)}
-    return {with_tag(tg, l): Poly.var(m.ring, n, pos[with_tag(src, l)])
+    v = Poly.coords(m.ring, new_in)
+    return {with_tag(tg, l): v(with_tag(src, l))
             for tg in _grouped(m.out_labels) for l in fresh}

@@ -74,21 +74,17 @@ def _relabeled_factorizer(m: PolyMap, beta: tuple, t: dict,
                           ring: Ring) -> PolyMap:
     """The factorizer m = f^[|beta|] with directions 1..k relabeled onto beta
     and the scales fixed at t."""
-    table = {i + 1: beta[i] for i in range(len(beta))}
-
-    def relabel(l: CoordLabel) -> CoordLabel:
-        return CoordLabel(l.kind, frozenset(table[e] for e in l.index), l.comp)
-
-    m = m.rename(relabel, None)
-    assign = {}
+    m = m.rename(_moved(dict(enumerate(beta, 1))), None)
     new_in = tuple(l for l in m.in_labels if l.kind == "v")
-    n = len(new_in)
-    for l in m.in_labels:
-        if l.kind == "t":
-            assign[l] = Poly.const(ring, n, t[next(iter(l.index))])
-        else:
-            assign[l] = Poly.var(ring, n, new_in.index(l))
-    return m.subst(assign, new_in)
+    x = Poly.coords(ring, new_in)
+    return m.subst({l: Poly.const(ring, len(new_in), t[next(iter(l.index))])
+                    if l.kind == "t" else x(l) for l in m.in_labels}, new_in)
+
+
+def _moved(perm: dict):
+    """The relabelling that moves a coordinate at gamma to perm(gamma)."""
+    return lambda l: CoordLabel(l.kind, frozenset(perm[e] for e in l.index),
+                                l.comp)
 
 
 def derive_law_sym(f: PolyMap, n: int, t, ring: Ring | None = None) -> Law:
@@ -163,11 +159,10 @@ def check_law_compatibility(law: Law) -> list:
              base.extend_inputs(bottom.in_labels).comps[c]
              for c in range(law.base.out_arity))
     if law.kind == "full":
-        n0 = len(bottom.in_labels)
+        x = Poly.coords(law.base.ring, bottom.in_labels)
         for l in bottom.in_labels:
             if isinstance(l, CoordLabel) and l.kind == "t":
-                ok = ok and bottom.component(l) == Poly.var(
-                    law.base.ring, n0, bottom.in_labels.index(l))
+                ok = ok and bottom.component(l) == x(l)
     reports.append(CheckReport("law-bottom-is-base", "vertex 0",
                                "pass" if ok else "fail", 0))
     return reports
@@ -198,17 +193,14 @@ def _relabel_maps(n: int, sigma: dict, vdim: int, ring: Ring,
                   vertices) -> dict:
     """Vertex maps of the S_n relabelling Gsy_t -> Gsy_{t sigma}: the slot at
     gamma reads the input at sigma^{-1}(gamma), landing at vertex sigma(alpha)."""
-    inv = {v: k for k, v in sigma.items()}
+    back = _moved({v: k for k, v in sigma.items()})
     maps = {}
     for alpha in vertices:
         in_labels = _v_labels(alpha, vdim)
-        nl = len(in_labels)
-        exprs = {}
-        for g in subsets(sigma[e] for e in alpha):
-            for c in range(vdim):
-                pre = frozenset(inv[e] for e in g)
-                exprs[vlab(g, c)] = Poly.var(ring, nl, in_labels.index(vlab(pre, c)))
-        maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, exprs)
+        x = Poly.coords(ring, in_labels)
+        maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, {
+            vlab(g, c): x(back(vlab(g, c)))
+            for g in subsets(sigma[e] for e in alpha) for c in range(vdim)})
     return maps
 
 
@@ -216,7 +208,10 @@ def check_symmetry(law: Law, sigma: dict) -> list:
     """S_n-equivariance: the relabelling intertwines F_t with F_{t sigma}.
 
     The relabelling sends the slot at gamma to the input at sigma^{-1}(gamma),
-    so the destination scales are t'_{sigma(j)} = t_j.
+    so the destination scales are t'_{sigma(j)} = t_j.  It only renames
+    coordinates, so it is applied by renaming: the outputs of F_t at alpha
+    move by sigma, the inputs of F_{t sigma} at sigma(alpha) by sigma^{-1},
+    and the two maps are compared; nothing is composed.
     """
     if law.kind != "sym":
         raise LawError("symmetry is a property of symmetric laws")
@@ -228,13 +223,10 @@ def check_symmetry(law: Law, sigma: dict) -> list:
     inv = {v: k for k, v in sigma.items()}
     t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
     maps_perm = _sym_vertex_maps(law.base, n, t_perm, ring)
-    r_p = _relabel_maps(n, sigma, law.base.in_arity, ring, law.src.vertices)
-    r_q = _relabel_maps(n, sigma, law.base.out_arity, ring, law.src.vertices)
     out = []
     for alpha in law.src.vertices:
-        salpha = frozenset(sigma[e] for e in alpha)
-        lhs = r_q[alpha].compose(law.vertex_maps[alpha])
-        rhs = maps_perm[salpha].compose(r_p[alpha])
+        lhs = law.vertex_maps[alpha].rename(None, _moved(sigma))
+        rhs = maps_perm[frozenset(sigma[e] for e in alpha)].rename(_moved(inv))
         out.append(CheckReport("law-symmetry", f"vertex {sorted(alpha)}",
                                "pass" if lhs.equals(rhs) else "fail", 0))
     return out
@@ -333,9 +325,8 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
 
 def ring_product_map(ring: Ring = QQ) -> PolyMap:
     """The base-ring multiplication K x K -> K as a polynomial map."""
-    a = Poly.var(ring, 2, 0)
-    b = Poly.var(ring, 2, 1)
-    return PolyMap(ring, ("a", "b"), (a * b,))
+    x = Poly.coords(ring, ("a", "b"))
+    return PolyMap(ring, ("a", "b"), (x("a") * x("b"),))
 
 
 def ring_goid_structure(n: int, t, ring: Ring = QQ) -> dict:
@@ -346,15 +337,14 @@ def ring_goid_structure(n: int, t, ring: Ring = QQ) -> dict:
     t_by = {k + 1: tv for k, tv in enumerate(t)}
     for alpha in law.src.vertices:
         m = law.vertex_maps[alpha]
-        nl = len(m.in_labels)
+        x = Poly.coords(ring, m.in_labels)
         for delta in subsets(alpha):
-            expected = Poly.zero(ring, nl)
+            expected = Poly.zero(ring, len(m.in_labels))
             for beta in subsets(alpha):
                 for gamma in subsets(alpha):
                     if beta | gamma != delta:
                         continue
-                    term = Poly.var(ring, nl, m.in_labels.index(vlab(beta, 0))) \
-                        * Poly.var(ring, nl, m.in_labels.index(vlab(gamma, 1)))
+                    term = x(vlab(beta, 0)) * x(vlab(gamma, 1))
                     expected = expected + term.scale(
                         _tprod(ring, t_by, beta & gamma))
             if m.component(vlab(delta, 0)) != expected:
@@ -370,14 +360,12 @@ def sym_law_via_extension(f: PolyMap, n: int, t, alpha,
     alpha = tuple(sorted(alpha))
     p = f.in_arity
     in_labels = _v_labels(alpha, p)
+    x = Poly.coords(ring, in_labels)
     coeff_ring = PolyRing(ring, len(in_labels))
     t_vals = tuple(Poly.const(ring, len(in_labels), t[e - 1]) for e in alpha)
     base = []
     for c in range(p):
-        table = {}
-        for g in subsets(alpha):
-            table[frozenset(g)] = Poly.var(ring, len(in_labels),
-                                           in_labels.index(vlab(g, c)))
+        table = {frozenset(g): x(vlab(g, c)) for g in subsets(alpha)}
         base.append(ExtElement.from_subset_coeffs(coeff_ring, alpha, t_vals, table))
     # f lifted with its numerators; each image is divided by its denominator
     f_lifted = PolyMap(coeff_ring, f.in_labels, tuple(

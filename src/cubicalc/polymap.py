@@ -98,6 +98,15 @@ class Poly:
         one, _ = ring.split(ring.one())
         return _from_content(ring, arity, {tuple(e): one}, 1)
 
+    @classmethod
+    def coords(cls, ring: Ring, labels: Sequence) -> Callable[[Label], "Poly"]:
+        """The coordinate functions of the list `labels`: the returned
+        function takes a label to its variable over all of `labels`, made
+        when it is asked for; a label not in the list raises KeyError."""
+        n = len(labels)
+        pos = {l: i for i, l in enumerate(labels)}
+        return lambda l: cls.var(ring, n, pos[l])
+
     # -- basic algebra -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -778,17 +787,14 @@ class PolyMap:
     @classmethod
     def identity(cls, ring: Ring, labels: Iterable[Label]) -> "PolyMap":
         labels = tuple(labels)
-        n = len(labels)
-        return cls(ring, labels, tuple(Poly.var(ring, n, i) for i in range(n)), labels)
+        return cls(ring, labels, tuple(map(Poly.coords(ring, labels), labels)),
+                   labels)
 
     @classmethod
     def projection(cls, ring: Ring, in_labels, keep) -> "PolyMap":
-        in_labels = tuple(in_labels)
-        keep = tuple(keep)
-        idx = {l: i for i, l in enumerate(in_labels)}
-        n = len(in_labels)
-        comps = tuple(Poly.var(ring, n, idx[l]) for l in keep)
-        return cls(ring, in_labels, comps, keep)
+        in_labels, keep = tuple(in_labels), tuple(keep)
+        return cls(ring, in_labels, tuple(map(Poly.coords(ring, in_labels), keep)),
+                   keep)
 
     @classmethod
     def from_label_exprs(cls, ring: Ring, in_labels, exprs: Mapping[Label, Poly]) -> "PolyMap":
@@ -835,15 +841,11 @@ class PolyMap:
                 raise PolyError("composition arity mismatch")
             assign = dict(zip(self.in_labels, g.comps))
         else:
-            have = dict(zip(g.out_labels, g.comps))
-            missing = [l for l in self.in_labels if l not in have]
+            assign = dict(zip(g.out_labels, g.comps))
+            missing = [l for l in self.in_labels if l not in assign]
             if missing:
                 raise PolyError(f"composition missing outputs for {missing}")
-            assign = {l: have[l] for l in self.in_labels}
-        images = [assign[l] for l in self.in_labels]
-        return PolyMap(self.ring, g.in_labels,
-                       tuple(_subst(self.comps, images, g.in_arity)),
-                       self.out_labels)
+        return self.subst(assign, g.in_labels)
 
     def reorder_inputs(self, new_order) -> "PolyMap":
         new_order = tuple(new_order)

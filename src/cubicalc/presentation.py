@@ -128,14 +128,13 @@ def _generic_chain(edge: EdgeCat, tags: tuple) -> PolyMap:
     params = tagged(tags[-1], dom_labels)
     for tag in reversed(tags[:-1]):
         params += tagged(tag, fiber)
-    n = len(params)
-    pos = {l: i for i, l in enumerate(params)}
-    point = {l: Poly.var(ring, n, pos[(tags[-1], l)]) for l in dom_labels}
+    x = Poly.coords(ring, params)
+    point = {l: x((tags[-1], l)) for l in dom_labels}
     exprs = {(tags[-1], l): point[l] for l in dom_labels}
     for tag in reversed(tags[:-1]):
         tgt = edge.target.subst(point, params)
-        point = {l: tgt.component(l) if l in base
-                 else Poly.var(ring, n, pos[(tag, l)]) for l in dom_labels}
+        point = {l: tgt.component(l) if l in base else x((tag, l))
+                 for l in dom_labels}
         exprs.update(((tag, l), point[l]) for l in dom_labels)
     return PolyMap.from_label_exprs(ring, params, exprs)
 
@@ -225,7 +224,13 @@ class NFoldPresentation:
                                  self.vertices, schemas, edges, faces, quads)
 
     def gamma_opposite(self, gamma) -> "NFoldPresentation":
-        """Reverse source/target and composition order in the directions of gamma."""
+        """Reverse source/target and composition order in the directions of
+        gamma.  Every face in a direction of gamma gets its quadruples: those
+        of this presentation, explicit or generic, with the roles permuted;
+        a generic quad built on the swapped edges would not be composable."""
+        # checks imports this module, so its quad builder is imported here
+        from .checks import generic_quad_param
+
         gamma = frozenset(gamma)
         edges = {}
         for key, e in self.edges.items():
@@ -240,10 +245,12 @@ class NFoldPresentation:
                         None, _retag({LEFT: "c", "c": LEFT})))
             else:
                 edges[key] = e
-        quads = {}
-        for key, q in self.quad_params.items():
+        quads = dict(self.quad_params)
+        for key in self.faces:
             lo, hi = key
             i, j = sorted(hi - lo, key=direction_key)
+            if i not in gamma and j not in gamma:
+                continue
             perm = {t: t for t in "abcd"}
             if i in gamma:  # a *_i b reverses: (a b)(c d)
                 perm = {k: {"a": "b", "b": "a", "c": "d", "d": "c"}[v]
@@ -251,7 +258,8 @@ class NFoldPresentation:
             if j in gamma:  # outer composition reverses: (a c)(b d)
                 perm = {k: {"a": "c", "c": "a", "b": "d", "d": "b"}[v]
                         for k, v in perm.items()}
-            quads[key] = q.rename(None, _retag(perm)) if any(k != v for k, v in perm.items()) else q
+            q = quads.get(key) or generic_quad_param(self, key)
+            quads[key] = q.rename(None, _retag(perm))
         return NFoldPresentation(f"{self.name}^opp", self.ring, self.directions,
                                  self.vertices, dict(self.schemas), edges,
                                  self.faces, quads)

@@ -37,17 +37,14 @@ class SlopeResult:
 def factorizer_identity_holds(f: PolyMap, s: SlopeResult) -> bool:
     """Check t * f1(x,v,t) == f(x+tv) - f(x) symbolically."""
     fac = s.factorizer
-    ring = f.ring
     n = fac.in_arity
-    pos = {l: i for i, l in enumerate(fac.in_labels)}
-    t = Poly.var(ring, n, pos[s.t_label])
-    shift = [Poly.var(ring, n, pos[x]) + t * Poly.var(ring, n, pos[v])
-             for x, v in zip(s.x_labels, s.v_labels)]
-    value = [Poly.var(ring, n, pos[x]) for x in s.x_labels]
-    for comp, fc in zip(f.comps, fac.comps):
-        if t * fc != comp.subst(shift, n) - comp.subst(value, n):
-            return False
-    return True
+    x = Poly.coords(f.ring, fac.in_labels)
+    t = x(s.t_label)
+    shift = [x(xl) + t * x(v) for xl, v in zip(s.x_labels, s.v_labels)]
+    value = f.rename(dict(zip(f.in_labels, s.x_labels)).get) \
+        .extend_inputs(fac.in_labels)
+    return all(t * fc == comp.subst(shift, n) - vc
+               for comp, vc, fc in zip(f.comps, value.comps, fac.comps))
 
 
 def slope(f: PolyMap) -> SlopeResult:
@@ -79,14 +76,12 @@ def derive_map(f: PolyMap) -> PolyMap:
     s = slope(f)
     ring = f.ring
     new_in = s.factorizer.in_labels
-    n = len(new_in)
-    pos = {l: i for i, l in enumerate(new_in)}
     out_exprs = {}
-    for idx, l in enumerate(f.out_labels):
-        out_exprs[l] = f.comps[idx].subst(
-            [Poly.var(ring, n, pos[x]) for x in f.in_labels], n)
-        out_exprs[_partner_name(l)] = s.factorizer.comps[idx]
-    out_exprs[s.t_label] = Poly.var(ring, n, pos[s.t_label])
+    for l, value, fac in zip(f.out_labels, f.extend_inputs(new_in).comps,
+                             s.factorizer.comps):
+        out_exprs[l] = value
+        out_exprs[_partner_name(l)] = fac
+    out_exprs[s.t_label] = Poly.coords(ring, new_in)(s.t_label)
     # rename domain partner labels the same way so that composition chains
     ren = dict(zip(s.v_labels, (_partner_name(l) for l in f.in_labels)))
     ren[s.t_label] = "t"

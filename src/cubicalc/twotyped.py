@@ -135,9 +135,7 @@ def _elementary_square_quad(ring: Ring, base: tuple, k: int) -> PolyMap:
     part = [partner(l, k) for l in base]
     params = tuple(("d", l) for l in base) + tuple(("d", l) for l in part) \
         + tuple(("c", l) for l in part) + (("c", sk), ("a", sk), ("a", tk))
-    n = len(params)
-    pos = {l: i for i, l in enumerate(params)}
-    v = lambda l: Poly.var(ring, n, pos[l])
+    v = Poly.coords(ring, params)
     s_cd, s_ab, t_ab = v(("c", sk)), v(("a", sk)), v(("a", tk))
     t_cd = s_ab * t_ab
 
@@ -171,11 +169,9 @@ def _mixed_quad_first_kind(ring: Ring, phi: PolyMap, m: int,
     fresh = (slab({m}), tlab({m})) if with_s else (tlab({m}),)
     params = tuple(("cd", l) for l in phi_d.in_labels) \
         + tuple(("ab", partner(l, m)) for l in phi.in_labels)
-    n = len(params)
-    pos = {l: i for i, l in enumerate(params)}
-    v = lambda l: Poly.var(ring, n, pos[l])
+    v = Poly.coords(ring, params)
 
-    cd = phi_d.subst({l: v(("cd", l)) for l in phi_d.in_labels}, params)
+    cd = phi_d.rename(lambda l: ("cd", l)).extend_inputs(params)
     tau = v(("cd", tlab({m})))
     if with_s:
         tau = v(("cd", slab({m}))) * tau
@@ -210,10 +206,8 @@ def _mixed_quad_e3(ring: Ring, phi: PolyMap, m: int) -> PolyMap:
     lower block; scales satisfy t_C = t_D = s_A t_A."""
     sk, tk = slab({m}), tlab({m})
     params = tuple(("q", l) for l in phi.in_labels) + (("a", sk), ("a", tk), ("c", sk))
-    n = len(params)
-    pos = {l: i for i, l in enumerate(params)}
-    v = lambda l: Poly.var(ring, n, pos[l])
-    base_pair = phi.subst({l: v(("q", l)) for l in phi.in_labels}, params)
+    v = Poly.coords(ring, params)
+    base_pair = phi.rename(lambda l: ("q", l)).extend_inputs(params)
     s_ab, t_ab, s_cd = v(("a", sk)), v(("a", tk)), v(("c", sk))
     roles = {"a": ("a", "c"), "b": ("b", "d")}
     exprs = {}
@@ -237,17 +231,13 @@ def _mixed_quad_e4(ring: Ring, phi: PolyMap, m: int) -> PolyMap:
     phi_d = derive_polymap(phi, m, with_s=True, copies=False)
     params = tuple(("cd", l) for l in phi_d.in_labels if l != tk) \
         + (("ab", sk), ("ab", tk))
-    n = len(params)
-    pos = {l: i for i, l in enumerate(params)}
-    v = lambda l: Poly.var(ring, n, pos[l])
+    v = Poly.coords(ring, params)
     s_ab, t_ab = v(("ab", sk)), v(("ab", tk))
     s_cd = v(("cd", sk))
     t_cd = s_ab * t_ab
 
-    cd_assign = {}
-    for l in phi_d.in_labels:
-        cd_assign[l] = t_cd if l == tk else v(("cd", l))
-    cd = phi_d.subst(cd_assign, params)
+    cd = phi_d.subst({l: t_cd if l == tk else v(("cd", l))
+                      for l in phi_d.in_labels}, params)
 
     exprs = {}
     rename = {"a": "c", "b": "d"}

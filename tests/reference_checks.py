@@ -2,8 +2,10 @@
 `cubicalc.checks` are compared against; the subst-subtract-divide slope
 step, the reference of the term-wise kernel `polymap._shift_quotient`; the
 tuple-key products, the reference of the packed-key kernel
-`polymap._mul_into`; and the symmetric law built factorizer by factorizer
-for every (alpha, beta) pair, the reference of `laws.derive_law_sym`.
+`polymap._mul_into`; the symmetric law built factorizer by factorizer
+for every (alpha, beta) pair, the reference of `laws.derive_law_sym`; and
+the symmetry check by composing relabelling maps, the reference of
+`laws.check_symmetry`.
 
 A point here is a dict from coordinate label to value, and every evaluation
 looks its inputs up by label, so these checkers depend on no label order.
@@ -430,3 +432,24 @@ def reference_derive_law_sym(f: PolyMap, n: int, t, ring=None) -> dict:
                 exprs[vlab(beta, c)] = fac.comps[c]
         maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, exprs)
     return maps
+
+
+def reference_check_symmetry(law, sigma: dict) -> list:
+    """`laws.check_symmetry` by composition, as it was before it renamed:
+    the relabelling maps R_p, R_q of every vertex are built as polynomial
+    maps and R_q . F_t is compared with F_{t sigma} . R_p."""
+    from cubicalc.laws import _relabel_maps, _sym_vertex_maps
+
+    ring, n = law.base.ring, len(law.t)
+    inv = {v: k for k, v in sigma.items()}
+    t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
+    maps_perm = _sym_vertex_maps(law.base, n, t_perm, ring)
+    r_p = _relabel_maps(n, sigma, law.base.in_arity, ring, law.src.vertices)
+    r_q = _relabel_maps(n, sigma, law.base.out_arity, ring, law.src.vertices)
+    out = []
+    for alpha in law.src.vertices:
+        lhs = r_q[alpha].compose(law.vertex_maps[alpha])
+        rhs = maps_perm[frozenset(sigma[e] for e in alpha)].compose(r_p[alpha])
+        out.append(CheckReport("law-symmetry", f"vertex {sorted(alpha)}",
+                               "pass" if lhs.equals(rhs) else "fail", 0))
+    return out

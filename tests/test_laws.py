@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,8 @@ from cubicalc.polymap import Poly, PolyMap
 from cubicalc.rings import QQ, IntegersMod, RingError
 
 from conftest import mixed_partial_map, rand_fraction, random_polymap
-from reference_checks import eval_labeled, reference_derive_law_sym
+from reference_checks import (eval_labeled, reference_check_symmetry,
+                              reference_derive_law_sym)
 
 F = Fraction
 fs = frozenset
@@ -315,6 +317,56 @@ def test_sym_law_checks_build_no_presentation(monkeypatch):
                     check_symmetry(law, {1: 1, 2: 2})):
         bad = [r for r in reports if not r.ok]
         assert [r.location for r in bad] == ["vertex [1, 2]"]
+    assert calls == []
+
+
+def _planted(law, alpha):
+    """The law with an extra v_0 * v_alpha in the first component of its
+    vertex map at alpha."""
+    m = law.vertex_maps[alpha]
+    comps = (m.comps[0] + m.var(vlab((), 0)) * m.var(vlab(alpha, 0)),) \
+        + m.comps[1:]
+    maps = dict(law.vertex_maps)
+    maps[alpha] = PolyMap(m.ring, m.in_labels, comps, m.out_labels)
+    return laws.Law(law.kind, law.base, law.src, law.dst, maps, law.t)
+
+
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(7)], ids=["QQ", "Z7"])
+@pytest.mark.parametrize("text", [
+    "f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)",
+    "f(x) = 2*x^3 - x^2 + 3"])
+def test_symmetry_by_renaming_matches_the_composed_check(ring, text):
+    f = parse(text, ring)
+    failed = 0
+    for n in (1, 2, 3):
+        t = [ring.from_int(k) for k in (2, -3, 5)[:n]]
+        law = derive_law_sym(f, n, t)
+        for planted in (law, _planted(law, fs(range(1, n + 1))),
+                        _planted(law, fs({1}))):
+            for perm in itertools.permutations(range(1, n + 1)):
+                sigma = {i + 1: perm[i] for i in range(n)}
+                got = [r.to_json() for r in check_symmetry(planted, sigma)]
+                assert got == [r.to_json() for r in
+                               reference_check_symmetry(planted, sigma)]
+                failed += sum(r["status"] == "fail" for r in got)
+                if planted is law:
+                    assert all(r["status"] == "pass" for r in got)
+    assert failed
+
+
+def test_symmetry_composes_no_maps(monkeypatch):
+    law = derive_law_sym(
+        parse("f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)"), 3,
+        [F(2), F(-1, 3), F(5)])
+    calls = []
+    compose = PolyMap.compose
+
+    def counted(self, g):
+        calls.append(1)
+        return compose(self, g)
+    monkeypatch.setattr(PolyMap, "compose", counted)
+    for perm in itertools.permutations((1, 2, 3)):
+        assert reports_ok(check_symmetry(law, dict(zip((1, 2, 3), perm))))
     assert calls == []
 
 

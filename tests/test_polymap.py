@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cubicalc import polymap
+from cubicalc.derive import tlab, vlab
 from cubicalc.parser import ParseError, parse
 from cubicalc.polymap import Poly, PolyError, PolyMap, PolyRing, _shift_quotient
 from cubicalc.rings import QQ, IntegersMod
@@ -12,6 +13,16 @@ from cubicalc.rings import QQ, IntegersMod
 from conftest import random_polymap
 from reference_checks import (_extend_by_subst, reference_mul,
                               reference_shift_quotient, reference_subst_tuple)
+
+
+def test_coords_are_the_variables_of_their_labels():
+    labels = ("x", ("a", "x"), vlab({1}, 0), tlab({1, 2}), 7)
+    for ring in (QQ, IntegersMod(7)):
+        x = Poly.coords(ring, labels)
+        for i, l in enumerate(labels):
+            assert x(l) == Poly.var(ring, len(labels), i)
+        with pytest.raises(KeyError):
+            x("y")
 
 
 def test_parse_simple():

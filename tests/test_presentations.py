@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cubicalc.checks import (check_edge_category, check_face, check_morphism,
-                             check_presentation, first_failure, reports_ok)
+                             check_presentation, first_failure,
+                             generic_quad_param, reports_ok)
 from cubicalc.constructions import (anchor_maps, gfull, gsy, pair_groupoid,
                                     scaled_action, tangent)
 from cubicalc.derive import vlab
+from cubicalc.hypercube import subsets
 from cubicalc.presentation import SamplingError, sample
 from cubicalc.polymap import Poly, PolyMap
 from cubicalc.rings import QQ
@@ -125,6 +127,36 @@ def test_gamma_opposite_leaves_its_input_unchanged():
             for key, e in p.edges.items()} == before
     assert all(q.edges[key].pair_param is not None
                for key, e in p.edges.items() if e.direction == 1)
+
+
+OPPOSITE_CASES = {
+    "gsy(2)": lambda: gsy(2, [F(2), F(3)]),
+    "gsy(3)": lambda: gsy(3, [F(2), F(3), F(-1, 2)]),
+    "gfull(2)": lambda: gfull(2),
+    "pair_groupoid(2)": lambda: pair_groupoid(2),
+}
+
+
+@pytest.mark.parametrize("name", OPPOSITE_CASES)
+def test_gamma_opposite_quads_are_composable(name):
+    """The quad that check_face draws on, on every face of every
+    gamma-opposite, yields composable quadruples: the four source/target
+    equations of a *_i b, c *_i d, a *_j c and b *_j d hold as identities."""
+    p = OPPOSITE_CASES[name]()
+    for gamma in subsets(p.directions):
+        if not gamma:
+            continue
+        q = p.gamma_opposite(gamma)
+        for face in q.faces:
+            _, _, _, ei_top, _, ej_top = q.face_frame(face)
+            quad = q.quad_params.get(face) or generic_quad_param(q, face)
+            top = ei_top.dom.labels
+            el = {tag: PolyMap(QQ, quad.in_labels, tuple(
+                quad.component((tag, l)) for l in top), top) for tag in "abcd"}
+            for e, left, right in ((ei_top, "a", "b"), (ei_top, "c", "d"),
+                                   (ej_top, "a", "c"), (ej_top, "b", "d")):
+                assert e.source.compose(el[left]).equals(
+                    e.target.compose(el[right])), (sorted(gamma), face, left)
 
 
 def test_top_down_projections():

@@ -28,12 +28,21 @@ line.  It prints:
   `CoordSchema.satisfies`, one line of values per point, rejected draws
   included.  These pin what the passing reports were drawn on.  The script
   installs the recording wrapper (`point_recorder`) itself and removes it
-  afterwards; nothing under `src/` is edited.
+  afterwards; nothing under `src/` is edited;
+- one line per symbolic law check of the aim-1 map
+  f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3): the SHA-256 of the JSON
+  of `check_law_compatibility` on `derive_law_full(f, n)` for n = 1, 2 and
+  on `derive_law_sym(f, n, t)` for n = 1..3, and of `check_homogeneity`
+  (two scalar vectors) and `check_symmetry` (every permutation) on each
+  symmetric law; then the same checks of the n = 2 symmetric law with an
+  extra term v_0 * v_12 in the first component of its top vertex map.
+  These are proofs, so a report holds only its verdict.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -42,6 +51,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 42
+AIM1 = "f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)"
+SYM_T = (Fraction(2), Fraction(-1, 3), Fraction(5))
+SCALARS = ((Fraction(1),) * 3, (Fraction(3), Fraction(-1, 2), Fraction(2)))
 
 
 def _rand_unit(rng: random.Random, span: int = 5) -> Fraction:
@@ -129,6 +141,46 @@ def draw_digest(p, samples: int, seed: int = SEED) -> str:
     return sink.hexdigest()
 
 
+def _sym_law_checks(name: str, law, n: int) -> list:
+    """(name, reports) of the compatibility, homogeneity and symmetry checks
+    of a symmetric law."""
+    from cubicalc.laws import (check_homogeneity, check_law_compatibility,
+                               check_symmetry)
+
+    out = [(f"{name} compatibility", check_law_compatibility(law))]
+    for s in SCALARS:
+        out.append((f"{name} homogeneity s={','.join(map(str, s[:n]))}",
+                    check_homogeneity(law, s[:n])))
+    for perm in itertools.permutations(range(1, n + 1)):
+        out.append((f"{name} symmetry sigma={''.join(map(str, perm))}",
+                    check_symmetry(law, dict(zip(range(1, n + 1), perm)))))
+    return out
+
+
+def law_reports() -> list:
+    """(name, reports) of every symbolic law check of the aim-1 map, then
+    of its n = 2 symmetric law with a planted term."""
+    from cubicalc.derive import vlab
+    from cubicalc.laws import (check_law_compatibility, derive_law_full,
+                               derive_law_sym)
+    from cubicalc.parser import parse
+    from cubicalc.polymap import PolyMap
+
+    f = parse(AIM1)
+    out = [(f"full n={n} compatibility",
+            check_law_compatibility(derive_law_full(f, n))) for n in (1, 2)]
+    for n in (1, 2, 3):
+        out += _sym_law_checks(f"sym n={n}", derive_law_sym(f, n, SYM_T[:n]),
+                               n)
+    law = derive_law_sym(f, 2, SYM_T[:2])
+    top = frozenset({1, 2})
+    m = law.vertex_maps[top]
+    comps = (m.comps[0] + m.var(vlab((), 0)) * m.var(vlab(top, 0)),) \
+        + m.comps[1:]
+    law.vertex_maps[top] = PolyMap(m.ring, m.in_labels, comps, m.out_labels)
+    return out + _sym_law_checks("planted sym n=2", law, 2)
+
+
 def digest(reports) -> str:
     text = json.dumps([r.to_json() for r in reports], sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -155,6 +207,9 @@ def main() -> int:
     print(f"draws of check_presentation seed={SEED} samples={args.samples}")
     for p in c04_presentations():
         print(f"{draw_digest(p, args.samples)}  {p.name}")
+    print(f"symbolic law checks of {AIM1}")
+    for name, reports in law_reports():
+        print(f"{digest(reports)}  {name}")
     return 0
 
 
