@@ -395,8 +395,8 @@ def _full_target(N: tuple, beta: frozenset, alpha: frozenset, vdim: int,
     (d,) = tuple(alpha - beta)
     i = N.index(d)
     return _staged(_shift_target(ring, _staged_labels(vdim, N[:i], beta), d,
-                                 with_s=False), N[i + 1:], alpha
-                   ).extend_inputs(_full_labels(N, alpha, vdim))
+                                 with_s=False), N[i + 1:], [alpha]
+                   )[alpha].extend_inputs(_full_labels(N, alpha, vdim))
 
 
 def gfull_edge_target(N, lo, hi, vdim: int = 1, ring: Ring = QQ) -> PolyMap:

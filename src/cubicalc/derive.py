@@ -191,14 +191,26 @@ def extend_polymap(m: PolyMap, j: int, with_s: bool,
     return PolyMap.from_label_exprs(m.ring, new_in, out)
 
 
-def _staged(m: PolyMap, stages, v: frozenset, copies: bool = False) -> PolyMap:
+def _staged(m: PolyMap, stages, vertices, copies: bool = False) -> dict:
     """Push m through the one-step functors of the directions `stages`, in
-    order: direction k is derived when k is in the vertex v and extended by
-    the identity otherwise, with s_k when k' (stored as -k) is in v."""
+    order, for each vertex v of `vertices`: direction k is derived when k is
+    in v and extended by the identity otherwise, with s_k when k' (stored as
+    -k) is in v.  Returns the maps by vertex.  Vertices that make the same
+    choices on the first stages share the steps of those stages: each map of
+    a stage is keyed by the part of its vertex that the stages so far read."""
+    read: frozenset = frozenset()
+    made = {read: m}
     for k in stages:
-        step = derive_polymap if k in v else extend_polymap
-        m = step(m, k, with_s=-k in v, copies=copies)
-    return m
+        step_read = read | {k, -k}
+        step_made = {}
+        for v in vertices:
+            key = v & step_read
+            if key not in step_made:
+                step = derive_polymap if k in v else extend_polymap
+                step_made[key] = step(made[v & read], k, with_s=-k in v,
+                                      copies=copies)
+        read, made = step_read, step_made
+    return {v: made[v & read] for v in vertices}
 
 
 def _staged_labels(vdim: int, stages, v: frozenset) -> tuple:

@@ -28,7 +28,7 @@ from .polymap import Poly, PolyMap, PolyRing
 from .presentation import (NFoldPresentation, edge_order,
                            subsets_presentation_vertices)
 from .rings import QQ, Ring, RingError
-from .slopes import _closed_formula, _cubic_base, _sym_slope_step
+from .slopes import _closed_formula, _cubic_base, _sym_slopes
 
 
 class LawError(ValueError):
@@ -37,7 +37,12 @@ class LawError(ValueError):
 
 @dataclass
 class Law:
-    """A family of vertex maps between two presentations over one hypercube."""
+    """A family of vertex maps between two presentations over one hypercube.
+
+    The derived laws share one presentation, `dst is src`, when the base map
+    has as many outputs as inputs.  A symmetric law carries the slope
+    iteration f^[0..n] it was built from in `slopes`; a law made without it
+    has it made from `base` when a check asks (`sym_slopes`)."""
 
     kind: str  # "full" | "sym"
     base: PolyMap
@@ -45,9 +50,23 @@ class Law:
     dst: NFoldPresentation
     vertex_maps: dict
     t: tuple | None = None
+    slopes: list | None = None
 
     def vertex_map(self, alpha) -> PolyMap:
         return self.vertex_maps[frozenset(alpha)]
+
+    def sym_slopes(self) -> list:
+        """f^[0..n] of a symmetric law over its n scales."""
+        if self.slopes is not None:
+            return self.slopes
+        return _sym_slopes(self.base, len(self.t))
+
+
+def _src_dst(f: PolyMap, build) -> tuple:
+    """The objects `build(vdim)` of f's inputs and of its outputs: one
+    object, twice, when f has as many outputs as inputs."""
+    src = build(f.in_arity)
+    return src, src if f.out_arity == f.in_arity else build(f.out_arity)
 
 
 def full_vertex_map(f: PolyMap, N, alpha) -> PolyMap:
@@ -57,16 +76,18 @@ def full_vertex_map(f: PolyMap, N, alpha) -> PolyMap:
     N, alpha = cube_directions(N), frozenset(alpha)
     if not alpha <= set(N):
         raise LawError(f"alpha {sorted(alpha)} is not inside N {list(N)}")
-    return _staged(_cubic_base(f), N, alpha).extend_inputs(
+    return _staged(_cubic_base(f), N, [alpha])[alpha].extend_inputs(
         _full_labels(N, alpha, f.in_arity))
 
 
 def derive_law_full(f: PolyMap, N) -> Law:
-    """G^N f: the vertex map of every vertex, between G^N U and G^N V."""
+    """G^N f: the vertex map of every vertex, between G^N U and G^N V.  The
+    vertices are staged together (`_staged`), so each prefix of stage
+    choices is taken once."""
     N = cube_directions(N)
-    src = gfull(N, vdim=f.in_arity)
-    dst = gfull(N, vdim=f.out_arity)
-    maps = {alpha: full_vertex_map(f, N, alpha) for alpha in src.vertices}
+    src, dst = _src_dst(f, lambda vdim: gfull(N, vdim=vdim, ring=f.ring))
+    maps = {alpha: m.extend_inputs(_full_labels(N, alpha, f.in_arity))
+            for alpha, m in _staged(_cubic_base(f), N, src.vertices).items()}
     return Law("full", f, src, dst, maps)
 
 
@@ -94,25 +115,23 @@ def derive_law_sym(f: PolyMap, n: int, t, ring: Ring | None = None) -> Law:
     t = tuple(t)
     if len(t) != n:
         raise LawError(f"need {n} scales, got {len(t)}")
-    src = gsy(n, t, vdim=f.in_arity, ring=ring)
-    dst = gsy(n, t, vdim=f.out_arity, ring=ring)
-    return Law("sym", f, src, dst, _sym_vertex_maps(f, n, t, ring), t=t)
+    src, dst = _src_dst(f, lambda vdim: gsy(n, t, vdim=vdim, ring=ring))
+    slopes = _sym_slopes(f, n)
+    return Law("sym", f, src, dst, _sym_vertex_maps(slopes, t, ring), t=t,
+               slopes=slopes)
 
 
-def _sym_vertex_maps(f: PolyMap, n: int, t, ring: Ring) -> dict:
-    """The vertex maps of Gsy^n_t f, by vertex.
-
-    One slope iteration gives f^[0..n]; each factorizer is relabeled onto its
-    beta once and re-indexed onto the inputs of every vertex above beta.
+def _sym_vertex_maps(slopes: list, t, ring: Ring) -> dict:
+    """The vertex maps of Gsy^n_t f, by vertex, from the slope iteration
+    f^[0..n] (`_sym_slopes`): each factorizer is relabeled onto its beta
+    once and re-indexed onto the inputs of every vertex above beta.
     """
     t = {k + 1: tv for k, tv in enumerate(t)}
-    slopes = [_cubic_base(f)]
-    for k in range(1, n + 1):
-        slopes.append(_sym_slope_step(slopes[-1], k))
+    p, q = slopes[0].in_arity, slopes[0].out_arity
     factorizers = {}
     maps = {}
-    for alpha in subsets_presentation_vertices(n):
-        in_labels = _v_labels(alpha, f.in_arity)
+    for alpha in subsets_presentation_vertices(len(t)):
+        in_labels = _v_labels(alpha, p)
         exprs = {}
         for beta in subsets(alpha):
             fac = factorizers.get(beta)
@@ -120,7 +139,7 @@ def _sym_vertex_maps(f: PolyMap, n: int, t, ring: Ring) -> dict:
                 fac = factorizers[beta] = _relabeled_factorizer(
                     slopes[len(beta)], tuple(sorted(beta)), t, ring)
             comps = fac.extend_inputs(in_labels).comps
-            for c in range(f.out_arity):
+            for c in range(q):
                 exprs[vlab(beta, c)] = comps[c]
         maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, exprs)
     return maps
@@ -176,10 +195,10 @@ def check_homogeneity(law: Law, s) -> list:
     n = len(law.t)
     if len(s) != n:
         raise LawError(f"need {n} scalars, got {len(s)}")
-    phi_p = _scalar_action_maps(n, s, law.base.in_arity, ring)
-    phi_q = _scalar_action_maps(n, s, law.base.out_arity, ring)
+    phi_p, phi_q = _src_dst(
+        law.base, lambda vdim: _scalar_action_maps(n, s, vdim, ring))
     st = [ring.mul(sv, tv) for sv, tv in zip(s, law.t)]
-    maps_st = _sym_vertex_maps(law.base, n, st, ring)
+    maps_st = _sym_vertex_maps(law.sym_slopes(), st, ring)
     out = []
     for alpha in law.src.vertices:
         lhs = law.vertex_maps[alpha].compose(phi_p[alpha])
@@ -222,7 +241,7 @@ def check_symmetry(law: Law, sigma: dict) -> list:
         raise LawError(f"sigma {sigma} is not a permutation of 1..{n}")
     inv = {v: k for k, v in sigma.items()}
     t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
-    maps_perm = _sym_vertex_maps(law.base, n, t_perm, ring)
+    maps_perm = _sym_vertex_maps(law.sym_slopes(), t_perm, ring)
     out = []
     for alpha in law.src.vertices:
         lhs = law.vertex_maps[alpha].rename(None, _moved(sigma))

@@ -47,7 +47,7 @@ class Poly:
     over Q).
     """
 
-    __slots__ = ("ring", "arity", "nums", "den")
+    __slots__ = ("ring", "arity", "nums", "den", "_shape")
 
     def __init__(self, ring: Ring, arity: int, terms: Mapping | None = None):
         """From {exponent: coefficient}, each coefficient an exact scalar of
@@ -93,10 +93,7 @@ class Poly:
 
     @classmethod
     def var(cls, ring: Ring, arity: int, i: int) -> "Poly":
-        e = [0] * arity
-        e[i] = 1
-        one, _ = ring.split(ring.one())
-        return _from_content(ring, arity, {tuple(e): one}, 1)
+        return _var(ring, arity, i, ring.split(ring.one())[0])
 
     @classmethod
     def coords(cls, ring: Ring, labels: Sequence) -> Callable[[Label], "Poly"]:
@@ -105,7 +102,8 @@ class Poly:
         when it is asked for; a label not in the list raises KeyError."""
         n = len(labels)
         pos = {l: i for i, l in enumerate(labels)}
-        return lambda l: cls.var(ring, n, pos[l])
+        one = ring.split(ring.one())[0]
+        return lambda l: _var(ring, n, pos[l], one)
 
     # -- basic algebra -----------------------------------------------------
 
@@ -205,7 +203,25 @@ class Poly:
 
     def degree(self) -> int:
         """Total degree over all variables; degree(0) = 0 by convention."""
-        return max(map(sum, self.nums), default=0)
+        return self._exponents()[1]
+
+    def _exponents(self) -> tuple[tuple, int]:
+        """(top, degree): the top exponent of each variable and the total
+        degree, worked out on first read and kept (a one-term Poly shares
+        its exponent tuple as the top).  It is never read in `__init__`,
+        because `_reindexed` and `_from_content` fill `nums` after `__init__`
+        returns; once a Poly is made its `nums` are not written."""
+        try:
+            return self._shape
+        except AttributeError:
+            nums = self.nums
+            if len(nums) == 1:
+                top, = nums
+            else:
+                top = tuple(map(max, zip(*nums))) if nums else \
+                    (0,) * self.arity
+            self._shape = shape = (top, max(map(sum, nums), default=0))
+            return shape
 
     def __eq__(self, other) -> bool:
         return (
@@ -240,7 +256,7 @@ class Poly:
         rows = []  # (i, d_i^(maxe_i - k) for k = 0..maxe_i) when d_i > 1
         for i, im in enumerate(images):
             if im.den != 1:
-                top = max((e[i] for e in self.nums), default=0)
+                top = self._exponents()[0][i]
                 den *= im.den ** top
                 rows.append((i, [im.den ** (top - k) for k in range(top + 1)]))
         if not rows:
@@ -278,26 +294,29 @@ class Poly:
                     acc[f] = p
         return acc
 
-    def _reindexed(self, index: Sequence[int], arity: int) -> "Poly":
-        """x_i renamed x_index[i] over `arity` variables (index one-to-one):
-        the exponents are scattered, the coefficients kept."""
+    def _reindexed(self, index: Sequence[int | None], arity: int) -> "Poly":
+        """x_i renamed x_index[i] over `arity` variables, or sent to zero
+        when index[i] is None (the others one-to-one): the exponents are
+        scattered, the coefficients kept, and a term where a variable sent to
+        zero occurs is dropped."""
         src = [self.arity] * arity  # the padding zero of each exponent tuple
         for i, j in enumerate(index):
-            src[j] = i
+            if j is not None:
+                src[j] = i
         take = itemgetter(*src) if arity > 1 else \
             (lambda e: tuple(e[i] for i in src))
-        out = Poly(self.ring, arity)
-        out.nums = {take(e + (0,)): c for e, c in self.nums.items()}
-        out.den = self.den
-        return out
+        if None not in index:
+            out = Poly(self.ring, arity)
+            out.nums = {take(e + (0,)): c for e, c in self.nums.items()}
+            out.den = self.den
+            return out
+        zeros = [i for i, j in enumerate(index) if j is None]
+        return _from_content(self.ring, arity, {
+            take(e + (0,)): c for e, c in self.nums.items()
+            if not any(e[i] for i in zeros)}, self.den)
 
     def used_vars(self) -> set[int]:
-        used = set()
-        for e in self.nums:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        return {i for i, k in enumerate(self._exponents()[0]) if k}
 
     # -- printing ------------------------------------------------------------
 
@@ -446,13 +465,18 @@ def _subst(polys: Sequence[Poly], images: Sequence[Poly],
     evaluation kernel scales its inputs; one gcd at the end makes the result
     canonical.  An image is zero, one term (a variable, a scaled monomial or
     a constant) or many terms, and only a many-term image needs a product.
-    When every term of `polys` has degree at most 1, the images are summed
+    When the images of the variables that occur are distinct bare variables
+    or zeros, each polynomial is re-indexed (`_coordinate_index`).  Else,
+    when every term of `polys` has degree at most 1, the images are summed
     (`Poly._subst_linear`); otherwise the terms are expanded on packed keys
     (`_Expansion`), one set for all of `polys`, where a zero image drops a
     term and a one-term image is folded into it.
     """
     if not polys:
         return []
+    index = _coordinate_index(polys, images)
+    if index is not None:
+        return [p._reindexed(index, arity) for p in polys]
     linear = all(sum(e) <= 1 for p in polys for e in p.nums)
     expand = None if linear else _Expansion(polys, images, arity)
     out = []
@@ -462,6 +486,39 @@ def _subst(polys: Sequence[Poly], images: Sequence[Poly],
             else expand(nums)
         out.append(_from_content(p.ring, arity, nums, den))
     return out
+
+
+def _coordinate_index(polys: Sequence[Poly],
+                      images: Sequence[Poly]) -> list | None:
+    """index[i] = j when x_i goes to the bare variable y_j and None when it
+    goes to zero, or None for the whole substitution when it is not a
+    re-indexing: that is, when a variable that occurs in `polys` has an image
+    that is neither zero nor a bare variable, or two that occur share one.
+    Occurrence is read only for the variables whose image is neither zero
+    nor a variable of its own; one that does not occur is sent to zero,
+    which drops no term."""
+    index = []
+    for i, im in enumerate(images):
+        j = _bare_var(im)
+        if j is None and im.nums and _occurs(polys, i):
+            return None
+        index.append(j)
+    if _shared(index):
+        index = [j if j is None or _occurs(polys, i) else None
+                 for i, j in enumerate(index)]
+        if _shared(index):
+            return None
+    return index
+
+
+def _occurs(polys: Sequence[Poly], i: int) -> bool:
+    return any(p._exponents()[0][i] for p in polys)
+
+
+def _shared(index: list) -> bool:
+    """Whether two entries of `index` other than None are equal."""
+    kept = [j for j in index if j is not None]
+    return len(set(kept)) < len(kept)
 
 
 class _Expansion:
@@ -485,7 +542,7 @@ class _Expansion:
                  arity: int):
         ring = polys[0].ring
         self.ops = ring.numerator_ops()
-        tops = [[max(col) for col in zip(*p.nums)] for p in polys]
+        tops = [p._exponents()[0] for p in polys]
         used = {i for top in tops for i, k in enumerate(top) if k}
         deg = {i: images[i].degree() for i in used}
         self.code = _field_code(max(
@@ -638,6 +695,9 @@ class _Kernel:
 
     def __init__(self, polys: Sequence[Poly]):
         copied = [_bare_var(poly) for poly in polys]
+        # the top exponents are taken here, not kept on each Poly
+        # (`Poly._exponents`): a kernel is built once per map, and keeping
+        # them for every map evaluated only costs memory
         exps = [e for poly, var in zip(polys, copied) if var is None
                 for e in poly.nums]
         maxe = [max(col) for col in zip(*exps)]
@@ -688,6 +748,14 @@ class _Kernel:
                 N += c * (D // d)
             out.append(ring.from_ratio(N, D * den))
         return out
+
+
+def _var(ring: Ring, arity: int, i: int, one) -> Poly:
+    """x_i over `arity` variables, with `one` the numerator of the ring's
+    one."""
+    e = [0] * arity
+    e[i] = 1
+    return _from_content(ring, arity, {tuple(e): one}, 1)
 
 
 def _bare_var(poly: Poly) -> int | None:

@@ -126,10 +126,15 @@ def sym_slope_iterated(f: PolyMap, n: int) -> PolyMap:
     """
     if n < 0:
         raise PolyError("sym_slope_iterated needs n >= 0")
-    m = _cubic_base(f)
+    return _sym_slopes(f, n)[-1]
+
+
+def _sym_slopes(f: PolyMap, n: int) -> list:
+    """f^[0..n]: f in cubic coordinates, then each slope step in turn."""
+    slopes = [_cubic_base(f)]
     for k in range(1, n + 1):
-        m = _sym_slope_step(m, k)
-    return m
+        slopes.append(_sym_slope_step(slopes[-1], k))
+    return slopes
 
 
 def _sym_slope_step(m: PolyMap, k: int) -> PolyMap:

@@ -96,7 +96,7 @@ def _tt_edge_maps(lo: frozenset, hi: frozenset, n: int, vdim: int,
         # stages 1..k read only the directions of absolute value <= k
         maps = _tt_edge_maps(_upto(lo, k), _upto(hi, k), k, vdim, ring)
         return {name: mp if mp is None else _staged(
-            mp, range(k + 1, n + 1), hi, copies=name == "compose")
+            mp, range(k + 1, n + 1), [hi], copies=name == "compose")[hi]
             for name, mp in maps.items()}
     e = _elementary_edge(ring, _staged_labels(vdim, range(1, k), hi), k,
                          lo, hi)
@@ -124,7 +124,7 @@ def _tt_quad(gamma: frozenset, alpha: frozenset, n: int, vdim: int,
             quad = _mixed_quad_e4(ring, phi, m)
         else:
             quad = _mixed_quad_e3(ring, phi, m)
-    return _staged(quad, range(m + 1, n + 1), alpha)
+    return _staged(quad, range(m + 1, n + 1), [alpha])[alpha]
 
 
 def _elementary_square_quad(ring: Ring, base: tuple, k: int) -> PolyMap:

@@ -439,11 +439,12 @@ def reference_check_symmetry(law, sigma: dict) -> list:
     the relabelling maps R_p, R_q of every vertex are built as polynomial
     maps and R_q . F_t is compared with F_{t sigma} . R_p."""
     from cubicalc.laws import _relabel_maps, _sym_vertex_maps
+    from cubicalc.slopes import _sym_slopes
 
     ring, n = law.base.ring, len(law.t)
     inv = {v: k for k, v in sigma.items()}
     t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
-    maps_perm = _sym_vertex_maps(law.base, n, t_perm, ring)
+    maps_perm = _sym_vertex_maps(_sym_slopes(law.base, n), t_perm, ring)
     r_p = _relabel_maps(n, sigma, law.base.in_arity, ring, law.src.vertices)
     r_q = _relabel_maps(n, sigma, law.base.out_arity, ring, law.src.vertices)
     out = []

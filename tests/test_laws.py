@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubicalc import constructions, laws
+from cubicalc import constructions, derive, laws, slopes
 from cubicalc.checks import check_morphism, first_failure, reports_ok
-from cubicalc.constructions import gsy
+from cubicalc.constructions import gfull, gsy
 from cubicalc.derive import tlab, vlab
 from cubicalc.laws import (LawError, check_finite_law, check_homogeneity,
                            check_law_compatibility, check_symmetry,
@@ -381,3 +381,96 @@ def test_sym_law_checks_refuse_bad_arguments(monkeypatch):
         with pytest.raises(LawError):
             check_symmetry(law, sigma)
     assert calls == []
+
+
+# -- one presentation per dimension, one slope iteration per law ---------------
+
+
+def test_equal_arities_share_one_presentation(monkeypatch):
+    calls = _counting_gsy(monkeypatch)
+    t = [F(2), F(-1, 3), F(5)]
+    law = derive_law_sym(parse("f(x) = x^3 - 2*x"), 3, t)
+    assert len(calls) == 1 and law.src is law.dst
+    del calls[:]
+    law = derive_law_sym(ring_product_map(), 3, t)
+    assert len(calls) == 2 and law.src is not law.dst
+    assert [p.schemas[fs()].labels for p in (law.src, law.dst)] == [
+        (vlab((), 0), vlab((), 1)), (vlab((), 0),)]
+    full = derive_law_full(parse("f(x,y) = (x*y, x - y^2)"), 2)
+    assert full.src is full.dst
+
+
+def test_sym_law_checks_take_no_slope_step(monkeypatch):
+    law = derive_law_sym(
+        parse("f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)"), 3,
+        [F(2), F(-1, 3), F(5)])
+    assert len(law.slopes) == 4
+    calls = []
+    step = slopes._sym_slope_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+    monkeypatch.setattr(slopes, "_sym_slope_step", counted)
+    assert reports_ok(check_homogeneity(law, [F(3), F(1, 2), F(-2)]))
+    for perm in itertools.permutations((1, 2, 3)):
+        assert reports_ok(check_symmetry(law, dict(zip((1, 2, 3), perm))))
+    assert calls == []
+    # a law made without its slope iteration makes it when a check asks
+    bare = laws.Law(law.kind, law.base, law.src, law.dst, law.vertex_maps,
+                    law.t)
+    assert reports_ok(check_homogeneity(bare, [F(3), F(1, 2), F(-2)]))
+    assert len(calls) == 3
+
+
+def test_full_law_shares_stage_prefixes(monkeypatch):
+    f = parse("f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)")
+    built = gfull(3, vdim=2)
+    monkeypatch.setattr(laws, "gfull", lambda N, vdim, ring: built)
+    calls = {"derive_polymap": 0, "extend_polymap": 0}
+    for name in calls:
+        step = getattr(derive, name)
+
+        def counted(*args, step=step, name=name, **kwargs):
+            calls[name] += 1
+            return step(*args, **kwargs)
+        monkeypatch.setattr(derive, name, counted)
+    law = derive_law_full(f, 3)
+    assert calls == {"derive_polymap": 7, "extend_polymap": 7}
+    assert list(law.vertex_maps) == list(built.vertices)
+    for alpha, m in law.vertex_maps.items():
+        assert m == laws.full_vertex_map(f, 3, alpha)
+
+
+def _apart(law, dst):
+    """The law with its own destination presentation and no slopes."""
+    return laws.Law(law.kind, law.base, law.src, dst, dict(law.vertex_maps),
+                    law.t)
+
+
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(7)], ids=["QQ", "Z7"])
+def test_shared_presentation_reports_match_separate_ones(ring):
+    h = parse("f(x) = 2*x^3 - x^2 + 3", ring)
+    t = [ring.from_int(2), ring.from_int(-3)]
+    s = [ring.from_int(3), ring.from_int(5)]
+    law = derive_law_sym(h, 2, t)
+    top = fs({1, 2})
+    for shared in (law, _planted(law, top)):
+        apart = _apart(shared, gsy(2, t, vdim=1, ring=ring))
+        assert shared.dst is shared.src and apart.dst is not apart.src
+        for check in (check_law_compatibility,
+                      lambda l: check_homogeneity(l, s),
+                      lambda l: check_symmetry(l, {1: 2, 2: 1})):
+            got = [r.to_json() for r in check(shared)]
+            assert got == [r.to_json() for r in check(apart)]
+    full = derive_law_full(h, 2)
+    assert full.src.ring == ring and reports_ok(check_law_compatibility(full))
+    m = full.vertex_maps[top]
+    planted = _apart(full, full.dst)
+    planted.vertex_maps[top] = PolyMap(ring, m.in_labels, (
+        m.comps[0] + m.var(tlab({1})),) + m.comps[1:], m.out_labels)
+    for shared in (full, planted):
+        got = [r.to_json() for r in check_law_compatibility(shared)]
+        assert got == [r.to_json() for r in check_law_compatibility(
+            _apart(shared, gfull(2, vdim=1, ring=ring)))]
+    assert not reports_ok(check_law_compatibility(planted))

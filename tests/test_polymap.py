@@ -910,3 +910,104 @@ def test_extend_and_reorder_refuse_bad_labels():
     for order in (("x",), ("y", "x", "x"), ("x", "z"), ("x", "y", "z")):
         with pytest.raises(PolyError):
             m.reorder_inputs(order)
+
+
+# -- substitutions by bare variables and zeros --------------------------------
+
+
+COORD_RINGS = (QQ, IntegersMod(6), IntegersMod(7))
+
+
+def _variable_of(image: Poly) -> int | None:
+    """j when image is the variable y_j with coefficient one, else None."""
+    for j in range(image.arity):
+        if image == Poly.var(image.ring, image.arity, j):
+            return j
+    return None
+
+
+@st.composite
+def coordinate_subst_cases(draw):
+    """One to three polynomials over arity <= 4 (degree <= 4, with
+    denominators over Q) and one image per variable over a target arity
+    <= 5.  Each image is a variable not yet taken, zero, the variable of an
+    earlier input (a repeated coordinate), a constant or any image of
+    `subst_images`; a case is all variables and zeros about half the time,
+    so that most of those re-index."""
+    ring = draw(st.sampled_from(COORD_RINGS))
+    arity = draw(st.integers(1, 4))
+    target = draw(st.integers(1, 5))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd))
+    kinds = ("var", "zero") if draw(st.booleans()) else \
+        ("var", "zero", "repeat", "const", "other")
+    free = list(range(target))
+    images = []
+    for _ in range(arity):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "var" and free:
+            images.append(Poly.var(ring, target, free.pop(
+                draw(st.integers(0, len(free) - 1)))))
+        elif kind == "repeat" and images:
+            images.append(draw(st.sampled_from(images)))
+        elif kind == "const":
+            images.append(Poly.const(ring, target, draw(coeff)))
+        elif kind == "other":
+            images.append(draw(subst_images(ring, target)))
+        else:
+            images.append(Poly.zero(ring, target))
+    polys = [Poly(ring, arity, draw(st.dictionaries(
+        _exponents(arity, 4), coeff, max_size=6)))
+        for _ in range(draw(st.integers(1, 3)))]
+    return polys, images, target
+
+
+@given(coordinate_subst_cases(),
+       st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_coordinate_subst_matches_reference(case, point):
+    polys, images, target = case
+    ring = polys[0].ring
+    occurring = {i for p in polys for e in p.nums
+                 for i, k in enumerate(e) if k}
+    variables = [_variable_of(images[i]) for i in occurring
+                 if not images[i].is_zero()]
+    reindexed = None not in variables and \
+        len(set(variables)) == len(variables)
+    assert (polymap._coordinate_index(polys, images) is not None) == reindexed
+    point = [ring.from_int(x) for x in point[:target]]
+    for p, got in zip(polys, _subst_both_ways(polys, images)):
+        assert got == reference_subst(p, images, target)
+        assert_content_form(got)
+        assert got.eval(point) == p.eval([im.eval(point) for im in images])
+
+
+@pytest.mark.parametrize("ring", COORD_RINGS)
+def test_coordinate_subst_packs_nothing(monkeypatch, ring):
+    calls = []
+    packed = polymap._packed
+
+    def counted(*args):
+        calls.append(args)
+        return packed(*args)
+
+    monkeypatch.setattr(polymap, "_packed", counted)
+    x = [Poly.var(ring, 3, i) for i in range(3)]
+    y = [Poly.var(ring, 4, j) for j in range(4)]
+    zero = Poly.zero(ring, 4)
+    half = Poly.const(ring, 3, ring.from_int(3)) if ring != QQ \
+        else Poly.const(QQ, 3, Fraction(1, 2))
+    poly = x[0] ** 3 * x[1] + half * x[1] ** 2 * x[2] - x[0] * x[2] + half
+    # distinct variables, a zero, and a variable shared with an input that
+    # does not occur
+    for images, p in (([y[2], y[0], y[3]], poly), ([y[2], y[0], zero], poly),
+                      ([y[1], y[1], y[0]], x[1] ** 2 * x[2] + half)):
+        got = _subst_both_ways([p], images)[0]
+        assert got == reference_subst(p, images, 4)
+        assert_content_form(got)
+    assert calls == []
+    # two inputs that occur share a variable: expanded, as before
+    images = [y[2], y[2], zero]
+    assert _subst_both_ways([poly], images) == [
+        reference_subst(poly, images, 4)]
+    assert calls
