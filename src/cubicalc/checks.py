@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .derive import display_label, tag_of
@@ -67,8 +68,9 @@ def _fmt_point(labels, point: list, ring) -> dict:
 def _plan(m: PolyMap, layout, order):
     """`m` resolved once against positional points: the returned function
     takes a point that lists its values in `layout` order and returns m's
-    value listed in `order`.  It gathers m's inputs from the point, calls
-    `m.eval` and permutes the outputs; an identity step is skipped."""
+    value listed in `order`.  It is m's kernel positioned there
+    (`_Kernel.at`: inputs gathered from the point, outputs permuted,
+    constants made once) and bound to m's ring."""
     layout, order = tuple(layout), tuple(order)
     if m.out_labels is None or len(m.out_labels) != len(order) \
             or set(m.out_labels) != set(order):
@@ -80,14 +82,7 @@ def _plan(m: PolyMap, layout, order):
     if m.out_labels != order:
         at = {l: i for i, l in enumerate(m.out_labels)}
         perm = [at[l] for l in order]
-    ev = m.eval
-    if gather is None and perm is None:
-        return ev
-
-    def run(point):
-        out = ev(point if gather is None else [point[i] for i in gather])
-        return out if perm is None else [out[i] for i in perm]
-    return run
+    return partial(m._kernel.at(m.ring, gather, perm), m.ring)
 
 
 def _tuple_layout(tags, schema) -> tuple:

@@ -62,11 +62,11 @@ class Law:
         return _sym_slopes(self.base, len(self.t))
 
 
-def _src_dst(f: PolyMap, build) -> tuple:
-    """The objects `build(vdim)` of f's inputs and of its outputs: one
-    object, twice, when f has as many outputs as inputs."""
-    src = build(f.in_arity)
-    return src, src if f.out_arity == f.in_arity else build(f.out_arity)
+def _src_dst(in_dim: int, out_dim: int, build) -> tuple:
+    """The objects `build(in_dim)` and `build(out_dim)`, of a map's inputs
+    and of its outputs: one object, twice, when the two dimensions agree."""
+    src = build(in_dim)
+    return src, src if out_dim == in_dim else build(out_dim)
 
 
 def full_vertex_map(f: PolyMap, N, alpha) -> PolyMap:
@@ -85,7 +85,8 @@ def derive_law_full(f: PolyMap, N) -> Law:
     vertices are staged together (`_staged`), so each prefix of stage
     choices is taken once."""
     N = cube_directions(N)
-    src, dst = _src_dst(f, lambda vdim: gfull(N, vdim=vdim, ring=f.ring))
+    src, dst = _src_dst(f.in_arity, f.out_arity,
+                        lambda vdim: gfull(N, vdim=vdim, ring=f.ring))
     maps = {alpha: m.extend_inputs(_full_labels(N, alpha, f.in_arity))
             for alpha, m in _staged(_cubic_base(f), N, src.vertices).items()}
     return Law("full", f, src, dst, maps)
@@ -115,7 +116,8 @@ def derive_law_sym(f: PolyMap, n: int, t, ring: Ring | None = None) -> Law:
     t = tuple(t)
     if len(t) != n:
         raise LawError(f"need {n} scales, got {len(t)}")
-    src, dst = _src_dst(f, lambda vdim: gsy(n, t, vdim=vdim, ring=ring))
+    src, dst = _src_dst(f.in_arity, f.out_arity,
+                        lambda vdim: gsy(n, t, vdim=vdim, ring=ring))
     slopes = _sym_slopes(f, n)
     return Law("sym", f, src, dst, _sym_vertex_maps(slopes, t, ring), t=t,
                slopes=slopes)
@@ -196,7 +198,8 @@ def check_homogeneity(law: Law, s) -> list:
     if len(s) != n:
         raise LawError(f"need {n} scalars, got {len(s)}")
     phi_p, phi_q = _src_dst(
-        law.base, lambda vdim: _scalar_action_maps(n, s, vdim, ring))
+        law.base.in_arity, law.base.out_arity,
+        lambda vdim: _scalar_action_maps(n, s, vdim, ring))
     st = [ring.mul(sv, tv) for sv, tv in zip(s, law.t)]
     maps_st = _sym_vertex_maps(law.sym_slopes(), st, ring)
     out = []
@@ -315,8 +318,9 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
     """Morphism identities of a black-box finite-part law on sampled
     composable pairs (exact rational arithmetic)."""
     ring = plaw.ring
-    src = gsy(plaw.n, list(plaw.t), vdim=in_dim, ring=ring)
-    dst = gsy(plaw.n, list(plaw.t), vdim=plaw.out_dim, ring=ring)
+    src, dst = _src_dst(in_dim, plaw.out_dim,
+                        lambda vdim: gsy(plaw.n, list(plaw.t), vdim=vdim,
+                                         ring=ring))
     B = _Sampled(ring, seed, samples)
 
     def lift(vertex, frm, to):

@@ -99,11 +99,21 @@ class Poly:
     def coords(cls, ring: Ring, labels: Sequence) -> Callable[[Label], "Poly"]:
         """The coordinate functions of the list `labels`: the returned
         function takes a label to its variable over all of `labels`, made
-        when it is asked for; a label not in the list raises KeyError."""
+        when it is first asked for and the same object on every later read
+        (a Poly is not written once made); a label not in the list raises
+        KeyError."""
         n = len(labels)
         pos = {l: i for i, l in enumerate(labels)}
         one = ring.split(ring.one())[0]
-        return lambda l: _var(ring, n, pos[l], one)
+        made: dict = {}  # by position: hashing a label may call Python code
+
+        def coord(l):
+            i = pos[l]
+            v = made.get(i)
+            if v is None:
+                v = made[i] = _var(ring, n, i, one)
+            return v
+        return coord
 
     # -- basic algebra -----------------------------------------------------
 
@@ -685,10 +695,13 @@ class _Kernel:
     coefficient one is copied: its value is that input, through
     `Ring.from_rational`.  Every other component keeps its content form: the
     denominator L (`Poly.den`) and, per term, the integer numerator c*L with
-    the positions of its powers in a flat row of the variables those
-    components use.  For inputs p_i/q_i and D = prod q_i^maxe_i, such a component's
-    value is N/(D*L) with N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i);
-    the ring turns that ratio into its scalar with `Ring.from_ratio`.
+    the positions of its powers in a flat row of the powers k >= 1 of the
+    variables those components use.  For inputs p_i/q_i and
+    D = prod q_i^maxe_i, such a component's value is N/(D*L) with
+    N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i); the ring turns that
+    ratio into its scalar with `Ring.from_ratio`.  A kernel positioned in a
+    larger point (`at`) also holds each constant component as its scalar,
+    (None, None, value) in `comps`.
     """
 
     __slots__ = ("tops", "comps")
@@ -702,12 +715,12 @@ class _Kernel:
                 for e in poly.nums]
         maxe = [max(col) for col in zip(*exps)]
         self.tops = tuple((i, k) for i, k in enumerate(maxe) if k)
-        # power k of variable i sits at offset[i] + k of the flat rows
+        # power k >= 1 of variable i sits at offset[i] + k of the flat rows
         offset = [0] * len(maxe)
         at = 0
         for i, k in self.tops:
-            offset[i] = at
-            at += k + 1
+            offset[i] = at - 1
+            at += k
         comps = []
         for poly, var in zip(polys, copied):
             if var is not None:
@@ -718,26 +731,53 @@ class _Kernel:
                 for e, c in poly.nums.items())))
         self.comps = tuple(comps)
 
+    def at(self, ring: Ring, gather: Sequence[int] | None = None,
+           perm: Sequence[int] | None = None) -> "_Kernel":
+        """This kernel positioned in a larger point, for `ring`: it reads
+        input i at point[gather[i]], lists component perm[j] j-th, and holds
+        each component with no variable as its scalar, made here once (None
+        stands for the identity, for either list).  Built in
+        O(inputs + outputs): the terms are shared, not rebuilt."""
+        out = _Kernel.__new__(_Kernel)
+        out.tops = self.tops if gather is None else tuple(
+            (gather[i], k) for i, k in self.tops)
+        comps = []
+        for i, den, terms in self.comps if perm is None else \
+                [self.comps[j] for j in perm]:
+            if i is not None:
+                comps.append((i if gather is None else gather[i], 0, ()))
+            elif not any(idx for _, idx in terms):
+                # a constant has at most one term, so `any` reads at most two
+                comps.append((None, None, ring.from_ratio(
+                    sum(c for c, _ in terms), den)))
+            else:
+                comps.append((i, den, terms))
+        out.comps = tuple(comps)
+        return out
+
     def __call__(self, ring: Ring, values: Sequence) -> list:
         nums = []
         dens = []
         D = 1
         for i, top in self.tops:
             x = values[i]
-            p, q = x.numerator, x.denominator
-            pk = qk = 1
-            for _ in range(top):
-                nums.append(pk)
-                dens.append(qk)
+            p = pk = x.numerator
+            q = qk = x.denominator
+            nums.append(p)
+            dens.append(q)
+            for _ in range(top - 1):
                 pk *= p
                 qk *= q
-            nums.append(pk)
-            dens.append(qk)
+                nums.append(pk)
+                dens.append(qk)
             D *= qk
         out = []
         for i, den, terms in self.comps:
             if i is not None:
                 out.append(ring.from_rational(values[i]))
+                continue
+            if den is None:
+                out.append(terms)
                 continue
             N = 0
             for c, idx in terms:
@@ -755,7 +795,9 @@ def _var(ring: Ring, arity: int, i: int, one) -> Poly:
     one."""
     e = [0] * arity
     e[i] = 1
-    return _from_content(ring, arity, {tuple(e): one}, 1)
+    out = Poly(ring, arity)
+    out.nums = {tuple(e): one}
+    return out
 
 
 def _bare_var(poly: Poly) -> int | None:

@@ -275,6 +275,89 @@ def test_kernel_copies_bare_variables(ring):
             1, ring.m - 1, 1]
 
 
+POSITIONED_RINGS = (QQ, IntegersMod(6), IntegersMod(7))
+
+
+@st.composite
+def positioned_cases(draw):
+    """A map with bare coordinates, constant and zero components and
+    exponents up to 10 (c04 has law sides of degree 10), a gather list that
+    may read one point position for several inputs, an output permutation,
+    and a point."""
+    ring = draw(st.sampled_from(POSITIONED_RINGS))
+    arity = draw(st.integers(1, 4))
+    exps = st.lists(st.integers(0, 10), min_size=arity, max_size=arity).map(tuple)
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6))
+    comps = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("var", "const", "zero", "poly")))
+        if kind == "var":
+            comps.append(Poly.var(ring, arity, draw(st.integers(0, arity - 1))))
+        elif kind == "const":
+            comps.append(Poly.const(ring, arity, _coefficient(ring, *draw(coeff))))
+        elif kind == "zero":
+            comps.append(Poly.zero(ring, arity))
+        else:
+            table = draw(st.dictionaries(exps, coeff, max_size=5))
+            comps.append(Poly(ring, arity, {e: _coefficient(ring, *c)
+                                            for e, c in table.items()}))
+    size = draw(st.integers(1, 5))
+    gather = draw(st.lists(st.integers(0, size - 1), min_size=arity,
+                           max_size=arity))
+    perm = draw(st.permutations(range(len(comps))))
+    if ring is QQ:
+        scalar = st.one_of(st.integers(-9, 9),
+                           st.fractions(min_value=-9, max_value=9,
+                                        max_denominator=7))
+    else:
+        scalar = st.integers(-2 * ring.m, 2 * ring.m)
+    point = draw(st.lists(scalar, min_size=size, max_size=size))
+    f = PolyMap(ring, tuple(f"x{i}" for i in range(arity)), comps)
+    return ring, f, gather, perm, point
+
+
+@given(positioned_cases())
+@settings(max_examples=300, deadline=None)
+def test_positioned_kernel_matches_gathered_eval(case):
+    ring, f, gather, perm, point = case
+    inputs = [point[i] for i in gather]
+    value = f.eval(inputs)
+    for got, want in ((f._kernel.at(ring, gather, perm)(ring, point),
+                       [value[j] for j in perm]),
+                      (f._kernel.at(ring)(ring, inputs), value)):
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("ring", POSITIONED_RINGS)
+def test_positioned_kernel_holds_constants_and_shares_terms(ring):
+    x, y = Poly.var(ring, 2, 0), Poly.var(ring, 2, 1)
+    three = ring.from_int(3)
+    f = PolyMap(ring, ("x", "y"), (x * x * x * y + y, Poly.const(ring, 2, three),
+                                   Poly.zero(ring, 2), y))
+    k = f._kernel
+    # the flat rows hold powers 1..3 of x and power 1 of y, no power 0
+    assert k.tops == ((0, 3), (1, 1))
+    assert sorted(idx for _, idx in k.comps[0][2]) == [(2, 3), (3,)]
+    moved = k.at(ring, [4, 1], [3, 2, 1, 0])
+    assert moved.tops == ((4, 3), (1, 1))
+    assert moved.comps[0] == (1, 0, ())
+    assert moved.comps[1] == (None, None, ring.zero())
+    assert moved.comps[2] == (None, None, three)
+    assert moved.comps[3][2] is k.comps[0][2]
+    point = [7, 2, 0, 0, 5]
+    assert moved(ring, point) == [
+        ring.from_int(2), ring.zero(), three, ring.from_int(5 ** 3 * 2 + 2)]
+
+
+def test_coords_hand_out_one_object_per_label():
+    x = Poly.coords(QQ, ("a", "b"))
+    assert x("a") is x("a") and x("b") is x("b")
+    assert x("a") is not Poly.coords(QQ, ("a", "b"))("a")
+    with pytest.raises(KeyError):
+        x("c")
+
+
 def test_polymap_is_frozen():
     import dataclasses
 

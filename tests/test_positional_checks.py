@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from cubicalc.checks import (_edge_sort_key, _sample_tuples, check_edge_category,
-                             check_face, check_morphism, generic_quad_param)
+                             check_face, check_morphism, generic_quad_param,
+                             reports_ok)
 from cubicalc.constructions import (anchor_maps, finite_part, gfull, gsy,
                                     gsy_scalar_action, pair_groupoid,
                                     scaled_action, scaleoid, tangent)
@@ -205,3 +206,37 @@ def test_plan_rejects_outputs_outside_the_target_schema():
         _plan(e.source, dom, dom)
     with pytest.raises(PolyError, match="do not match"):
         _plan(PolyMap(QQ, dom, e.source.comps), dom, cod)
+
+
+def test_plan_permutes_outputs_and_rejects_other_orders():
+    from cubicalc.checks import _plan
+    from cubicalc.polymap import Poly, PolyError
+
+    x = Poly.coords(QQ, ("a", "b"))
+    m = PolyMap(QQ, ("a", "b"), (x("b"), Poly.const(QQ, 2, 3),
+                                 x("a") * x("b")), ("p", "q", "r"))
+    layout = ("z", "b", "a")
+    assert _plan(m, layout, ("r", "p", "q"))([F(9), F(2), F(1, 3)]) == [
+        F(2, 3), F(2), F(3)]
+    for order in (("p", "q"), ("p", "q", "s"), ("p", "p", "q"),
+                  ("p", "q", "r", "r")):
+        with pytest.raises(PolyError, match="do not match"):
+            _plan(m, layout, order)
+
+
+def test_finite_law_builds_one_presentation_when_dimensions_agree(monkeypatch):
+    from cubicalc import laws
+
+    builds = []
+    gsy_ = laws.gsy
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs.get("vdim"))
+        return gsy_(*args, **kwargs)
+    monkeypatch.setattr(laws, "gsy", counted)
+    plaw = finite_law_from_map(lambda x: (x[0] ** 2,), 2, [2, 3])
+    assert reports_ok(check_finite_law(plaw, in_dim=1, samples=2))
+    assert builds == [1]
+    builds.clear()
+    assert reports_ok(check_finite_law(plaw, in_dim=2, samples=2))
+    assert builds == [2, 1]
