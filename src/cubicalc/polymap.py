@@ -795,8 +795,9 @@ def _var(ring: Ring, arity: int, i: int, one) -> Poly:
     one."""
     e = [0] * arity
     e[i] = 1
-    out = Poly(ring, arity)
-    out.nums = {tuple(e): one}
+    # no __init__ call: most coordinate lists are read once per label
+    out = object.__new__(Poly)
+    out.ring, out.arity, out.nums, out.den = ring, arity, {tuple(e): one}, 1
     return out
 
 
