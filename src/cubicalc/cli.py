@@ -17,7 +17,7 @@ from .checks import (check_morphism, check_presentation, first_failure,
                      reports_ok)
 from .constructions import (gfull, gsy, gsy_scalar_action, pair_groupoid,
                             scaled_action, scaleoid, tangent)
-from .derive import display_label, monomial_key, vlab, tlab
+from .derive import display_label, monomial_key
 from .hypercube import (MAX_DIM, cube_directions, edges, subset_label,
                         subsets, vertices)
 from .laws import full_vertex_map
@@ -25,7 +25,7 @@ from .parser import ParseError, parse
 from .polymap import ExactDivisionError, PolyError
 from .presentation import SamplingError
 from .rings import RingError, ring_from_spec
-from .slopes import slope, sym_slope_closed, sym_slope_iterated
+from .slopes import slope, sym_slope_at, sym_slope_closed
 from .tables import (edge_label, edge_row, edge_table, render_rows, vertex_row,
                      vertex_table)
 from .twotyped import g_overline
@@ -261,15 +261,7 @@ def cmd_eval(args) -> int:
     if args.mode == "closed":
         vals = sym_slope_closed(f, n, t, v_by)
     else:
-        m = sym_slope_iterated(f, n)
-        pt = {}
-        for s, vec in v_by.items():
-            for c, x in enumerate(vec):
-                pt[vlab(s, c)] = x
-        for i, tv in enumerate(t):
-            pt[tlab({i + 1})] = tv
-        vals = [m.component(l).eval([pt[x] for x in m.in_labels])
-                for l in m.out_labels]
+        vals = sym_slope_at(f, n, t, v_by)
     _emit(args, lambda: ", ".join(_fmt_scalar(ring, x, args.digits)
                                   for x in vals),
           lambda: {"value": [ring.fmt(x) for x in vals]})

@@ -15,9 +15,10 @@ from functools import lru_cache
 
 from .derive import (_canon, _shift_target, _staged, _staged_labels, _v_labels,
                      slab, tlab, vlab, with_tag)
+from .extension import ExtElement, _Split
 from .hypercube import (alpha_stair, cube_directions, kcubes, subset_label,
                         subsets)
-from .polymap import Poly, PolyMap
+from .polymap import Poly, PolyMap, PolyRing
 from .presentation import (BoxConstraint, CoordSchema, EdgeCat,
                            NFoldPresentation, edge_order, subset_faces,
                            subsets_presentation_vertices, tagged)
@@ -347,32 +348,34 @@ def _scalar_action_maps(n: int, s, vdim: int, ring: Ring) -> dict:
 
 def trivialization_maps(n: int, t, vdim: int = 1, ring: Ring = QQ):
     """Finite-part trivialization Gsy_t -> PG^n: x_gamma = sum of t.v_delta
-    over delta within gamma; requires every t_i invertible.  Returns
-    (vertex maps, inverse vertex maps)."""
-    t = {k + 1: tv for k, tv in enumerate(t)}
-    for tv in t.values():
+    over delta within gamma (the split transform of A_t), every t_i a unit.
+    Returns (vertex maps, inverse vertex maps)."""
+    for tv in t:
         if not ring.is_unit(tv):
             raise RingError("trivialization requires invertible scales")
-    verts = subsets_presentation_vertices(n)
     fwd, back = {}, {}
-    for a in verts:
+    for a in subsets_presentation_vertices(n):
         labels = _v_labels(a, vdim)
-        x = Poly.coords(ring, labels)
-        fexprs, bexprs = {}, {}
-        for g in subsets(a):
-            for c in range(vdim):
-                fexprs[vlab(g, c)] = _scaled_sum(ring, labels, t, g, c)
-                # Moebius inversion: t.v_g = sum (-1)^{|g - d|} x_d
-                inv_acc = Poly.zero(ring, len(labels))
-                for d in subsets(g):
-                    term = x(vlab(d, c))
-                    if (len(g) - len(d)) % 2:
-                        term = -term
-                    inv_acc = inv_acc + term
-                bexprs[vlab(g, c)] = inv_acc.scale(ring.inv(_tprod(ring, t, g)))
-        fwd[a] = PolyMap.from_label_exprs(ring, labels, fexprs)
-        back[a] = PolyMap.from_label_exprs(ring, labels, bexprs)
+        base = _generic_point(ring, labels, a, t, vdim)
+        split = _Split(base[0].ring, base[0].t)
+        at = {g: m for m, g in enumerate(subsets(a, binary=True))}
+        for maps, move in ((fwd, split.split), (back, split.unsplit)):
+            images = [move(list(b.coeffs)) for b in base]
+            maps[a] = PolyMap.from_label_exprs(ring, labels, {
+                vlab(g, c): images[c][at[g]]
+                for g in subsets(a) for c in range(vdim)})
     return fwd, back
+
+
+def _generic_point(ring: Ring, in_labels, alpha, t, p: int) -> list:
+    """Sum over gamma within alpha of v_gamma_c X^gamma in A_t, for each
+    c < p, its coefficients the coordinates `in_labels` in a `PolyRing`."""
+    alpha = tuple(sorted(alpha))
+    x = Poly.coords(ring, in_labels)
+    scales = tuple(Poly.const(ring, len(in_labels), t[e - 1]) for e in alpha)
+    at = subsets(alpha, binary=True)
+    return [ExtElement(PolyRing(ring, len(in_labels)), alpha, scales,
+                       tuple(x(vlab(g, c)) for g in at)) for c in range(p)]
 
 
 # ---------------------------------------------------------------------------

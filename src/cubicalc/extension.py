@@ -9,8 +9,9 @@ into copies of K.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .polymap import PolyMap
+from .polymap import PolyMap, PolyRing, _subst
 from .rings import Ring, RingError
 
 
@@ -112,50 +113,98 @@ def ext_add(a: ExtElement, b: ExtElement) -> ExtElement:
         r.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
 
 
-def ext_neg(a: ExtElement) -> ExtElement:
-    r = a.ring
-    return ExtElement._made(r, a.alpha, a.t, tuple(r.neg(x) for x in a.coeffs))
+def _submasks(m: int) -> list:
+    """Every submask of the bitmask m, from m down to 0."""
+    out = [m]
+    while out[-1]:
+        out.append((out[-1] - 1) & m)
+    return out
 
 
-def ext_scale(a: ExtElement, c) -> ExtElement:
-    r = a.ring
-    return ExtElement(r, a.alpha, a.t, tuple(r.mul(c, x) for x in a.coeffs))
+class _Split:
+    """The split transform of A_t and its product, for one ring and scales.
+
+    A unit scale t splits its factor as K x K by X -> (0, t): (c0, c1) ->
+    (c0, c0 + t c1), back by c1 = (s1 - s0) / t; over the unit generators U
+    this is c_m times t^(m & U), then sums along each bit of U, O(k 2^k).
+    Products are slot by slot over U; over the `rest` they are the subset
+    product: at t = 0 a disjoint-subset convolution over the submasks
+    (3^|rest| pairs), at a nonzero non-unit (composite Z/m) overlaps s
+    weighted by t^s.
+    """
+
+    __slots__ = ("ring", "size", "tpow", "weights", "inverses", "units",
+                 "slots", "rest", "nonzero")
+
+    def __init__(self, ring: Ring, t: tuple):
+        tpow, units = [ring.one()], 0  # tpow[m] = t^m
+        for i, s in enumerate(t):
+            tpow += [ring.mul(w, s) for w in tpow]
+            units |= ring.is_unit(s) << i
+        self.ring, self.size, self.tpow = ring, 1 << len(t), tpow
+        self.weights = [tpow[m & units] for m in range(self.size)]
+        self.inverses = [ring.inv(w) for w in self.weights]
+        self.units = [(1 << i, [m for m in range(self.size) if m >> i & 1])
+                      for i in range(len(t)) if units >> i & 1]
+        self.slots = _submasks(units)
+        self.rest = self.size - 1 - units
+        self.nonzero = sum(1 << i for i, s in enumerate(t)
+                           if self.rest >> i & 1 and not ring.is_zero(s))
+
+    def split(self, coeffs) -> list:
+        mul = self.ring.mul
+        return self._sums([mul(w, c) for w, c in zip(self.weights, coeffs)], 1)
+
+    def unsplit(self, v: list) -> list:
+        mul = self.ring.mul
+        return [mul(w, x) for w, x in zip(self.inverses, self._sums(v, -1))]
+
+    def _sums(self, v: list, sign: int) -> list:
+        """v[m] plus (sign 1) or minus (sign -1) v[m ^ bit] along each unit
+        bit, on numerators over one denominator (`Ring.split`; ints over Q)."""
+        ring = self.ring
+        add, mul, neg, _, from_int = ring.numerator_ops()
+        parts = [ring.split(c) for c in v]
+        den = lcm(*(d for _, d in parts))
+        nums = [n if d == den else mul(n, from_int(den // d)) for n, d in parts]
+        for bit, masks in self.units:
+            for m in masks:
+                nums[m] = add(nums[m], nums[m ^ bit] if sign > 0
+                              else neg(nums[m ^ bit]))
+        return [ring.join(n, den) for n in nums]
+
+    def mul(self, a: list, b: list) -> list:
+        add, mul = self.ring.add, self.ring.mul
+        if not self.rest:
+            return [mul(x, y) for x, y in zip(a, b)]
+        out = [None] * self.size
+        for d in _submasks(self.rest):
+            # beta | gamma = delta with overlap s: weight t^s, None for s = 0
+            pairs = [(g, d ^ g | s, self.tpow[s] if s else None)
+                     for g in _submasks(d) for s in _submasks(g & self.nonzero)]
+            for u in self.slots:
+                acc = None
+                for beta, gamma, w in pairs:
+                    p = mul(a[u | beta], b[u | gamma])
+                    if w is not None:
+                        p = mul(w, p)
+                    acc = p if acc is None else add(acc, p)
+                out[u | d] = acc
+        return out
 
 
 def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     """Product induced by X_i^2 = t_i X_i:
 
     (a*b)_delta = sum over beta | gamma = delta of
-                  a_beta * b_gamma * prod_{i in beta & gamma} t_i.
+                  a_beta * b_gamma * prod_{i in beta & gamma} t_i,
+
+    computed in split coordinates (`_Split`).
     """
     a._compat(b)
-    r = a.ring
-    k = len(a.alpha)
-    out = [r.zero()] * (1 << k)
-    for mb, cb in enumerate(a.coeffs):
-        if r.is_zero(cb):
-            continue
-        for mg, cg in enumerate(b.coeffs):
-            if r.is_zero(cg):
-                continue
-            w = r.mul(cb, cg)
-            common = mb & mg
-            i = 0
-            while common:
-                if common & 1:
-                    w = r.mul(w, a.t[i])
-                common >>= 1
-                i += 1
-            d = mb | mg
-            out[d] = r.add(out[d], w)
-    return ExtElement._made(r, a.alpha, a.t, tuple(out))
-
-
-def ext_pow(a: ExtElement, k: int) -> ExtElement:
-    acc = ExtElement.one(a.ring, a.alpha, a.t)
-    for _ in range(k):
-        acc = ext_mul(acc, a)
-    return acc
+    split = _Split(a.ring, a.t)
+    prod = split.mul(split.split(a.coeffs), split.split(b.coeffs))
+    return ExtElement._made(a.ring, a.alpha, a.t, tuple(split.unsplit(prod)))
 
 
 def ext_split(a: ExtElement, t=None) -> tuple:
@@ -166,32 +215,46 @@ def ext_split(a: ExtElement, t=None) -> tuple:
     tt = a.t[0] if t is None else t
     if not r.is_unit(tt):
         raise RingError(f"scale {tt} is not a unit; the algebra does not split")
-    c0, c1 = a.coeffs
-    return (c0, r.add(c0, r.mul(tt, c1)))
+    return tuple(_Split(r, (tt,)).split(a.coeffs))
 
 
 def eval_over_extension(f: PolyMap, base: list[ExtElement]) -> list[ExtElement]:
-    """Evaluate a polynomial map on extension-algebra arguments, exactly."""
+    """Evaluate a polynomial map on extension-algebra arguments, exactly,
+    in split coordinates (`_Split`): with unit scales each slot of the
+    images is f at that slot of the arguments (a substitution over a
+    `PolyRing`), otherwise a sum of products of the arguments' powers."""
     if len(base) != f.in_arity:
         raise ExtError(f"expected {f.in_arity} arguments, got {len(base)}")
     ref = base[0]
     for b in base[1:]:
         ref._compat(b)
-    r = f.ring
-    out = []
-    for comp in f.comps:
-        # the numerators first, then one division by the denominator
-        acc = ExtElement.scalar(ref.ring, ref.alpha, ref.t, ref.ring.zero())
-        for exps, c in comp.nums.items():
-            term = ExtElement.scalar(ref.ring, ref.alpha, ref.t, r.join(c, 1))
-            for i, e in enumerate(exps):
-                if e:
-                    term = ext_mul(term, ext_pow(base[i], e))
-            acc = ext_add(acc, term)
-        if comp.den != 1:
-            acc = ext_scale(acc, r.from_ratio(1, comp.den))
-        out.append(acc)
-    return out
+    ring = ref.ring
+    split = _Split(ring, ref.t)
+    xs = [split.split(b.coeffs) for b in base]
+    if not split.rest:
+        at = (lambda p: _subst(f.comps, p, ring.arity)) \
+            if isinstance(ring, PolyRing) else f.eval
+        slots = [at([x[u] for x in xs]) for u in range(split.size)]
+        images = [[s[c] for s in slots] for c in range(f.out_arity)]
+    else:
+        add, mul = ring.add, ring.mul
+        one = split.split([ring.one()] + [ring.zero()] * (split.size - 1))
+        powers = [[one, x] for x in xs]
+        images = []
+        for comp in f.comps:
+            acc = [ring.zero()] * split.size
+            for exps, n in comp.nums.items():
+                term = one
+                for row, e in zip(powers, exps):
+                    if e:
+                        while len(row) <= e:
+                            row.append(split.mul(row[-1], row[1]))
+                        term = row[e] if term is one else split.mul(term, row[e])
+                c = ring.from_ratio(n, comp.den)
+                acc = [add(x, mul(c, y)) for x, y in zip(acc, term)]
+            images.append(acc)
+    return [ExtElement._made(ring, ref.alpha, ref.t, tuple(split.unsplit(v)))
+            for v in images]
 
 
 def ext_automorphism(a: ExtElement, perm: dict) -> ExtElement:

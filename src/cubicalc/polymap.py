@@ -829,6 +829,9 @@ class PolyRing(Ring):
     def from_int(self, k):
         return Poly.const(self.base, self.arity, self.base.from_int(k))
 
+    def from_ratio(self, num, den):
+        return Poly.const(self.base, self.arity, self.base.from_ratio(num, den))
+
     def add(self, a, b):
         return a + b
 
@@ -845,7 +848,8 @@ class PolyRing(Ring):
         return a.is_zero()
 
     def is_unit(self, a):
-        return len(a.nums) == 1 and (0,) * self.arity in a.nums
+        c = a.terms.get((0,) * self.arity)
+        return len(a.nums) == 1 and c is not None and self.base.is_unit(c)
 
     def inv(self, a):
         if not self.is_unit(a):

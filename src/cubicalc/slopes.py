@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derive import _quotients, derive_polymap, partner, tlab, vlab
+from .extension import ExtElement, _Split, eval_over_extension
 from .hypercube import subsets
 from .polymap import Poly, PolyError, PolyMap
 from .rings import Ring, RingError
@@ -150,6 +151,18 @@ def _sym_slope_step(m: PolyMap, k: int) -> PolyMap:
     return PolyMap(m.ring, new_in, tuple(comps), m.out_labels)
 
 
+def sym_slope_at(f: PolyMap, n: int, t_values, v_values) -> list:
+    """sym_slope_iterated(f, n) at one point, at any scales: the top
+    coefficient of f over A_t at the sum of v_beta X^beta (arguments as for
+    sym_slope_closed)."""
+    alpha = tuple(range(1, n + 1))
+    at = subsets(alpha, binary=True)
+    base = [ExtElement(f.ring, alpha, tuple(t_values),
+                       tuple(v_values[s][c] for s in at))
+            for c in range(f.in_arity)]
+    return [img.coeffs[-1] for img in eval_over_extension(f, base)]
+
+
 def sym_slope_closed(f: PolyMap, n: int, t_values, v_values) -> list:
     """Closed cubic formula for f^[n] at invertible scales (`_closed_formula`).
 
@@ -170,27 +183,17 @@ def _closed_formula(f, ring: Ring, directions, scales, v_values) -> list:
     f( sum over beta within alpha of t_{beta_1}...t_{beta_l} * v_beta ),
 
     alpha running over the subsets of the k `directions`, scales[i] the
-    scale of directions[i].  f is a callable from a coordinate list to a
-    value sequence; v_values maps each frozenset beta to v_beta.
+    scale of directions[i]: the points are the split slots of the sum of
+    v_beta X^beta in A_t (`extension._Split`), and the value is the top
+    coefficient of the inverse split of f at them.  f is a callable from a
+    coordinate list to a value sequence; v_values maps each frozenset beta
+    to v_beta.
     """
     t_of = dict(zip(directions, scales))
-    weight = {}  # beta -> t_{beta_1}...t_{beta_l}; the order does not matter
-    for beta in subsets(directions, binary=True):
-        w = ring.one()
-        for e in beta:
-            w = ring.mul(w, t_of[e])
-        weight[beta] = w
-    acc = None
-    for alpha in weight:
-        point = [ring.zero()] * len(v_values[frozenset()])
-        for beta in subsets(alpha, binary=True):
-            w = weight[beta]
-            point = [ring.add(x, ring.mul(w, v)) for x, v in zip(point, v_values[beta])]
-        val = list(f(point))
-        if (len(t_of) - len(alpha)) % 2:
-            val = [ring.neg(x) for x in val]
-        acc = val if acc is None else [ring.add(a, x) for a, x in zip(acc, val)]
-    inv = ring.one()
-    for t in scales:
-        inv = ring.mul(inv, ring.inv(t))
-    return [ring.mul(inv, x) for x in acc]
+    at = subsets(t_of, binary=True)
+    split = _Split(ring, tuple(t_of[e] for e in sorted(t_of)))
+    coords = [split.split([v_values[beta][c] for beta in at])
+              for c in range(len(v_values[frozenset()]))]
+    vals = [list(f([xs[m] for xs in coords])) for m in range(len(at))]
+    return [split.unsplit([v[c] for v in vals])[-1]
+            for c in range(len(vals[0]))]

@@ -3,9 +3,11 @@
 step, the reference of the term-wise kernel `polymap._shift_quotient`; the
 tuple-key products, the reference of the packed-key kernel
 `polymap._mul_into`; the symmetric law built factorizer by factorizer
-for every (alpha, beta) pair, the reference of `laws.derive_law_sym`; and
+for every (alpha, beta) pair, the reference of `laws.derive_law_sym`;
 the symmetry check by composing relabelling maps, the reference of
-`laws.check_symmetry`.
+`laws.check_symmetry`; and the dense double loop over coefficient pairs,
+the reference of `extension.ext_mul`, which multiplies in split
+coordinates.
 
 A point here is a dict from coordinate label to value, and every evaluation
 looks its inputs up by label, so these checkers depend on no label order.
@@ -454,3 +456,19 @@ def reference_check_symmetry(law, sigma: dict) -> list:
         out.append(CheckReport("law-symmetry", f"vertex {sorted(alpha)}",
                                "pass" if lhs.equals(rhs) else "fail", 0))
     return out
+
+
+def reference_ext_mul(a, b) -> tuple:
+    """The coefficients of a*b in A_t by the dense O(4^k) double loop:
+    (a*b)_delta = sum over beta | gamma = delta of
+    a_beta * b_gamma * prod_{i in beta & gamma} t_i."""
+    r = a.ring
+    out = [r.zero()] * len(a.coeffs)
+    for mb, cb in enumerate(a.coeffs):
+        for mg, cg in enumerate(b.coeffs):
+            w = r.mul(cb, cg)
+            for i, t in enumerate(a.t):
+                if (mb & mg) >> i & 1:
+                    w = r.mul(w, t)
+            out[mb | mg] = r.add(out[mb | mg], w)
+    return tuple(out)

@@ -1,4 +1,9 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +309,37 @@ def test_failing_scalar_action_check_prints_its_witness(capsys, monkeypatch):
     assert header == "Gsy^2_{1,1} with Phi_s: FAILURES"
     assert failure.startswith("first failure: morphism-")
     assert json.loads("\n".join(witness))
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ADDRESS_LIMIT = 1500 * 10 ** 6  # bytes, set in the child only
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_LIMIT, _ADDRESS_LIMIT))
+
+
+@pytest.mark.parametrize("scales", [["2"] * 8, ["0"] * 8,
+                                    ["2", "0", "-1/3", "0"] * 2],
+                         ids=["unit", "zero", "mixed"])
+def test_eval_iterated_order_8_is_bounded(scales):
+    """`eval --mode iterated --order 8` runs over A_t, with no symbolic
+    slope: the child exits 0 within 1 s of CPU time (interpreter start-up
+    included) under a 1.5 GB address-space limit.  CPU time, not wall
+    time, so that a busy machine does not fail the test."""
+    expr = "f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)"
+    v = ",".join(["1/2", "2", "-3/4", "3"][i % 4] for i in range(255 * 2))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run(
+        [sys.executable, "-m", "cubicalc.cli", "eval", "--expr", expr,
+         "--order", "8", "--point", "1,-2", "--t", ",".join(scales),
+         "--v", v, "--mode", "iterated"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_address_space)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.split(",")) == 2
+    assert cpu < 1.0, cpu

@@ -9,6 +9,8 @@ from cubicalc.extension import (ExtElement, ExtError, ext_add,
 from cubicalc.parser import parse
 from cubicalc.rings import QQ, IntegersMod, RingError, ring_from_spec
 
+from reference_checks import reference_ext_mul
+
 
 def test_ring_from_spec():
     assert ring_from_spec("rational") is QQ
@@ -95,6 +97,26 @@ def test_ring_axioms_random():
             ext_add(ext_mul(a, b), ext_mul(a, c)).coeffs
         one = ExtElement.one(QQ, alpha, t)
         assert ext_mul(one, a).coeffs == a.coeffs
+
+
+def test_ext_mul_matches_dense_product():
+    # zero, unit and (over Z/6) non-unit scales mixed in one algebra; the
+    # split product must equal the dense double loop coefficient by
+    # coefficient
+    rng = random.Random(21)
+    scales = {QQ: (0, 1, -1, Fraction(2), Fraction(-1, 3)),
+              IntegersMod(6): (0, 1, 5, 2, 3, 4),
+              IntegersMod(7): (0, 1, 2, 6)}
+    for ring, choices in scales.items():
+        for _ in range(150):
+            k = rng.randint(0, 4)
+            alpha = tuple(range(1, k + 1))
+            t = tuple(ring.from_rational(Fraction(rng.choice(choices)))
+                      for _ in range(k))
+            a, b = (ExtElement(ring, alpha, t, tuple(
+                ring.from_ratio(rng.randint(-5, 5), rng.choice((1, 5)))
+                for _ in range(1 << k))) for _ in range(2))
+            assert ext_mul(a, b).coeffs == reference_ext_mul(a, b), (ring, t)
 
 
 def test_ext_split():

@@ -9,8 +9,8 @@ from cubicalc.parser import parse
 from cubicalc.polymap import Poly, PolyMap
 from cubicalc.rings import QQ, IntegersMod, RingError
 from cubicalc.slopes import (_cubic_base, derive_map, factorizer_identity_holds,
-                             full_slope, slope, sym_slope_closed,
-                             sym_slope_iterated)
+                             full_slope, slope, sym_slope_at,
+                             sym_slope_closed, sym_slope_iterated)
 
 from conftest import mixed_partial_map, rand_fraction, rand_unit, random_polymap
 from reference_checks import reference_shift_quotient
@@ -132,6 +132,34 @@ def test_closed_matches_iterated(rng):
                 pt[tlab({i + 1})] = tv
             iterated = m.eval([pt[l] for l in m.in_labels])
             assert closed == iterated
+
+
+# scales per ring: zero, units, and over Z/6 non-units that are not zero
+_SCALES = {"Q": [0, 1, 2, Fraction(-1, 3)], "Z/6": [0, 1, 5, 2, 3, 4],
+           "Z/7": [0, 1, 3, 6]}
+_RINGS = {"Q": QQ, "Z/6": IntegersMod(6), "Z/7": IntegersMod(7)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), ring_name=st.sampled_from(sorted(_RINGS)),
+       n=st.integers(1, 4), p=st.integers(1, 2), q=st.integers(1, 2))
+def test_value_over_extension_matches_iterated(data, ring_name, n, p, q):
+    """f^[n] at a point over A_t (`sym_slope_at`) equals the symbolic
+    sym_slope_iterated(f, n) evaluated there, at any scales."""
+    ring = _RINGS[ring_name]
+    scalar = st.builds(lambda a, b: ring.from_ratio(a, b),
+                       st.integers(-4, 4), st.sampled_from([1, 5]))
+    comps = tuple(Poly(ring, p, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * p), scalar, min_size=1, max_size=4)))
+        for _ in range(q))
+    f = PolyMap(ring, tuple(f"x{i}" for i in range(p)), comps)
+    t = [ring.from_rational(Fraction(data.draw(st.sampled_from(
+        _SCALES[ring_name])))) for _ in range(n)]
+    v = {s: [data.draw(scalar) for _ in range(p)] for s in _subsets(n)}
+    m = sym_slope_iterated(f, n)
+    pt = {vlab(s, c): x for s, vec in v.items() for c, x in enumerate(vec)}
+    pt.update({tlab({i + 1}): tv for i, tv in enumerate(t)})
+    assert sym_slope_at(f, n, t, v) == m.eval([pt[l] for l in m.in_labels])
 
 
 def test_closed_rejects_non_unit_scale():
