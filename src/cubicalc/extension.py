@@ -243,7 +243,7 @@ def eval_over_extension(f: PolyMap, base: list[ExtElement]) -> list[ExtElement]:
         images = []
         for comp in f.comps:
             acc = [ring.zero()] * split.size
-            for exps, n in comp.nums.items():
+            for exps, n in zip(comp.terms, comp.nums.values()):
                 term = one
                 for row, e in zip(powers, exps):
                     if e:

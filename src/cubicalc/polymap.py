@@ -1,7 +1,9 @@
 """Exact sparse multivariate polynomials and polynomial maps.
 
-A Poly maps exponent vectors to nonzero numerators over one positive
-denominator (the content form; over Z/m the denominator is 1).  A PolyMap
+A Poly maps exponent vectors, each packed into one int, to nonzero
+numerators over one positive denominator (the content form; over Z/m the
+denominator is 1); every product, substitution and slope reads and writes
+the packed keys.  A PolyMap
 bundles several components over a common labelled variable list; all structure
 maps, laws and difference quotients in the package are PolyMaps.
 """
@@ -11,10 +13,8 @@ import sys
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cached_property, partial
 from math import comb, gcd, lcm
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .rings import Ring, RingError
@@ -33,52 +33,66 @@ class ExactDivisionError(PolyError):
 
 
 class Poly:
-    """Sparse polynomial in content form: numerators over one denominator.
+    """Sparse polynomial in content form, keyed by packed exponents.
 
-    `nums` maps exponent tuples to nonzero numerators and `den` is a positive
-    int; the coefficient of x^e is nums[e]/den.  This is how FLINT's
-    fmpq_poly stores a rational polynomial, and it is kept canonical:
-    gcd(den, numerators) = 1, so equal polynomials have equal (nums, den).
-    Over Q the numerators are ints; over Z/m (and over a `PolyRing`) den is 1
-    and the numerators are the ring's reduced scalars.  Arithmetic runs on the
-    numerators with the ring's `numerator_ops` and handles den once per
-    operation, outside the term loops.  `terms` is the read-only
-    {exponent: coefficient} view, coefficients as ring scalars (Fractions
-    over Q).
+    `nums` maps packed exponent keys to nonzero numerators and `den` is a
+    positive int; the coefficient of x^e is nums[key(e)]/den.  A key is one
+    int that holds the exponent of x_i in its bits w*i to w*(i+1) - 1, w the
+    width of the array typecode `code` (8, 16, 32 or 64 bits), so adding two
+    keys multiplies their monomials (Monagan and Pearce, CASC 2007; the
+    packed monomials of FLINT's mpoly).  `code` comes from the degree bound
+    of the operation that made the Poly (`_field_code`): one field holds the
+    total degree of every term, so no sum of fields carries.  Operands of two
+    codes are widened to the wider one, and `==` and `hash` do not depend on
+    the code.
+
+    The content form is how FLINT's fmpq_poly stores a rational polynomial,
+    and it is kept canonical: gcd(den, numerators) = 1, so equal polynomials
+    of one code have equal (nums, den).  Over Q the numerators are ints; over
+    Z/m (and over a `PolyRing`) den is 1 and the numerators are the ring's
+    reduced scalars.  Arithmetic runs on the numerators with the ring's
+    `numerator_ops` and handles den once per operation, outside the term
+    loops.  `terms` is the read-only {exponent tuple: coefficient} view,
+    coefficients as ring scalars (Fractions over Q); it, `fmt` and `hash`
+    are the only readers that make exponent tuples.
     """
 
-    __slots__ = ("ring", "arity", "nums", "den", "_shape")
+    __slots__ = ("ring", "arity", "nums", "den", "code", "_top", "_deg")
 
     def __init__(self, ring: Ring, arity: int, terms: Mapping | None = None):
-        """From {exponent: coefficient}, each coefficient an exact scalar of
-        the ring (an int or a Fraction over Q, an int over Z/m, reduced
-        here); zero coefficients are dropped."""
+        """From {exponent tuple: coefficient}, each coefficient an exact
+        scalar of the ring (an int or a Fraction over Q, an int over Z/m,
+        reduced here); zero coefficients are dropped."""
         self.ring = ring
         self.arity = arity
         self.nums = {}
         self.den = 1
+        self.code = "B"
         if not terms:
             return
         parts = []
         for exps, c in terms.items():
             if len(exps) != arity:
                 raise PolyError(f"exponent vector {exps} has wrong length")
-            try:
-                n, d = ring.split(c)
-            except RingError as exc:
-                raise PolyError(f"coefficient {c!r} is not a scalar of {ring!r}") from exc
-            parts.append((tuple(exps), n, d))
+            parts.append((exps, *_split(ring, c)))
         # each n/d is in lowest terms, so the lcm leaves no common factor
         self.den = den = lcm(*(d for _, _, d in parts))
+        self.code = code = _field_code(max(sum(e) for e, _, _ in parts))
         _, mul, _, is_zero, from_int = ring.numerator_ops()
         for e, n, d in parts:
-            if not is_zero(n):
-                self.nums[e] = n if d == den else mul(n, from_int(den // d))
+            if is_zero(n):
+                continue
+            try:
+                key = _key(e, code)
+            except (OverflowError, ValueError) as exc:
+                raise PolyError(f"exponent vector {e} has a negative "
+                                "exponent") from exc
+            self.nums[key] = n if d == den else mul(n, from_int(den // d))
 
     @property
     def terms(self) -> Mapping:
-        """Read-only {exponent: coefficient} view; coefficients are made on
-        access."""
+        """Read-only {exponent tuple: coefficient} view; coefficients are
+        made on access."""
         return _Terms(self)
 
     # -- constructors ------------------------------------------------------
@@ -89,7 +103,10 @@ class Poly:
 
     @classmethod
     def const(cls, ring: Ring, arity: int, c) -> "Poly":
-        return cls(ring, arity, {(0,) * arity: c})
+        """The constant c, whose key is 0 in every code."""
+        n, d = _split(ring, c)
+        return _made(ring, arity, {} if ring.numerator_ops()[3](n) else {0: n},
+                     d, "B")
 
     @classmethod
     def var(cls, ring: Ring, arity: int, i: int) -> "Poly":
@@ -98,35 +115,30 @@ class Poly:
     @classmethod
     def coords(cls, ring: Ring, labels: Sequence) -> Callable[[Label], "Poly"]:
         """The coordinate functions of the list `labels`: the returned
-        function takes a label to its variable over all of `labels`, made
-        when it is first asked for and the same object on every later read
-        (a Poly is not written once made); a label not in the list raises
-        KeyError."""
+        function takes a label to its variable over all of `labels`, a new
+        one-term Poly on every read (most labels are read once); a label not
+        in the list raises KeyError."""
         n = len(labels)
         pos = {l: i for i, l in enumerate(labels)}
         one = ring.split(ring.one())[0]
-        made: dict = {}  # by position: hashing a label may call Python code
-
-        def coord(l):
-            i = pos[l]
-            v = made.get(i)
-            if v is None:
-                v = made[i] = _var(ring, n, i, one)
-            return v
-        return coord
+        return lambda l: _var(ring, n, pos[l], one)
 
     # -- basic algebra -----------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         self._compat(other)
         add, mul, _, is_zero, from_int = self.ring.numerator_ops()
+        a, b, code = self.nums, other.nums, self.code
+        if code != other.code:
+            code = max(code, other.code)  # the typecodes sort by width
+            a, b = self._at(code), other._at(code)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, den // other.den
         if fa == 1:
-            nums = dict(self.nums)
+            nums = dict(a)
         else:
-            nums = {e: mul(n, from_int(fa)) for e, n in self.nums.items()}
-        for e, n in other.nums.items():
+            nums = {e: mul(n, from_int(fa)) for e, n in a.items()}
+        for e, n in b.items():
             if fb != 1:
                 n = mul(n, from_int(fb))
             old = nums.get(e)
@@ -136,75 +148,87 @@ class Poly:
                 nums.pop(e, None)
             else:
                 nums[e] = n
-        return _from_content(self.ring, self.arity, nums, den)
+        return _from_content(self.ring, self.arity, nums, den, code)
 
     def __neg__(self) -> "Poly":
         neg = self.ring.numerator_ops()[2]
         return _from_content(self.ring, self.arity,
-                             {e: neg(n) for e, n in self.nums.items()}, self.den)
+                             {e: neg(n) for e, n in self.nums.items()},
+                             self.den, self.code)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         """self * other: by `_times_term` when one operand has one term, else
-        on packed keys."""
+        by `_mul_into`, on keys whose fields hold the sum of the degrees."""
         self._compat(other)
-        a, b = self.nums, other.nums
-        if len(a) == 1 or len(b) == 1:
-            p, q = (other, self) if len(a) == 1 else (self, other)
-            (f, n), = q.nums.items()
-            return p._times_term(n, q.den, f)
-        code = _field_code(max(map(sum, a), default=0)
-                           + max(map(sum, b), default=0))
-        nums = _mul_into({}, self.ring.numerator_ops(), _packed(a, code),
-                         _packed(b, code))
-        return _from_content(self.ring, self.arity,
-                             _unpacked(nums, code, self.arity),
-                             self.den * other.den)
+        p, q = (other, self) if len(self.nums) == 1 else (self, other)
+        if len(q.nums) == 1 and 0 in q.nums:  # a constant: no key moves
+            return p._times_term(q.nums[0], q.den)
+        code = max(self.code, other.code,
+                   _field_code(self.degree() + other.degree()))
+        if len(q.nums) == 1:
+            (f, n), = q._at(code).items()
+            return p._times_term(n, q.den, f, code)
+        nums = _mul_into({}, self.ring.numerator_ops(), self._at(code),
+                         other._at(code))
+        return _from_content(self.ring, self.arity, nums,
+                             self.den * other.den, code)
 
     def __pow__(self, k: int) -> "Poly":
         """self**k by repeated squaring (`_power`): a one-term base has its
-        exponents multiplied by k and its numerator raised, any other is
-        raised on keys packed once.  A degree bound k * deg(self) of 2^64 or
-        more is refused (`_field_code`) for either."""
+        key multiplied by k and its numerator raised, any other is raised by
+        `_mul_into`.  A degree bound k * deg(self) of 2^64 or more is refused
+        (`_field_code`) for either."""
         if k < 0:
             raise PolyError("negative power of a polynomial")
         if not k:
             return Poly.const(self.ring, self.arity, self.ring.one())
-        code = _field_code(k * self.degree())
+        code = max(self.code, _field_code(k * self.degree()))
         ops = self.ring.numerator_ops()
-        if len(self.nums) == 1:
-            (e, n), = self.nums.items()
+        nums = self._at(code)
+        if len(nums) == 1:
+            (e, n), = nums.items()
             c = _power(ops[1], n, k)
-            nums = {} if ops[3](c) else {tuple(k * x for x in e): c}
-            return _from_content(self.ring, self.arity, nums, self.den ** k)
-        result = _power(lambda a, b: _mul_into({}, ops, a, b),
-                        _packed(self.nums, code), k)
-        return _from_content(self.ring, self.arity,
-                             _unpacked(result, code, self.arity),
-                             self.den ** k)
+            nums = {} if ops[3](c) else {k * e: c}
+        else:
+            nums = _power(lambda a, b: _mul_into({}, ops, a, b), nums, k)
+        return _from_content(self.ring, self.arity, nums, self.den ** k, code)
 
     def scale(self, c) -> "Poly":
         """c times self; a product that vanishes in the ring (c = 0, or a
         zero divisor over Z/m) is dropped."""
         return self._times_term(*self.ring.split(c))
 
-    def _times_term(self, n, d: int, f: tuple = ()) -> "Poly":
-        """self times the one term (n/d) * x^f, on tuple keys: the exponents
-        are shifted by f (no shift when f is () or zero) and the numerators
-        scaled by n; a product that vanishes in the ring is dropped."""
+    def _times_term(self, n, d: int, f: int = 0,
+                    code: str | None = None) -> "Poly":
+        """self times the one term (n/d) * x^f, f a key in the fields of
+        `code` (self's by default), to which self's keys are widened: each
+        key is shifted by f and each numerator scaled by n; a product that
+        vanishes in the ring is dropped."""
         _, mul, _, is_zero, _ = self.ring.numerator_ops()
-        prods = ((e, mul(n, v)) for e, v in self.nums.items())
-        if any(f):
-            prods = ((tuple(map(int.__add__, e, f)), p) for e, p in prods)
+        code = code or self.code
+        prods = ((e, mul(n, v)) for e, v in self._at(code).items())
+        if f:
+            prods = ((e + f, p) for e, p in prods)
         return _from_content(self.ring, self.arity,
                              {e: p for e, p in prods if not is_zero(p)},
-                             self.den * d)
+                             self.den * d, code)
 
     def _compat(self, other: "Poly") -> None:
         if self.ring != other.ring or self.arity != other.arity:
             raise PolyError("polynomials over different rings or arities")
+
+    def _at(self, code: str) -> dict:
+        """nums on keys with the fields of `code`, whose fields hold the
+        degree of every term (wider than self.code, or narrower when a
+        bound allows): self.nums itself when the code is the same."""
+        if code == self.code or not self.arity:
+            return self.nums
+        return {_key(e, code): n for e, n in zip(
+            _exponent_tuples(self.nums, self.code, self.arity),
+            self.nums.values())}
 
     # -- queries -----------------------------------------------------------
 
@@ -212,38 +236,40 @@ class Poly:
         return not self.nums
 
     def degree(self) -> int:
-        """Total degree over all variables; degree(0) = 0 by convention."""
-        return self._exponents()[1]
-
-    def _exponents(self) -> tuple[tuple, int]:
-        """(top, degree): the top exponent of each variable and the total
-        degree, worked out on first read and kept (a one-term Poly shares
-        its exponent tuple as the top).  It is never read in `__init__`,
-        because `_reindexed` and `_from_content` fill `nums` after `__init__`
-        returns; once a Poly is made its `nums` are not written."""
+        """Total degree over all variables; degree(0) = 0 by convention.
+        Worked out on first read and kept: once a Poly is made its `nums`
+        are not written."""
         try:
-            return self._shape
+            return self._deg
         except AttributeError:
-            nums = self.nums
-            if len(nums) == 1:
-                top, = nums
-            else:
-                top = tuple(map(max, zip(*nums))) if nums else \
-                    (0,) * self.arity
-            self._shape = shape = (top, max(map(sum, nums), default=0))
-            return shape
+            self._deg = deg = _degree(self.nums, self.code, self.arity)
+            return deg
+
+    def _exponents(self) -> tuple:
+        """The top exponent of each variable, worked out on first read and
+        kept, as `degree` is."""
+        try:
+            return self._top
+        except AttributeError:
+            self._top = top = _top_exponents(self.nums, self.code, self.arity)
+            return top
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.arity == other.arity
-            and self.den == other.den
-            and self.nums == other.nums
-        )
+        if not (isinstance(other, Poly)
+                and self.ring == other.ring
+                and self.arity == other.arity
+                and self.den == other.den
+                and len(self.nums) == len(other.nums)):
+            return False
+        if self.code == other.code:
+            return self.nums == other.nums
+        code = max(self.code, other.code)
+        return self._at(code) == other._at(code)
 
     def __hash__(self):
-        return hash((self.arity, self.den, frozenset(self.nums.items())))
+        return hash((self.arity, self.den, frozenset(zip(
+            _exponent_tuples(self.nums, self.code, self.arity),
+            self.nums.values()))))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -263,37 +289,41 @@ class Poly:
         Only images over Q can have d_i > 1; self.nums is returned as it is
         when no image does."""
         den = self.den
-        rows = []  # (i, d_i^(maxe_i - k) for k = 0..maxe_i) when d_i > 1
+        w = _WIDTH[self.code]
+        rows = []  # (x_i's bit offset, d_i^(maxe_i - k) for k = 0..maxe_i)
         for i, im in enumerate(images):
             if im.den != 1:
-                top = self._exponents()[0][i]
+                top = self._exponents()[i]
                 den *= im.den ** top
-                rows.append((i, [im.den ** (top - k) for k in range(top + 1)]))
+                rows.append((w * i, [im.den ** (top - k)
+                                     for k in range(top + 1)]))
         if not rows:
             return den, self.nums
         _, mul, _, _, from_int = self.ring.numerator_ops()
+        mask = (1 << w) - 1
         scaled = {}
         for e, c in self.nums.items():
             f = 1
-            for i, row in rows:
-                f *= row[e[i]]
+            for at, row in rows:
+                f *= row[e >> at & mask]
             scaled[e] = mul(c, from_int(f))
         return den, scaled
 
-    def _subst_linear(self, nums: dict, images: Sequence["Poly"],
-                      arity: int) -> dict:
+    def _subst_linear(self, nums: dict, images: Sequence[dict]) -> dict:
         """c_0 + sum c_i * images[i] for the numerators `nums` of degree at
-        most 1, summed on the exponent tuples of the images: a linear
-        combination needs no product, so nothing is packed."""
+        most 1, with `images` the numerators of the images on keys of one
+        code: a linear combination needs no product.  The variable of a term
+        is read off the bit position of its key."""
         add, mul, _, is_zero, _ = self.ring.numerator_ops()
+        w = _WIDTH[self.code]
         acc: dict = {}
         get, pop = acc.get, acc.pop
         for e, c in nums.items():
-            if any(e):
-                prods = ((f, mul(c, a))
-                         for f, a in images[e.index(1)].nums.items())
+            if e:
+                prods = ((f, mul(c, a)) for f, a in
+                         images[(e.bit_length() - 1) // w].items())
             else:
-                prods = (((0,) * arity, c),)
+                prods = ((0, c),)
             for f, p in prods:
                 old = get(f)
                 if old is not None:
@@ -306,27 +336,45 @@ class Poly:
 
     def _reindexed(self, index: Sequence[int | None], arity: int) -> "Poly":
         """x_i renamed x_index[i] over `arity` variables, or sent to zero
-        when index[i] is None (the others one-to-one): the exponents are
-        scattered, the coefficients kept, and a term where a variable sent to
-        zero occurs is dropped."""
-        src = [self.arity] * arity  # the padding zero of each exponent tuple
+        when index[i] is None (the others one-to-one): the fields of each key
+        are moved, by one shift when every variable kept moves the same
+        distance, the coefficients and the code are kept, and a term where a
+        variable sent to zero occurs is dropped."""
+        w = _WIDTH[self.code]
+        moves = set()  # the distances j - i of the variables kept
+        drop = 0  # the fields of the variables sent to zero
         for i, j in enumerate(index):
-            if j is not None:
-                src[j] = i
-        take = itemgetter(*src) if arity > 1 else \
-            (lambda e: tuple(e[i] for i in src))
-        if None not in index:
-            out = Poly(self.ring, arity)
-            out.nums = {take(e + (0,)): c for e, c in self.nums.items()}
-            out.den = self.den
-            return out
-        zeros = [i for i, j in enumerate(index) if j is None]
-        return _from_content(self.ring, arity, {
-            take(e + (0,)): c for e, c in self.nums.items()
-            if not any(e[i] for i in zeros)}, self.den)
+            if j is None:
+                drop |= (1 << w) - 1 << w * i
+            else:
+                moves.add(j - i)
+        nums = self.nums
+        if drop:
+            nums = {e: c for e, c in nums.items() if not e & drop}
+        if len(moves) == 1:
+            # the other fields are zero: one shift moves every field kept
+            to = w * moves.pop()
+            if to > 0:
+                nums = {e << to: c for e, c in nums.items()}
+            elif to < 0:
+                nums = {e >> -to: c for e, c in nums.items()}
+        elif moves:
+            fields = _field_reader(self.code, self.arity)
+            place = [None if j is None else w * j for j in index]
+            moved = {}
+            for e, c in nums.items():
+                key = 0
+                for i, k in enumerate(fields(e)):
+                    if k:
+                        key += k << place[i]
+                moved[key] = c
+            nums = moved
+        if drop:
+            return _from_content(self.ring, arity, nums, self.den, self.code)
+        return _made(self.ring, arity, nums, self.den, self.code)
 
     def used_vars(self) -> set[int]:
-        return {i for i, k in enumerate(self._exponents()[0]) if k}
+        return {i for i, k in enumerate(self._exponents()) if k}
 
     # -- printing ------------------------------------------------------------
 
@@ -345,7 +393,9 @@ class Poly:
             return (sum(e), tuple(-e[i] for i in var_order))
 
         parts = []
-        for e, c in sorted(self.terms.items(), key=key):
+        for e, n in sorted(zip(_exponent_tuples(self.nums, self.code,
+                                                self.arity),
+                               self.nums.values()), key=key):
             factors = []
             for i in var_order:
                 k = e[i]
@@ -353,7 +403,7 @@ class Poly:
                     factors.append(names[i])
                 elif k > 1:
                     factors.append(f"{names[i]}^{k}")
-            cs = r.fmt(c)
+            cs = r.fmt(r.join(n, self.den))
             if not factors:
                 body = cs
             elif cs == "1":
@@ -370,8 +420,8 @@ class Poly:
 
 
 class _Terms(Mapping):
-    """The coefficients of a Poly as ring scalars, nums[e]/den, made on
-    access."""
+    """The coefficients of a Poly as ring scalars, nums[key(e)]/den, made on
+    access, keyed by exponent tuples."""
 
     __slots__ = ("_poly",)
 
@@ -380,56 +430,104 @@ class _Terms(Mapping):
 
     def __getitem__(self, e):
         p = self._poly
-        return p.ring.join(p.nums[e], p.den)
+        try:
+            n = p.nums.get(_key(e, p.code)) if len(e) == p.arity else None
+        except (OverflowError, TypeError, ValueError):  # not p's exponents
+            n = None
+        if n is None:
+            raise KeyError(e)
+        return p.ring.join(n, p.den)
 
     def __iter__(self):
-        return iter(self._poly.nums)
+        p = self._poly
+        return iter(_exponent_tuples(p.nums, p.code, p.arity))
 
     def __len__(self):
         return len(self._poly.nums)
 
 
-_BYTEORDER = sys.byteorder
 # (limit, array typecode) of the unsigned exponent fields of a packed key,
-# 1, 2, 4 and 8 bytes wide
+# 1, 2, 4 and 8 bytes wide; the typecodes sort by width
 _FIELDS = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
+_WIDTH = {code: limit.bit_length() - 1 for limit, code in _FIELDS}
+# keys are read from the fields' bytes in little-endian order
+_SWAP = sys.byteorder != "little"
+
+
+def _split(ring: Ring, c) -> tuple:
+    """(numerator, denominator) of the scalar c of `ring` (`Ring.split`)."""
+    try:
+        return ring.split(c)
+    except RingError as exc:
+        raise PolyError(f"coefficient {c!r} is not a scalar of {ring!r}") from exc
 
 
 def _field_code(bound: int) -> str:
-    """The typecode of the narrowest field that holds every exponent up to
-    `bound`, the degree bound of a product: no exponent of the product
-    exceeds it, so adding two packed keys never carries from one field into
-    the next."""
+    """The typecode of the narrowest field that holds every exponent sum up
+    to `bound`, the degree bound of an operation: no term of the result has
+    a larger total degree, so adding two packed keys never carries from one
+    field into the next."""
     for limit, code in _FIELDS:
         if bound < limit:
             return code
     raise PolyError(f"degree bound {bound} does not fit a 64-bit exponent")
 
 
-def _packed(nums: dict, code: str) -> dict:
-    """nums with each exponent tuple packed into one int: the native bytes of
-    the exponents as fields of type `code`, read in the machine's byte order,
-    so that adding two keys adds their exponent vectors (Monagan and Pearce,
-    CASC 2007)."""
-    return {int.from_bytes(array(code, e), _BYTEORDER): c
-            for e, c in nums.items()}
+def _key(exps: Sequence[int], code: str) -> int:
+    """The packed key of the exponent tuple `exps` in fields of type
+    `code`; an exponent that does not fit a field raises ValueError or
+    OverflowError."""
+    if code == "B":
+        return int.from_bytes(bytes(exps), "little")
+    fields = array(code, exps)
+    if _SWAP:
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
 
 
-def _unpacked(nums: dict, code: str, arity: int) -> dict:
-    """The inverse of `_packed`, over `arity` variables: the bytes of all
-    keys are read as one run of fields and cut into exponent tuples."""
+def _field_run(keys: Iterable[int], code: str, arity: int) -> array:
+    """The exponent fields of `keys` over `arity` variables, in one array,
+    key after key."""
+    run = array(code)
+    size = arity * run.itemsize
+    run.frombytes(b"".join([k.to_bytes(size, "little") for k in keys]))
+    if _SWAP:
+        run.byteswap()
+    return run
+
+
+def _field_reader(code: str, arity: int) -> Callable[[int], Sequence[int]]:
+    """The function from a key over `arity` variables to its exponent
+    fields, read per term by the kernels: for one-byte fields, the key's
+    bytes."""
+    if code == "B":
+        return partial(int.to_bytes, length=arity, byteorder="little")
+    return lambda e: _field_run((e,), code, arity)
+
+
+def _exponent_tuples(nums: dict, code: str, arity: int) -> Iterable[tuple]:
+    """The exponent tuple of each key of `nums`, in the order of `nums`."""
     if not arity:
-        return {(): c for c in nums.values()}
-    size = arity * array(code).itemsize
-    fields = memoryview(b"".join([k.to_bytes(size, _BYTEORDER)
-                                  for k in nums])).cast(code)
-    return dict(zip(zip(*[iter(fields)] * arity), nums.values()))
+        return [()] * len(nums)
+    return zip(*[iter(_field_run(nums, code, arity))] * arity)
+
+
+def _degree(nums: dict, code: str, arity: int) -> int:
+    """The top total degree of the keys of `nums`."""
+    return max(map(sum, map(_field_reader(code, arity), nums)), default=0)
+
+
+def _top_exponents(nums: dict, code: str, arity: int) -> tuple:
+    """The top exponent of each variable over the keys of `nums`."""
+    if not nums:
+        return (0,) * arity
+    return tuple(map(max, zip(*map(_field_reader(code, arity), nums))))
 
 
 def _mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
     """Add the product of the numerator dicts a and b, keyed by packed
-    exponents of one field type (`_packed`), into acc, in place, with the
-    ring's `numerator_ops`.
+    exponents of one code, into acc, in place, with the ring's
+    `numerator_ops`.
 
     A numerator that is zero in the ring is never stored: sums may cancel,
     and over Z/m a product of nonzero numerators may vanish.
@@ -477,24 +575,29 @@ def _subst(polys: Sequence[Poly], images: Sequence[Poly],
     a constant) or many terms, and only a many-term image needs a product.
     When the images of the variables that occur are distinct bare variables
     or zeros, each polynomial is re-indexed (`_coordinate_index`).  Else,
-    when every term of `polys` has degree at most 1, the images are summed
-    (`Poly._subst_linear`); otherwise the terms are expanded on packed keys
-    (`_Expansion`), one set for all of `polys`, where a zero image drops a
-    term and a one-term image is folded into it.
+    when every polynomial has degree at most 1, the images are summed on
+    keys of their widest code (`Poly._subst_linear`); otherwise the terms are
+    expanded (`_Expansion`), one set for all of `polys`, where a zero image
+    drops a term and a one-term image is folded into it.
     """
     if not polys:
         return []
     index = _coordinate_index(polys, images)
     if index is not None:
         return [p._reindexed(index, arity) for p in polys]
-    linear = all(sum(e) <= 1 for p in polys for e in p.nums)
-    expand = None if linear else _Expansion(polys, images, arity)
+    if all(p.degree() <= 1 for p in polys):
+        code = max((im.code for im in images), default="B")
+        keyed = [im._at(code) for im in images]
+        expand = None
+    else:
+        expand = _Expansion(polys, images)
+        code = expand.code
     out = []
     for p in polys:
         den, nums = p._over_subst_den(images)
-        nums = p._subst_linear(nums, images, arity) if linear \
-            else expand(nums)
-        out.append(_from_content(p.ring, arity, nums, den))
+        nums = p._subst_linear(nums, keyed) if expand is None \
+            else expand(p, nums)
+        out.append(_from_content(p.ring, arity, nums, den, code))
     return out
 
 
@@ -522,7 +625,7 @@ def _coordinate_index(polys: Sequence[Poly],
 
 
 def _occurs(polys: Sequence[Poly], i: int) -> bool:
-    return any(p._exponents()[0][i] for p in polys)
+    return any(p._exponents()[i] for p in polys)
 
 
 def _shared(index: list) -> bool:
@@ -532,53 +635,54 @@ def _shared(index: list) -> bool:
 
 
 class _Expansion:
-    """The images of one substitution on packed exponent keys, shared by
-    every polynomial substituted.
+    """The images of one substitution, shared by every polynomial
+    substituted.
 
-    Only the images of variables that occur are packed, and their degrees are
-    taken once.  The field type comes from the degree bound of the results:
-    sum over x_i of maxe_i * deg(images[i]), maxe_i the top exponent of x_i.
-    In a term c * prod x_i^k_i, a zero image drops the term and a one-term
-    image a_i * y^f_i is folded: k_i times its packed key is added to the
+    Only the images of variables that occur are read, and their degrees are
+    taken once.  The code of the results, to which the images are re-keyed,
+    comes from their degree bound, sum over x_i of maxe_i * deg(images[i])
+    with maxe_i the top exponent of x_i.  In a term c * prod x_i^k_i, whose fields are
+    read off its key (`_field_reader`), a zero image drops the term and a
+    one-term image a_i * y^f_i is folded: k_i times its key is added to the
     term's key and c is multiplied by a_i^k_i (not at all when a_i is one,
-    as for a bare variable).  Only the powers of many-term images are
-    multiplied out (`_mul_into`), so a term with none of them is one update
-    of the result.  Keys are unpacked once, at the end of each result.
+    as for a bare variable).  Only the powers of many-term
+    images are multiplied out (`_mul_into`), so a term with none of them is
+    one update of the result, whose keys are left as they are.
     """
 
-    __slots__ = ("ops", "code", "arity", "folds", "rows")
+    __slots__ = ("ops", "code", "folds", "rows")
 
-    def __init__(self, polys: Sequence[Poly], images: Sequence[Poly],
-                 arity: int):
+    def __init__(self, polys: Sequence[Poly], images: Sequence[Poly]):
         ring = polys[0].ring
         self.ops = ring.numerator_ops()
-        tops = [p._exponents()[0] for p in polys]
+        tops = [p._exponents() for p in polys]
         used = {i for top in tops for i, k in enumerate(top) if k}
         deg = {i: images[i].degree() for i in used}
-        self.code = _field_code(max(
+        self.code = code = _field_code(max(
             sum(k * deg[i] for i, k in enumerate(top) if k) for top in tops))
-        self.arity = arity
         one = ring.split(ring.one())[0]
-        # folds[i]: the packed key of a one-term images[i] and the powers of
-        # its numerator, None when that is one; rows[i][k]: the numerators of
-        # a many-term images[i]**k.  A zero image is in neither.
+        # folds[i]: the key of a one-term images[i] and the powers of its
+        # numerator, None when that is one; rows[i][k]: the numerators of a
+        # many-term images[i]**k.  A zero image is in neither.
         self.folds, self.rows = {}, {}
         for i in used:
-            packed = _packed(images[i].nums, self.code)
-            if len(packed) > 1:
-                self.rows[i] = [None, packed]
-            elif packed:
-                (key, a), = packed.items()
+            nums = images[i]._at(code)
+            if len(nums) > 1:
+                self.rows[i] = [None, nums]
+            elif nums:
+                (key, a), = nums.items()
                 self.folds[i] = (key, None if a == one else [one, a])
 
-    def __call__(self, nums: dict) -> dict:
+    def __call__(self, p: Poly, nums: dict) -> dict:
+        """The expansion of the numerators `nums` on the keys of p."""
         ops, folds, rows = self.ops, self.folds, self.rows
         add, mul, _, is_zero, _ = ops
+        fields = _field_reader(p.code, p.arity)
         acc: dict = {}
         for e, c in nums.items():
             key = 0
             many = []  # the powers of the many-term images
-            for i, k in enumerate(e):
+            for i, k in enumerate(fields(e)):
                 if not k:
                     continue
                 fold = folds.get(i)
@@ -611,7 +715,7 @@ class _Expansion:
                     acc.pop(key, None)
                 else:
                     acc[key] = c
-        return _unpacked(acc, self.code, self.arity)
+        return acc
 
 
 def _shift_quotient(p: Poly, arity: int, index: Sequence[int],
@@ -626,52 +730,69 @@ def _shift_quotient(p: Poly, arity: int, index: Sequence[int],
     term c*prod x_i^k_i gives, for every j != 0 with j_i <= k_i (j_i = 0 when
     x_i is not shifted), the term
     c*prod C(k_i, j_i) * x_i^(k_i-j_i) * x'_i^j_i * tau^(|j|-1).
-    Both keep p's denominator; a numerator that is zero in the ring is never
-    stored: over Z/m a binomial coefficient may vanish.
+    On keys, that term is the value's key minus tau's plus, per shifted
+    x_i, j_i times the key of x'_i * tau / x_i: one int addition per factor,
+    with the deltas and binomials of each (x_i, k_i) made once per call.
+    Both keep p's denominator and share a code that holds the slope's
+    degree bound; a numerator that is zero in the ring is never stored: over
+    Z/m a binomial coefficient may vanish.
     """
     r = p.ring
     add, mul, _, is_zero, from_int = r.numerator_ops()
+    deg = p.degree()
+    code = max(p.code, _field_code(deg + max(deg - 1, 0) * len(tau)))
+    w = _WIDTH[code]
+    fields = _field_reader(p.code, p.arity)
+    place = [w * j for j in index]
+    tau_key = sum(1 << w * t for t in tau)
+    steps = [None if q is None else (1 << w * q) - (1 << w * j) + tau_key
+             for j, q in zip(index, partner)]
+    rows: dict = {}  # (i, k): [(j * steps[i], C(k, j)) for j = 0..k]
     value: dict = {}
     slope: dict = {}
+    get, pop = slope.get, slope.pop
     for e, c in p.nums.items():
-        out = [0] * arity
-        shifted = []  # (new index, partner index, exponent)
-        for i, k in enumerate(e):
-            if k:
-                out[index[i]] += k
-                if partner[i] is not None:
-                    shifted.append((index[i], partner[i], k))
-        value[tuple(out)] = c
-        for js in product(*(range(k + 1) for _, _, k in shifted)):
-            total = sum(js)
-            if not total:
+        out = 0
+        shifted = []  # the rows of the shifted variables that occur
+        for i, k in enumerate(fields(e)):
+            if not k:
                 continue
-            ex = list(out)
-            b = 1
-            for (i, pi, k), j in zip(shifted, js):
-                if j:
-                    ex[i] -= j
-                    ex[pi] += j
-                    b *= comb(k, j)
-            for ti in tau:
-                ex[ti] += total - 1
-            ex = tuple(ex)
+            out += k << place[i]
+            if steps[i] is not None:
+                row = rows.get((i, k))
+                if row is None:
+                    step = steps[i]
+                    row = rows[i, k] = [(j * step, comb(k, j))
+                                        for j in range(k + 1)]
+                shifted.append(row)
+        value[out] = c
+        if not shifted:
+            continue
+        combos = shifted[0]
+        for row in shifted[1:]:
+            combos = [(d1 + d2, b1 * b2) for d1, b1 in combos
+                      for d2, b2 in row]
+        base = out - tau_key
+        for n in range(1, len(combos)):  # combos[0] is j = 0
+            delta, b = combos[n]
+            ex = base + delta
             s = c if b == 1 else mul(c, from_int(b))
-            old = slope.get(ex)
+            old = get(ex)
             if old is not None:
                 s = add(old, s)
             if is_zero(s):
-                slope.pop(ex, None)
+                pop(ex, None)
             else:
                 slope[ex] = s
-    return (_from_content(r, arity, value, p.den),
-            _from_content(r, arity, slope, p.den))
+    return (_from_content(r, arity, value, p.den, code),
+            _from_content(r, arity, slope, p.den, code))
 
 
-def _from_content(ring: Ring, arity: int, nums: dict, den: int) -> Poly:
-    """A Poly around numerators that hold no zero, over den > 0, made
-    canonical in place: den and the numerators are divided by their gcd
-    (den > 1 only over Q, where the numerators are ints)."""
+def _from_content(ring: Ring, arity: int, nums: dict, den: int,
+                  code: str) -> Poly:
+    """A Poly around numerators that hold no zero, over den > 0, on keys of
+    type `code`, made canonical in place: den and the numerators are divided
+    by their gcd (den > 1 only over Q, where the numerators are ints)."""
     if den != 1:
         g = den
         for n in nums.values():
@@ -682,9 +803,15 @@ def _from_content(ring: Ring, arity: int, nums: dict, den: int) -> Poly:
             for e, n in nums.items():
                 nums[e] = n // g
             den //= g
-    out = Poly(ring, arity)
-    out.nums = nums
-    out.den = den
+    return _made(ring, arity, nums, den, code)
+
+
+def _made(ring: Ring, arity: int, nums: dict, den: int, code: str) -> Poly:
+    """A Poly around content that is already canonical, with no __init__
+    call."""
+    out = object.__new__(Poly)
+    out.ring, out.arity, out.nums, out.den, out.code = \
+        ring, arity, nums, den, code
     return out
 
 
@@ -696,24 +823,25 @@ class _Kernel:
     `Ring.from_rational`.  Every other component keeps its content form: the
     denominator L (`Poly.den`) and, per term, the integer numerator c*L with
     the positions of its powers in a flat row of the powers k >= 1 of the
-    variables those components use.  For inputs p_i/q_i and
-    D = prod q_i^maxe_i, such a component's value is N/(D*L) with
-    N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i); the ring turns that
-    ratio into its scalar with `Ring.from_ratio`.  A kernel positioned in a
-    larger point (`at`) also holds each constant component as its scalar,
-    (None, None, value) in `comps`.
+    variables those components use, read off the term's key.  For inputs
+    p_i/q_i and D = prod q_i^maxe_i, such a component's value is N/(D*L)
+    with N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i); the ring turns
+    that ratio into its scalar with `Ring.from_ratio`.  A kernel positioned
+    in a larger point (`at`) also holds each constant component as its
+    scalar, (None, None, value) in `comps`.
     """
 
     __slots__ = ("tops", "comps")
 
     def __init__(self, polys: Sequence[Poly]):
         copied = [_bare_var(poly) for poly in polys]
+        # the exponent fields of every term of each component not copied
+        fields = [list(map(_field_reader(poly.code, poly.arity), poly.nums))
+                  for poly, var in zip(polys, copied) if var is None]
         # the top exponents are taken here, not kept on each Poly
         # (`Poly._exponents`): a kernel is built once per map, and keeping
         # them for every map evaluated only costs memory
-        exps = [e for poly, var in zip(polys, copied) if var is None
-                for e in poly.nums]
-        maxe = [max(col) for col in zip(*exps)]
+        maxe = [max(col) for col in zip(*(f for comp in fields for f in comp))]
         self.tops = tuple((i, k) for i, k in enumerate(maxe) if k)
         # power k >= 1 of variable i sits at offset[i] + k of the flat rows
         offset = [0] * len(maxe)
@@ -722,13 +850,14 @@ class _Kernel:
             offset[i] = at - 1
             at += k
         comps = []
+        kept = iter(fields)
         for poly, var in zip(polys, copied):
             if var is not None:
                 comps.append((var, 0, ()))
                 continue
-            comps.append((None, poly.den, tuple(
-                (c, tuple(offset[i] + k for i, k in enumerate(e) if k))
-                for e, c in poly.nums.items())))
+            comps.append((None, poly.den, tuple(zip(poly.nums.values(), [
+                tuple([o + k for o, k in zip(offset, f) if k])
+                for f in next(kept)]))))
         self.comps = tuple(comps)
 
     def at(self, ring: Ring, gather: Sequence[int] | None = None,
@@ -792,23 +921,22 @@ class _Kernel:
 
 def _var(ring: Ring, arity: int, i: int, one) -> Poly:
     """x_i over `arity` variables, with `one` the numerator of the ring's
-    one."""
-    e = [0] * arity
-    e[i] = 1
-    # no __init__ call: most coordinate lists are read once per label
-    out = object.__new__(Poly)
-    out.ring, out.arity, out.nums, out.den = ring, arity, {tuple(e): one}, 1
+    one, on one-byte fields."""
+    out = _made(ring, arity, {1 << 8 * i: one}, 1, "B")
+    out._deg = 1
     return out
 
 
 def _bare_var(poly: Poly) -> int | None:
-    """The index i when poly is exactly x_i with coefficient one, else None."""
+    """The index i when poly is exactly x_i with coefficient one, else None:
+    its one key is a single bit, the lowest of a field."""
     if len(poly.nums) != 1 or poly.den != 1:
         return None
     (e, c), = poly.nums.items()
-    if c != 1 or sum(e) != 1:
+    if c != 1 or not e or e & (e - 1):
         return None
-    return e.index(1)
+    i, at = divmod(e.bit_length() - 1, _WIDTH[poly.code])
+    return None if at else i
 
 
 class PolyRing(Ring):

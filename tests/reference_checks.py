@@ -1,9 +1,11 @@
 """Dict-based law checkers: the reference the positional checkers of
 `cubicalc.checks` are compared against; the subst-subtract-divide slope
-step, the reference of the term-wise kernel `polymap._shift_quotient`; the
-tuple-key products, the reference of the packed-key kernel
-`polymap._mul_into`; the symmetric law built factorizer by factorizer
-for every (alpha, beta) pair, the reference of `laws.derive_law_sym`;
+step and the term-wise step on exponent tuples, the references of
+`polymap._shift_quotient`; products, substitutions, re-indexing and
+printing on exponent tuples and ring coefficients, the references of the
+packed-key kernels of `polymap`; the symmetric law built factorizer by
+factorizer for every (alpha, beta) pair, the reference of
+`laws.derive_law_sym`;
 the symmetry check by composing relabelling maps, the reference of
 `laws.check_symmetry`; and the dense double loop over coefficient pairs,
 the reference of `extension.ext_mul`, which multiplies in split
@@ -19,6 +21,8 @@ pin map values by label.
 from __future__ import annotations
 
 import random
+from itertools import product
+from math import comb
 from operator import add as _add_ints
 
 from cubicalc.checks import (CheckReport, _edge_loc, _edge_sort_key,
@@ -26,7 +30,7 @@ from cubicalc.checks import (CheckReport, _edge_loc, _edge_sort_key,
 from cubicalc.constructions import gsy
 from cubicalc.derive import CoordLabel, display_label, tag_of, vlab
 from cubicalc.hypercube import subset_label, subsets
-from cubicalc.polymap import ExactDivisionError, Poly, PolyMap, _from_content
+from cubicalc.polymap import ExactDivisionError, Poly, PolyMap
 from cubicalc.presentation import SamplingError, attach_generic_params
 
 
@@ -345,55 +349,139 @@ def _divide_by_var(p, i):
     return Poly(p.ring, p.arity, terms)
 
 
-def reference_mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
-    """The product kernel before packed keys: the product of the numerator
-    dicts a and b, keyed by exponent tuples, added into acc in place; a
-    numerator that is zero in the ring is never stored."""
-    add, mul, _, is_zero, _ = ops
+def reference_shift_quotient_terms(p, arity, index, partner, tau) -> tuple:
+    """(value, slope) as `_shift_quotient` returns them, as coefficient
+    dicts keyed by exponent tuples: term by term on exponent tuples and ring
+    coefficients, as the kernel computed them before its keys were
+    packed."""
+    r = p.ring
+    value: dict = {}
+    slope: dict = {}
+    for e, c in p.terms.items():
+        out = [0] * arity
+        shifted = []  # (new index, partner index, exponent)
+        for i, k in enumerate(e):
+            if k:
+                out[index[i]] += k
+                if partner[i] is not None:
+                    shifted.append((index[i], partner[i], k))
+        value[tuple(out)] = c
+        for js in product(*(range(k + 1) for _, _, k in shifted)):
+            total = sum(js)
+            if not total:
+                continue
+            ex = list(out)
+            b = 1
+            for (i, pi, k), j in zip(shifted, js):
+                ex[i] -= j
+                ex[pi] += j
+                b *= comb(k, j)
+            for ti in tau:
+                ex[ti] += total - 1
+            ex = tuple(ex)
+            slope[ex] = r.add(slope.get(ex, r.zero()), r.mul(c, r.from_int(b)))
+    return value, slope
+
+
+def reference_mul_terms(ring, a: dict, b: dict) -> dict:
+    """The product of the coefficient dicts a and b, keyed by exponent
+    tuples, with the ring's scalar operations; zero coefficients are kept
+    (the Poly constructor drops them)."""
+    acc: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(_add_ints, e1, e2))
-            p = mul(c1, c2)
-            old = acc.get(e)
-            if old is not None:
-                p = add(old, p)
-            if is_zero(p):
-                acc.pop(e, None)
-            else:
-                acc[e] = p
+            acc[e] = ring.add(acc.get(e, ring.zero()), ring.mul(c1, c2))
     return acc
 
 
+def reference_pow_terms(ring, a: dict, k: int, arity: int) -> dict:
+    """a**k on exponent tuples, by square-and-multiply."""
+    result = {(0,) * arity: ring.one()}
+    while k:
+        if k & 1:
+            result = reference_mul_terms(ring, result, a)
+        k >>= 1
+        if k:
+            a = reference_mul_terms(ring, a, a)
+    return result
+
+
 def reference_mul(a: Poly, b: Poly) -> Poly:
-    """a * b on tuple keys."""
-    nums = reference_mul_into({}, a.ring.numerator_ops(), a.nums, b.nums)
-    return _from_content(a.ring, a.arity, nums, a.den * b.den)
+    """a * b on exponent tuples."""
+    return Poly(a.ring, a.arity,
+                reference_mul_terms(a.ring, dict(a.terms), dict(b.terms)))
 
 
-def reference_subst_tuple(poly: Poly, images, arity: int) -> Poly:
-    """poly.subst(images, arity) by the expansion before packed keys: tuple
-    keys, and the powers of the images built for this polynomial alone.
-    It expands even when every image is a monomial."""
-    ops = poly.ring.numerator_ops()
-    den, nums = poly._over_subst_den(images)
-    zero = (0,) * arity
-    unit = {zero: poly.ring.split(poly.ring.one())[0]}
-    rows = [[unit] for _ in images]  # rows[i][k]: numerators of images[i]**k
+def reference_subst_terms(poly: Poly, images, arity: int) -> dict:
+    """poly.subst(images, arity) by the expansion before packed keys, as a
+    coefficient dict keyed by exponent tuples: ring coefficients, and the
+    powers of the images built for this polynomial alone.  It expands even
+    when every image is a monomial."""
+    r = poly.ring
+    powers: dict = {}  # (i, k): images[i]**k
     acc: dict = {}
-    for e, c in nums.items():
-        prod = {zero: c}
-        last = unit
+    for e, c in poly.terms.items():
+        prod = {(0,) * arity: c}
         for i, k in enumerate(e):
             if not k:
                 continue
-            row = rows[i]
-            while len(row) <= k:
-                row.append(reference_mul_into({}, ops, row[-1], images[i].nums))
-            if last is not unit:
-                prod = reference_mul_into({}, ops, prod, last)
-            last = row[k]
-        reference_mul_into(acc, ops, prod, last)
-    return _from_content(poly.ring, arity, acc, den)
+            if (i, k) not in powers:
+                powers[i, k] = reference_pow_terms(r, dict(images[i].terms),
+                                                   k, arity)
+            prod = reference_mul_terms(r, prod, powers[i, k])
+        for f, v in prod.items():
+            acc[f] = r.add(acc.get(f, r.zero()), v)
+    return acc
+
+
+def reference_subst_tuple(poly: Poly, images, arity: int) -> Poly:
+    """`reference_subst_terms` as a Poly."""
+    return Poly(poly.ring, arity, reference_subst_terms(poly, images, arity))
+
+
+def reference_reindexed_terms(p: Poly, index, arity: int) -> dict:
+    """`Poly._reindexed` on exponent tuples, as a coefficient dict: x_i
+    renamed x_index[i], and a term where a variable with index None occurs
+    dropped."""
+    terms = {}
+    for e, c in p.terms.items():
+        if any(k and index[i] is None for i, k in enumerate(e)):
+            continue
+        out = [0] * arity
+        for i, k in enumerate(e):
+            if k:
+                out[index[i]] = k
+        terms[tuple(out)] = c
+    return terms
+
+
+def reference_fmt(ring, terms: dict, names, order=None) -> str:
+    """`Poly.fmt` of the nonzero coefficient dict `terms`, keyed by
+    exponent tuples: terms sorted by (total degree, reverse-lex
+    exponents)."""
+    terms = {e: c for e, c in terms.items() if not ring.is_zero(c)}
+    if not terms:
+        return "0"
+    var_order = list(order) if order is not None else list(range(len(names)))
+    parts = []
+    for e, c in sorted(terms.items(), key=lambda item: (
+            sum(item[0]), tuple(-item[0][i] for i in var_order))):
+        factors = [names[i] if e[i] == 1 else f"{names[i]}^{e[i]}"
+                   for i in var_order if e[i]]
+        cs = ring.fmt(c)
+        if not factors:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append("*".join(factors))
+        elif cs == "-1":
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append("*".join([cs] + factors))
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out
 
 
 def _extend_by_subst(m: PolyMap, bigger) -> PolyMap:

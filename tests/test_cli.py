@@ -179,6 +179,17 @@ def test_exponent_at_the_bound_parses():
     assert parse("f(x) = x^0064 + x^00") == f.add(parse("f(x) = 1"))
 
 
+def test_exponent_above_one_byte_prints_as_before(capsys):
+    """A literal exponent stops at 64, but (x^64)^5 reaches x^320, which
+    needs wider exponent fields: the requests print what they printed when
+    every term had an exponent tuple (tests/cli_wide_exponent.json)."""
+    expected = json.loads(
+        (Path(__file__).parent / "cli_wide_exponent.json").read_text())
+    for request in expected["requests"]:
+        assert run(request["argv"]) == request["exit"]
+        assert capsys.readouterr().out == request["stdout"]
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     import cubicalc.cli
     from cubicalc.polymap import ExactDivisionError

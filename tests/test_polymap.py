@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +11,12 @@ from cubicalc.polymap import Poly, PolyError, PolyMap, PolyRing, _shift_quotient
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
-from reference_checks import (_extend_by_subst, reference_mul,
-                              reference_shift_quotient, reference_subst_tuple)
+from reference_checks import (_extend_by_subst, reference_fmt, reference_mul,
+                              reference_mul_terms, reference_pow_terms,
+                              reference_reindexed_terms,
+                              reference_shift_quotient,
+                              reference_shift_quotient_terms,
+                              reference_subst_terms, reference_subst_tuple)
 
 
 def test_coords_are_the_variables_of_their_labels():
@@ -189,13 +193,27 @@ def kernel_cases(draw):
     return ring, PolyMap(ring, tuple(f"x{i}" for i in range(arity)), comps), point
 
 
+def content(p: Poly) -> tuple:
+    """(numerators keyed by exponent tuples, den): the content form of p,
+    whatever the code of its keys."""
+    return dict(zip(p.terms, p.nums.values())), p.den
+
+
 def assert_content_form(p: Poly) -> None:
     """p is canonical: numerators over one positive denominator, no zero
-    numerator, gcd(den, numerators) = 1 over Q and den = 1 elsewhere; and a
-    Poly built from the coefficients of its `terms` view is the same Poly,
-    with the same view, hash and printed form."""
+    numerator, gcd(den, numerators) = 1 over Q and den = 1 elsewhere; its
+    keys are ints whose fields, of the width of p.code, each hold the total
+    degree of the term, and no field lies at or past p.arity; and a Poly
+    built from the coefficients of its `terms` view is the same Poly, with
+    the same content, view, hash and printed form."""
     r = p.ring
     assert type(p.den) is int and p.den > 0
+    assert p.code in "BHIQ"
+    width = 8 * polymap.array(p.code).itemsize
+    for key in p.nums:
+        assert type(key) is int and 0 <= key < 1 << width * p.arity
+        fields = [key >> width * i & (1 << width) - 1 for i in range(p.arity)]
+        assert sum(fields) < 1 << width
     if r is QQ:
         assert all(type(n) is int and n != 0 for n in p.nums.values())
         assert gcd(p.den, *p.nums.values()) == 1
@@ -207,7 +225,7 @@ def assert_content_form(p: Poly) -> None:
         else:
             assert not any(n.is_zero() for n in p.nums.values())
     rebuilt = Poly(r, p.arity, dict(p.terms))
-    assert (rebuilt.nums, rebuilt.den) == (p.nums, p.den)
+    assert content(rebuilt) == content(p)
     assert rebuilt == p and hash(rebuilt) == hash(p)
     assert rebuilt.terms == p.terms
     names = [f"x{i}" for i in range(p.arity)]
@@ -350,10 +368,10 @@ def test_positioned_kernel_holds_constants_and_shares_terms(ring):
         ring.from_int(2), ring.zero(), three, ring.from_int(5 ** 3 * 2 + 2)]
 
 
-def test_coords_hand_out_one_object_per_label():
+def test_coords_hand_out_a_new_variable_per_read():
     x = Poly.coords(QQ, ("a", "b"))
-    assert x("a") is x("a") and x("b") is x("b")
-    assert x("a") is not Poly.coords(QQ, ("a", "b"))("a")
+    assert x("a") == x("a") == Poly.var(QQ, 2, 0) and x("a") is not x("a")
+    assert x("b").nums == {1 << 8: 1} and x("b").code == "B"
     with pytest.raises(KeyError):
         x("c")
 
@@ -586,27 +604,27 @@ def test_add_mul_scale_match_scalar_arithmetic(case):
 def test_denominators_cancel():
     half = Fraction(1, 2)
     x_half = Poly(QQ, 1, {(1,): half})
-    assert (x_half.nums, x_half.den) == ({(1,): 1}, 2)
+    assert content(x_half) == ({(1,): 1}, 2)
     total = x_half + x_half
     assert total == Poly.var(QQ, 1, 0)
-    assert (total.nums, total.den) == ({(1,): 1}, 1)
+    assert content(total) == ({(1,): 1}, 1)
     assert (x_half - x_half).den == 1
     assert x_half.scale(2) == total and x_half.scale(2).den == 1
     # the slope of x^2/2 is x*v + 1/2*t*v^2: the first term's 2/2 cancels
     value, slope = _shift_quotient(Poly(QQ, 1, {(2,): half}), 3, [0], [1], [2])
     assert value == Poly(QQ, 3, {(2, 0, 0): half})
-    assert (slope.nums, slope.den) == ({(1, 1, 0): 2, (0, 2, 1): 1}, 2)
+    assert content(slope) == ({(1, 1, 0): 2, (0, 2, 1): 1}, 2)
     assert slope.terms == {(1, 1, 0): 1, (0, 2, 1): half}
     # (2*x + y)/2 with only x shifted: the slope v has denominator 1
     p = Poly(QQ, 2, {(1, 0): 1, (0, 1): half})
     value, slope = _shift_quotient(p, 4, [0, 1], [2, None], [3])
-    assert (slope.nums, slope.den) == ({(0, 0, 1, 0): 1}, 1)
+    assert content(slope) == ({(0, 0, 1, 0): 1}, 1)
     # substitutions: into x/2, and of x/2 into 4*x^2 + 2*x and x^2
     assert x_half.subst([Poly(QQ, 1, {(1,): Fraction(2)})], 1) == total
     square = Poly(QQ, 1, {(2,): 4, (1,): 2}).subst([x_half], 1)
-    assert (square.nums, square.den) == ({(2,): 1, (1,): 1}, 1)
+    assert content(square) == ({(2,): 1, (1,): 1}, 1)
     quarter = Poly(QQ, 1, {(2,): 1}).subst([x_half], 1)
-    assert (quarter.nums, quarter.den) == ({(2,): 1}, 4)
+    assert content(quarter) == ({(2,): 1}, 4)
     for q in (x_half, total, value, slope, square, quarter):
         assert_content_form(q)
 
@@ -712,7 +730,7 @@ def packed_subst_cases(draw):
     table[(1,) + (0,) * (arity - 1)] = draw(coeff)
     poly = Poly(ring, arity, table)
     images = [draw(subst_images(ring, target)) for _ in range(arity)]
-    rest = sum(max((e[i] for e in poly.nums), default=0) * images[i].degree()
+    rest = sum(max((e[i] for e in poly.terms), default=0) * images[i].degree()
                for i in range(1, arity))
     d0 = 3 if bound is None else bound - rest
     images[0] = images[0] + Poly(ring, target, {
@@ -739,39 +757,24 @@ def test_packed_subst_matches_tuple_keys(case):
     assert out.comps == (got, reference_subst_tuple(other, images, target))
 
 
-def _field_sizes(monkeypatch) -> list:
-    """Record the field size of every packed product."""
-    sizes = []
-    pick = polymap._field_code
-
-    def recorded(bound):
-        code = pick(bound)
-        sizes.append(polymap.array(code).itemsize)
-        return code
-
-    monkeypatch.setattr(polymap, "_field_code", recorded)
-    return sizes
-
-
 @pytest.mark.parametrize("ring", KERNEL_RINGS)
 @pytest.mark.parametrize("bound,size", [(255, 1), (256, 2), (65535, 2),
                                         (65536, 4), (2 ** 32 - 1, 4),
                                         (2 ** 32, 8), (2 ** 64 - 1, 8)])
-def test_packed_fields_at_the_byte_edges(monkeypatch, ring, bound, size):
-    sizes = _field_sizes(monkeypatch)
+def test_packed_fields_at_the_byte_edges(ring, bound, size):
     x, y = Poly.var(ring, 2, 0), Poly.var(ring, 2, 1)
     a = Poly(ring, 2, {(bound - 7, 0): 1, (0, 1): 3, (0, 0): 1})
     b = Poly(ring, 2, {(7, 0): 2, (1, 1): 1})
     got = a * b
-    assert sizes == [size]
+    assert polymap.array(got.code).itemsize == size
     assert got == reference_mul(a, b)
-    assert got.nums[(bound, 0)] == ring.split(ring.from_int(2))[0]
+    assert content(got)[0][(bound, 0)] == ring.split(ring.from_int(2))[0]
     # x -> x^(bound - 1) + y, so the degree bound of x*y is `bound`
     image = Poly(ring, 2, {(bound - 1, 0): 1, (0, 1): 1})
     got = (x * y).subst([image, y], 2)
-    assert sizes[-1] == size
+    assert polymap.array(got.code).itemsize == size
     assert got == reference_subst_tuple(x * y, [image, y], 2)
-    assert got.nums.keys() == {(bound - 1, 1), (0, 2)}
+    assert set(got.terms) == {(bound - 1, 1), (0, 2)}
 
 
 def test_packed_bound_beyond_64_bits_is_refused():
@@ -1051,7 +1054,7 @@ def coordinate_subst_cases(draw):
 def test_coordinate_subst_matches_reference(case, point):
     polys, images, target = case
     ring = polys[0].ring
-    occurring = {i for p in polys for e in p.nums
+    occurring = {i for p in polys for e in p.terms
                  for i, k in enumerate(e) if k}
     variables = [_variable_of(images[i]) for i in occurring
                  if not images[i].is_zero()]
@@ -1066,15 +1069,15 @@ def test_coordinate_subst_matches_reference(case, point):
 
 
 @pytest.mark.parametrize("ring", COORD_RINGS)
-def test_coordinate_subst_packs_nothing(monkeypatch, ring):
+def test_coordinate_subst_expands_nothing(monkeypatch, ring):
     calls = []
-    packed = polymap._packed
+    expansion = polymap._Expansion
 
     def counted(*args):
         calls.append(args)
-        return packed(*args)
+        return expansion(*args)
 
-    monkeypatch.setattr(polymap, "_packed", counted)
+    monkeypatch.setattr(polymap, "_Expansion", counted)
     x = [Poly.var(ring, 3, i) for i in range(3)]
     y = [Poly.var(ring, 4, j) for j in range(4)]
     zero = Poly.zero(ring, 4)
@@ -1094,3 +1097,164 @@ def test_coordinate_subst_packs_nothing(monkeypatch, ring):
     assert _subst_both_ways([poly], images) == [
         reference_subst(poly, images, 4)]
     assert calls
+
+
+# -- packed keys at the edges of the field widths -----------------------------
+
+WIDE_RINGS = (QQ, IntegersMod(2 ** 31 - 1), IntegersMod(6), IntegersMod(4))
+# exponents at the edges of the 1- and 2-byte fields
+EDGE_EXPONENTS = (255, 256, 65535, 65536)
+
+
+@st.composite
+def wide_cases(draw):
+    """Two polynomials a, b over arity 1..3 and one ring: a few terms of
+    degree <= 3, and in a one term whose degree sits at a field edge
+    (minus up to 3), on one variable or split between two, so that products,
+    powers, substitutions and slopes cross into wider fields.  Coefficients
+    may be zero divisors over Z/6 and Z/4 and have denominators over Q."""
+    ring = draw(st.sampled_from(WIDE_RINGS))
+    arity = draw(st.integers(1, 3))
+    coeff = st.tuples(st.integers(-7, 7), st.integers(1, 6)).map(
+        lambda nd: _coefficient(ring, *nd))
+
+    def poly_of(top: int) -> Poly:
+        table = draw(st.dictionaries(_exponents(arity, 3), coeff, max_size=3))
+        table[_top_term(draw, arity, top)] = draw(coeff)
+        return Poly(ring, arity, table)
+
+    edge = draw(st.sampled_from(EDGE_EXPONENTS))
+    return poly_of(edge - draw(st.integers(0, 3))), \
+        poly_of(draw(st.integers(0, 3)))
+
+
+def _monomial_images(ring, arity: int):
+    """A monomial of degree 1 or 2 over `arity` variables, with coefficient
+    1, 2 or 3 over Z/m and 1 or -1 over Q, whose powers print in fewer
+    digits than Python's limit on int to str conversion."""
+    def monomial(j, k, c):
+        return Poly(ring, arity, {
+            tuple(k if m == j else 0 for m in range(arity)): ring.from_int(c)})
+    return st.builds(monomial, st.integers(0, arity - 1), st.integers(1, 2),
+                     st.sampled_from((1, -1) if ring is QQ else (1, 2, 3)))
+
+
+def _assert_matches_terms(got: Poly, want: dict) -> None:
+    """got is the polynomial of the coefficient dict `want` (keyed by
+    exponent tuples, zeros allowed): as a Poly, as its terms and printed."""
+    ring = got.ring
+    want = {e: c for e, c in want.items() if not ring.is_zero(c)}
+    assert got == Poly(ring, got.arity, want)
+    assert dict(got.terms) == want
+    names = [f"x{i}" for i in range(got.arity)]
+    assert got.fmt(names) == reference_fmt(ring, want, names)
+    order = list(reversed(range(got.arity)))
+    assert got.fmt(names, order) == reference_fmt(ring, want, names, order)
+    assert_content_form(got)
+
+
+@given(wide_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_wide_keys_match_tuple_references(case, data):
+    a, b = case
+    ring, arity = a.ring, a.arity
+    ta, tb = dict(a.terms), dict(b.terms)
+    # + - * **
+    total = dict(ta)
+    for e, c in tb.items():
+        total[e] = ring.add(total.get(e, ring.zero()), c)
+    _assert_matches_terms(a + b, total)
+    _assert_matches_terms(a - b, {e: ring.sub(ta.get(e, ring.zero()),
+                                              tb.get(e, ring.zero()))
+                                  for e in {**ta, **tb}})
+    _assert_matches_terms(a * b, reference_mul_terms(ring, ta, tb))
+    _assert_matches_terms(b * a, reference_mul_terms(ring, ta, tb))
+    _assert_matches_terms(a ** 2, reference_pow_terms(ring, ta, 2, arity))
+    _assert_matches_terms(b ** 3, reference_pow_terms(ring, tb, 3, arity))
+    # substitution, one call for both: a monomial image of degree 1 or 2 for
+    # a variable with a high exponent, any image for the others
+    top = [max((e[i] for e in {**ta, **tb}), default=0)
+           for i in range(arity)]
+    target = data.draw(st.integers(1, 3))
+    images = [data.draw(_monomial_images(ring, target) if top[i] > 3
+                        else subst_images(ring, target))
+              for i in range(arity)]
+    labels = [f"x{i}" for i in range(arity)]
+    pair = PolyMap(ring, labels, (a, b))
+    out = pair.subst(dict(zip(labels, images)),
+                     [f"y{j}" for j in range(target)])
+    for p, got in zip((a, b), out.comps):
+        _assert_matches_terms(got, reference_subst_terms(p, images, target))
+    # re-indexing: extend_inputs, and a substitution of variables and zeros
+    bigger = data.draw(st.permutations(labels + ["u", "w"]))
+    index = [bigger.index(l) for l in labels]
+    for p, got in zip((a, b), pair.extend_inputs(bigger).comps):
+        _assert_matches_terms(
+            got, reference_reindexed_terms(p, index, len(bigger)))
+    index[-1] = None
+    images = [Poly.zero(ring, len(bigger)) if j is None
+              else Poly.var(ring, len(bigger), j) for j in index]
+    _assert_matches_terms(a.subst(images, len(bigger)),
+                          reference_reindexed_terms(a, index, len(bigger)))
+    # the slope: a variable with exponents <= 3 may be shifted
+    shifted = [i for i in range(arity)
+               if top[i] <= 3 and data.draw(st.booleans())]
+    new = arity + len(shifted) + data.draw(st.integers(0, 2))
+    partner = [arity + shifted.index(i) if i in shifted else None
+               for i in range(arity)]
+    tau = list(range(arity + len(shifted), new))
+    quotient = (a, new, list(range(arity)), partner, tau)
+    for got, want in zip(_shift_quotient(*quotient),
+                         reference_shift_quotient_terms(*quotient)):
+        _assert_matches_terms(got, want)
+    # the kernel build: the tops and term positions read off tuples (a
+    # bare variable is copied, not built)
+    polys = [p for p in (a, b) if polymap._bare_var(p) is None]
+    maxe = [max(col) for col in zip(*(e for p in polys for e in p.terms))]
+    kernel = polymap._Kernel(polys)
+    assert kernel.tops == tuple((i, k) for i, k in enumerate(maxe) if k)
+    offset = {i: sum(k for _, k in kernel.tops[:n]) - 1
+              for n, (i, _) in enumerate(kernel.tops)}
+    for p, (var, den, comp) in zip(polys, kernel.comps):
+        assert var is None and den == p.den
+        assert dict((idx, n) for n, idx in comp) == {
+            tuple(offset[i] + k for i, k in enumerate(e) if k): n
+            for e, n in content(p)[0].items()}
+    point = [data.draw(st.integers(0, 1)) for _ in labels]
+    assert kernel(ring, [ring.from_int(x) for x in point]) == [
+        ring.from_rational(Fraction(sum(
+            n * prod(x ** k for x, k in zip(point, e))
+            for e, n in content(p)[0].items()), p.den)) for p in polys]
+
+
+@pytest.mark.parametrize("ring", WIDE_RINGS)
+@pytest.mark.parametrize("edge", EDGE_EXPONENTS)
+def test_wide_product_equals_and_hashes_as_built(ring, edge):
+    x, y = Poly.var(ring, 2, 0), Poly.var(ring, 2, 1)
+    small = x * y + Poly.const(ring, 2, ring.from_int(3)) - y * y
+    big = Poly(ring, 2, {(edge, 0): ring.from_int(5)})
+    # small, reached through keys of the fields of x^(edge + 2)
+    wide = (small * big + small) - small * big
+    assert wide.code == polymap._field_code(edge + 2) != small.code
+    assert wide == small and small == wide and hash(wide) == hash(small)
+    assert {small: "found"}[wide] == "found"
+    assert wide.terms == small.terms
+    assert wide.fmt(["x", "y"]) == small.fmt(["x", "y"])
+    assert (wide - small).is_zero() and wide - small == Poly.zero(ring, 2)
+    built = Poly(ring, 2, dict((small * big).terms))
+    assert built == small * big and hash(built) == hash(small * big)
+    assert_content_form(wide)
+
+
+@pytest.mark.parametrize("ring", WIDE_RINGS)
+@pytest.mark.parametrize("edge", EDGE_EXPONENTS)
+def test_slopes_widen_past_a_field_edge(ring, edge):
+    """The slope of 2*x^(edge-3)*y^3 + y in y, with tau = t*s, has a term of
+    degree edge + 4 (x^(edge-3) * y'^3 * tau^2): wider than the fields of
+    the polynomial when edge is 255 or 65535."""
+    p = Poly(ring, 2, {(edge - 3, 3): ring.from_int(2), (0, 1): 1})
+    quotient = (p, 5, [0, 1], [None, 2], [3, 4])
+    got = _shift_quotient(*quotient)
+    for g, want in zip(got, reference_shift_quotient_terms(*quotient)):
+        _assert_matches_terms(g, want)
+    assert (edge - 3, 0, 3, 2, 2) in got[1].terms

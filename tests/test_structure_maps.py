@@ -33,7 +33,8 @@ def _feed(h, m) -> None:
         return
     h.update(repr((tuple(map(display_label, m.in_labels)),
                    tuple(map(display_label, m.out_labels)),
-                   tuple((sorted(c.nums.items()), c.den) for c in m.comps))
+                   tuple((sorted(zip(c.terms, c.nums.values())), c.den)
+                         for c in m.comps))
                   ).encode() + b";")
 
 
