@@ -53,8 +53,8 @@ class Poly:
     reduced scalars.  Arithmetic runs on the numerators with the ring's
     `numerator_ops` and handles den once per operation, outside the term
     loops.  `terms` is the read-only {exponent tuple: coefficient} view,
-    coefficients as ring scalars (Fractions over Q); it, `fmt` and `hash`
-    are the only readers that make exponent tuples.
+    coefficients as ring scalars (Fractions over Q); it and `fmt` are the
+    only readers that make exponent tuples.
     """
 
     __slots__ = ("ring", "arity", "nums", "den", "code", "_top", "_deg")
@@ -242,7 +242,8 @@ class Poly:
         try:
             return self._deg
         except AttributeError:
-            self._deg = deg = _degree(self.nums, self.code, self.arity)
+            fields = map(_field_reader(self.code, self.arity), self.nums)
+            self._deg = deg = max(map(sum, fields), default=0)
             return deg
 
     def _exponents(self) -> tuple:
@@ -251,7 +252,9 @@ class Poly:
         try:
             return self._top
         except AttributeError:
-            self._top = top = _top_exponents(self.nums, self.code, self.arity)
+            fields = map(_field_reader(self.code, self.arity), self.nums)
+            self._top = top = tuple(map(max, zip(*fields))) if self.nums \
+                else (0,) * self.arity
             return top
 
     def __eq__(self, other) -> bool:
@@ -267,9 +270,10 @@ class Poly:
         return self._at(code) == other._at(code)
 
     def __hash__(self):
-        return hash((self.arity, self.den, frozenset(zip(
-            _exponent_tuples(self.nums, self.code, self.arity),
-            self.nums.values()))))
+        # on the keys of the narrowest code that holds the degree, which
+        # equal polynomials share
+        nums = self._at(_field_code(self.degree()))
+        return hash((self.arity, self.den, frozenset(nums.items())))
 
     # -- evaluation and substitution ----------------------------------------
 
@@ -512,18 +516,6 @@ def _exponent_tuples(nums: dict, code: str, arity: int) -> Iterable[tuple]:
     return zip(*[iter(_field_run(nums, code, arity))] * arity)
 
 
-def _degree(nums: dict, code: str, arity: int) -> int:
-    """The top total degree of the keys of `nums`."""
-    return max(map(sum, map(_field_reader(code, arity), nums)), default=0)
-
-
-def _top_exponents(nums: dict, code: str, arity: int) -> tuple:
-    """The top exponent of each variable over the keys of `nums`."""
-    if not nums:
-        return (0,) * arity
-    return tuple(map(max, zip(*map(_field_reader(code, arity), nums))))
-
-
 def _mul_into(acc: dict, ops: tuple, a: dict, b: dict) -> dict:
     """Add the product of the numerator dicts a and b, keyed by packed
     exponents of one code, into acc, in place, with the ring's
@@ -641,11 +633,11 @@ class _Expansion:
     Only the images of variables that occur are read, and their degrees are
     taken once.  The code of the results, to which the images are re-keyed,
     comes from their degree bound, sum over x_i of maxe_i * deg(images[i])
-    with maxe_i the top exponent of x_i.  In a term c * prod x_i^k_i, whose fields are
-    read off its key (`_field_reader`), a zero image drops the term and a
-    one-term image a_i * y^f_i is folded: k_i times its key is added to the
-    term's key and c is multiplied by a_i^k_i (not at all when a_i is one,
-    as for a bare variable).  Only the powers of many-term
+    with maxe_i the top exponent of x_i.  In a term c * prod x_i^k_i, whose
+    fields are read off its key (`_field_reader`), a zero image drops the
+    term and a one-term image a_i * y^f_i is folded: k_i times its key is
+    added to the term's key and c is multiplied by a_i^k_i (not at all when
+    a_i is one, as for a bare variable).  Only the powers of many-term
     images are multiplied out (`_mul_into`), so a term with none of them is
     one update of the result, whose keys are left as they are.
     """
