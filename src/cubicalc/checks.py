@@ -7,17 +7,19 @@ and `_morphism_laws` list the laws of one structure in report order, and
 `_run` checks them on a back-end: `_Sampled` evaluates exact ring arithmetic
 at seeded random points (a pass is an identity on the sampled set, never an
 approximation), `_Symbolic` composes polynomial maps (a pass is a polynomial
-identity).  Sampled points are positional: a point lists its values in its
-schema's `labels` order, and each map is resolved to positions once
-(`_plan`); labels come back only in witnesses.  Reports are JSON-able: law,
-location, status, witness, samples, seed.
+identity).  Sampled points are positional and in content form: a point
+lists the canonical (numerator, denominator) pairs of its values
+(`Ring.content`) in its schema's `labels` order, from the draw
+(`Ring.draw`) through every map to the `==` that compares them, and each map
+is resolved to positions once (`_plan`).  Labels and scalars come back only
+in witnesses.  Reports are JSON-able: law, location, status, witness,
+samples, seed.
 """
 from __future__ import annotations
 
 import operator
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .derive import display_label, tag_of
@@ -61,16 +63,17 @@ def first_failure(reports):
 
 
 def _fmt_point(labels, point: list, ring) -> dict:
-    return {display_label(l): ring.fmt(v) for l, v in sorted(
+    """A witness: each value of a content point, by its label's display."""
+    return {display_label(l): ring.fmt(ring.join(*v)) for l, v in sorted(
         zip(labels, point), key=lambda kv: display_label(kv[0]))}
 
 
 def _plan(m: PolyMap, layout, order):
-    """`m` resolved once against positional points: the returned function
-    takes a point that lists its values in `layout` order and returns m's
-    value listed in `order`.  It is m's kernel positioned there
-    (`_Kernel.at`: inputs gathered from the point, outputs permuted,
-    constants made once) and bound to m's ring."""
+    """`m` resolved once against positional content points: the returned
+    function takes a point that lists the pairs of its values in `layout`
+    order and returns the pairs of m's value listed in `order`.  It is m's
+    kernel positioned there and bound to m's ring (`_Kernel.at`: inputs
+    gathered from the point, outputs permuted, constants made once)."""
     layout, order = tuple(layout), tuple(order)
     if m.out_labels is None or len(m.out_labels) != len(order) \
             or set(m.out_labels) != set(order):
@@ -82,7 +85,7 @@ def _plan(m: PolyMap, layout, order):
     if m.out_labels != order:
         at = {l: i for i, l in enumerate(m.out_labels)}
         perm = [at[l] for l in order]
-    return partial(m._kernel.at(m.ring, gather, perm), m.ring)
+    return m._kernel.at(m.ring, gather, perm)
 
 
 def _tuple_layout(tags, schema) -> tuple:
@@ -93,9 +96,10 @@ def _tuple_layout(tags, schema) -> tuple:
 
 def _sample_tuples(param: PolyMap, schema, tags, rng, count, span=2,
                    max_tries=5000) -> list[list]:
-    """Evaluate a composability parameterization at random points.  A tuple
-    is the concatenation of its tagged copies, in `tags` order; each copy
-    must satisfy the schema constraints."""
+    """Evaluate a composability parameterization at random points, drawn
+    and evaluated in content form.  A tuple is the concatenation of its
+    tagged copies, in `tags` order; each copy must satisfy the schema
+    constraints."""
     ring = schema.ring
     units = [(l[1] if tag_of(l) is not None else l) in schema.unit_labels
              for l in param.in_labels]
@@ -108,8 +112,7 @@ def _sample_tuples(param: PolyMap, schema, tags, rng, count, span=2,
             raise SamplingError(
                 f"parameter sampling exhausted after {tries} tries")
         tries += 1
-        tup = ev([ring.rand_unit(rng, span) if u else ring.rand(rng, span)
-                  for u in units])
+        tup = ev(ring.draw(rng, units, span))
         if all(schema.satisfies(tup[j * k:(j + 1) * k]) for j in range(len(tags))):
             out.append(tup)
     return out
@@ -142,8 +145,8 @@ class _Law(NamedTuple):
 
 
 class _Sampled:
-    """Seeded random points: a map is a positional `_plan`, a point is a
-    list, and equality is `==`."""
+    """Seeded random points: a map is a positional `_plan`, a point is the
+    list of the canonical pairs of its values, and equality is `==`."""
 
     eq = staticmethod(operator.eq)
 
@@ -163,7 +166,7 @@ class _Sampled:
 
     def draw(self, space: _Space) -> list:
         if space.param is None:
-            return [(pt,) for pt in space.schema.sample(self.rng, self.samples)]
+            return [(pt,) for pt in space.schema.draw(self.rng, self.samples)]
         k = space.schema.dim()
         return [tuple(tup[j * k:(j + 1) * k] for j in range(len(space.tags)))
                 for tup in _sample_tuples(space.param, space.schema, space.tags,

@@ -259,11 +259,18 @@ def gsy(n: int, t, vdim: int = 1, ring: Ring = QQ, box=None,
 
     `box` is an optional interval (lo, hi) cutting U out of V = K^vdim; the
     membership conditions are sum over gamma within beta of t.v_gamma in U,
-    one for every beta within alpha.
+    one for every beta within alpha.  An interval needs an order, so a box
+    is refused outside Q, and so is an empty one.
     """
     t = {k + 1: tv for k, tv in enumerate(t)}
     if len(t) != n:
         raise ConstructionError(f"need {n} scales, got {len(t)}")
+    if box is not None:
+        if ring != QQ:
+            raise ConstructionError(f"a box needs an ordered ring; {ring!r} "
+                                    "is not ordered")
+        if box[0] > box[1]:
+            raise ConstructionError(f"empty box: {box[0]} > {box[1]}")
     verts = subsets_presentation_vertices(n)
     schemas = {}
     for a in verts:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import (CheckReport, _morphism_laws, _run, _Sampled, _Symbolic,
-                     check_morphism)
+from .checks import (CheckReport, _morphism_laws, _require_samples, _run,
+                     _Sampled, _Symbolic, check_morphism)
 from .constructions import (gfull, gsy, _full_labels, _generic_point,
                             _scalar_action_maps)
 # derive_polymap stays bound here: perfbench/tests checks that the tracer
@@ -317,22 +317,28 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
                      samples: int = 30) -> list:
     """Morphism identities of a black-box finite-part law on sampled
     composable pairs (exact rational arithmetic)."""
+    _require_samples(samples)
     ring = plaw.ring
     src, dst = _src_dst(in_dim, plaw.out_dim,
                         lambda vdim: gsy(plaw.n, list(plaw.t), vdim=vdim,
                                          ring=ring))
     B = _Sampled(ring, seed, samples)
+    join, split = ring.join, ring.split
 
     def lift(vertex, frm, to):
         # each point's value once: the laws of a table share their points.
-        # A point is kept next to its value, so that its id is not reused
+        # A point is kept next to its value, so that its id is not reused.
+        # The black box takes and gives scalars, the sampled points are in
+        # content form
         values = {}
 
         def law_at(point):
             hit = values.get(id(point))
             if hit is None or hit[0] is not point:
-                value = plaw.vertex_value(vertex, dict(zip(frm.labels, point)))
-                hit = values[id(point)] = point, [value[l] for l in to.labels]
+                value = plaw.vertex_value(vertex, {
+                    l: join(*v) for l, v in zip(frm.labels, point)})
+                hit = values[id(point)] = point, [split(value[l])
+                                                  for l in to.labels]
             return hit[1]
         return law_at
     return [r for key in sorted(src.edges, key=edge_order)

@@ -6,6 +6,13 @@ denominator is 1); every product, substitution and slope reads and writes
 the packed keys.  A PolyMap
 bundles several components over a common labelled variable list; all structure
 maps, laws and difference quotients in the package are PolyMaps.
+
+Evaluation runs in content form too: the integer kernel of a map
+(`_Kernel`) takes and returns each value as its ring's canonical
+(numerator, denominator) pair (`Ring.content`).  `PolyMap.eval` and
+`Poly.eval` convert scalars at their boundary; the sampled law checks keep
+their points as pairs and call kernels positioned in those points
+(`_Kernel.at`).
 """
 from __future__ import annotations
 
@@ -278,7 +285,7 @@ class Poly:
     # -- evaluation and substitution ----------------------------------------
 
     def eval(self, values: Sequence) -> Any:
-        return _Kernel((self,))(self.ring, values)[0]
+        return _eval(_Kernel((self,)), self.ring, values)[0]
 
     def subst(self, images: Sequence["Poly"], arity: int) -> "Poly":
         """Substitute images[i] (all over a common new variable list) for x_i
@@ -808,19 +815,19 @@ def _made(ring: Ring, arity: int, nums: dict, den: int, code: str) -> Poly:
 
 
 class _Kernel:
-    """Exact integer evaluator of a list of polynomials over Q or Z/m.
+    """Exact integer evaluator of a list of polynomials over Q or Z/m, on
+    points in content form: each value is its ring's canonical (num, den)
+    pair (`Ring.content`), and so is each output.
 
     Built once in O(terms).  A component that is one input variable with
-    coefficient one is copied: its value is that input, through
-    `Ring.from_rational`.  Every other component keeps its content form: the
-    denominator L (`Poly.den`) and, per term, the integer numerator c*L with
-    the positions of its powers in a flat row of the powers k >= 1 of the
-    variables those components use, read off the term's key.  For inputs
-    p_i/q_i and D = prod q_i^maxe_i, such a component's value is N/(D*L)
-    with N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i); the ring turns
-    that ratio into its scalar with `Ring.from_ratio`.  A kernel positioned
-    in a larger point (`at`) also holds each constant component as its
-    scalar, (None, None, value) in `comps`.
+    coefficient one is copied: its value is that input's pair.  Every other
+    component keeps its content form: the denominator L (`Poly.den`) and,
+    per term, the integer numerator c*L with the positions of its powers in
+    a flat row of the powers k >= 1 of the variables those components use,
+    read off the term's key.  For inputs p_i/q_i and D = prod q_i^maxe_i,
+    such a component's value is N/(D*L) with
+    N = sum c*L * prod p_i^k_i * (D // prod q_i^k_i), reduced to its pair by
+    one `Ring.content`.  `at` positions the kernel in a larger point.
     """
 
     __slots__ = ("tops", "comps")
@@ -853,12 +860,14 @@ class _Kernel:
         self.comps = tuple(comps)
 
     def at(self, ring: Ring, gather: Sequence[int] | None = None,
-           perm: Sequence[int] | None = None) -> "_Kernel":
-        """This kernel positioned in a larger point, for `ring`: it reads
-        input i at point[gather[i]], lists component perm[j] j-th, and holds
-        each component with no variable as its scalar, made here once (None
-        stands for the identity, for either list).  Built in
-        O(inputs + outputs): the terms are shared, not rebuilt."""
+           perm: Sequence[int] | None = None) -> Callable[[list], list]:
+        """This kernel positioned in a larger point and bound to `ring`: the
+        returned function reads input i at point[gather[i]], lists component
+        perm[j] j-th, and holds each component with no variable as its pair,
+        made here once (None stands for the identity, for either list).
+        Built in O(inputs + outputs): the terms are shared, not rebuilt.  A
+        kernel with no powers, whose components are all copies and
+        constants, becomes a gather from the point and the constants."""
         out = _Kernel.__new__(_Kernel)
         out.tops = self.tops if gather is None else tuple(
             (gather[i], k) for i, k in self.tops)
@@ -869,21 +878,29 @@ class _Kernel:
                 comps.append((i if gather is None else gather[i], 0, ()))
             elif not any(idx for _, idx in terms):
                 # a constant has at most one term, so `any` reads at most two
-                comps.append((None, None, ring.from_ratio(
+                comps.append((None, None, ring.content(
                     sum(c for c, _ in terms), den)))
             else:
                 comps.append((i, den, terms))
         out.comps = tuple(comps)
-        return out
+        if out.tops:
+            return partial(out, ring)
+        # the constants follow the point, so they sit at negative positions
+        consts = [pair for i, _, pair in comps if i is None]
+        slots, k = [], -len(consts)
+        for i, _, _ in comps:
+            if i is None:
+                i, k = k, k + 1
+            slots.append(i)
+        return _gather(slots, consts)
 
-    def __call__(self, ring: Ring, values: Sequence) -> list:
+    def __call__(self, ring: Ring, values: Sequence[tuple]) -> list:
         nums = []
         dens = []
         D = 1
         for i, top in self.tops:
-            x = values[i]
-            p = pk = x.numerator
-            q = qk = x.denominator
+            p, q = values[i]
+            pk, qk = p, q
             nums.append(p)
             dens.append(q)
             for _ in range(top - 1):
@@ -892,10 +909,11 @@ class _Kernel:
                 nums.append(pk)
                 dens.append(qk)
             D *= qk
+        content = ring.content
         out = []
         for i, den, terms in self.comps:
             if i is not None:
-                out.append(ring.from_rational(values[i]))
+                out.append(values[i])
                 continue
             if den is None:
                 out.append(terms)
@@ -907,8 +925,26 @@ class _Kernel:
                     c *= nums[j]
                     d *= dens[j]
                 N += c * (D // d)
-            out.append(ring.from_ratio(N, D * den))
+            out.append(content(N, D * den))
         return out
+
+
+def _eval(kernel: _Kernel, ring: Ring, values: Sequence) -> list:
+    """`kernel` at exact scalars (ints or Fractions over Q, ints over Z/m),
+    as scalars: each input goes in as `ring.content(numerator,
+    denominator)` and each output comes out through `ring.join`."""
+    content, join = ring.content, ring.join
+    return [join(num, den) for num, den in kernel(
+        ring, [content(x.numerator, x.denominator) for x in values])]
+
+
+def _gather(slots: list, consts: list) -> Callable[[list], list]:
+    """The function point -> [ext[i] for i in slots], ext the point
+    followed by `consts`."""
+    def run(point: list) -> list:
+        ext = point + consts
+        return [ext[i] for i in slots]
+    return run
 
 
 def _var(ring: Ring, arity: int, i: int, one) -> Poly:
@@ -1052,7 +1088,7 @@ class PolyMap:
     def eval(self, values: Sequence) -> list:
         if len(values) != self.in_arity:
             raise PolyError(f"expected {self.in_arity} values, got {len(values)}")
-        return self._kernel(self.ring, values)
+        return _eval(self._kernel, self.ring, values)
 
     @cached_property
     def _kernel(self) -> _Kernel:

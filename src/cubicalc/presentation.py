@@ -59,10 +59,19 @@ class CoordSchema:
         return len(self.labels)
 
     def satisfies(self, point: list) -> bool:
-        return all(c.holds(point) for c in self.constraints)
+        """`point` lists the canonical pairs of its values (`Ring.content`)
+        in `labels` order; the constraints read it as scalars."""
+        if not self.constraints:
+            return True
+        join = self.ring.join
+        values = [join(num, den) for num, den in point]
+        return all(c.holds(values) for c in self.constraints)
 
-    def sample(self, rng, count: int = 1, span: int = 2, max_tries: int = 5000) -> list[list]:
-        """Random exact points satisfying all constraints (rejection sampling)."""
+    def draw(self, rng, count: int = 1, span: int = 2,
+             max_tries: int = 5000) -> list[list]:
+        """Random exact points satisfying all constraints (rejection
+        sampling), each the list of the canonical pairs of its values
+        (`Ring.draw`) in `labels` order."""
         ring = self.ring
         units = [l in self.unit_labels for l in self.labels]
         out = []
@@ -74,11 +83,16 @@ class CoordSchema:
                     f"{self.dim()}-coordinate schema with "
                     f"{len(self.constraints)} constraints")
             tries += 1
-            point = [ring.rand_unit(rng, span) if u else ring.rand(rng, span)
-                     for u in units]
+            point = ring.draw(rng, units, span)
             if self.satisfies(point):
                 out.append(point)
         return out
+
+    def sample(self, rng, count: int = 1, span: int = 2, max_tries: int = 5000) -> list[list]:
+        """The points of `draw`, as lists of scalars."""
+        join = self.ring.join
+        return [[join(num, den) for num, den in point]
+                for point in self.draw(rng, count, span, max_tries)]
 
 
 def sample(schema: CoordSchema, seed: int, count: int):

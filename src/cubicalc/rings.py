@@ -2,6 +2,15 @@
 
 All core arithmetic in the package runs over one of these rings; there is no
 floating point anywhere in the computational path.
+
+Besides its scalars (Fractions over Q, reduced ints over Z/m) a ring has a
+content form: a scalar as a canonical (numerator, denominator) pair of ints,
+the denominator positive and coprime to the numerator over Q, and 1 over
+Z/m, so that two pairs are equal exactly when their scalars are.  `split`
+and `join` move between the forms, `content` reduces a ratio straight to its
+pair, and `draw` samples pairs.  Polynomials keep their coefficients in
+content form (`polymap.Poly`), and sampled law checks keep their points in
+it from the draw to the comparison (`checks`).
 """
 from __future__ import annotations
 
@@ -83,20 +92,30 @@ class Ring:
         """The scalar num/den; outside Q den is 1 and num is the scalar."""
         return num
 
+    def content(self, num: int, den: int) -> tuple:
+        """The canonical pair of num/den, den > 0: `split(from_ratio(num,
+        den))` without the scalar in between."""
+        return self.split(self.from_ratio(num, den))
+
     def numerator_ops(self) -> tuple:
         """(add, mul, neg, is_zero, from_int) on numerators: outside Q a
         numerator is a scalar, so these are the ring's own operations."""
         return self.add, self.mul, self.neg, self.is_zero, self.from_int
 
     # random element generators; `rng` is a random.Random
-    def rand(self, rng, span: int = 6) -> Scalar:
+    def draw(self, rng, units, span: int = 6) -> list:
+        """One canonical pair per flag of `units`, drawn in order: a unit
+        where the flag is set, any value elsewhere.  `span` bounds the
+        numerators over Q; Z/m draws from all of Z/m."""
         raise NotImplementedError
 
+    def rand(self, rng, span: int = 6) -> Scalar:
+        """One value of `draw`, as a scalar."""
+        return self.join(*self.draw(rng, (False,), span)[0])
+
     def rand_unit(self, rng, span: int = 6) -> Scalar:
-        x = self.rand(rng, span)
-        while not self.is_unit(x):
-            x = self.rand(rng, span)
-        return x
+        """One unit of `draw`, as a scalar."""
+        return self.join(*self.draw(rng, (True,), span)[0])
 
     def __repr__(self) -> str:
         return self.kind
@@ -118,9 +137,6 @@ class Rationals(Ring):
 
     def from_ratio(self, num, den):
         return Fraction(num, den)
-
-    def from_rational(self, x):
-        return x if type(x) is Fraction else Fraction(x.numerator, x.denominator)
 
     def add(self, a, b):
         return a + b
@@ -162,16 +178,37 @@ class Rationals(Ring):
     def join(self, num, den):
         return Fraction(num, den)
 
+    def content(self, num, den):
+        g = gcd(num, den)
+        return num // g, den // g
+
     def numerator_ops(self):
         """Over Q the numerators are ints: plain int operators."""
         return operator.add, operator.mul, operator.neg, operator.not_, int
 
-    def rand(self, rng, span: int = 6):
-        """Fraction(rng.randint(-span, span), rng.randint(1, 4)), read off a
-        table: `choice` makes the same `_randbelow` calls as those two
-        `randint`s, so the value and the generator state after it are the
-        same, and no Fraction is built per draw."""
-        return rng.choice(rng.choice(_small_rationals(span)))
+    def draw(self, rng, units, span: int = 6):
+        """The pairs of Fraction(rng.randint(-span, span), rng.randint(1,
+        4)), a unit drawn again while it is 0, read off `_small_pairs`: the
+        row and the column are drawn as those `randint`s draw them
+        (`Random._randbelow`: getrandbits of the bit length, again while out
+        of range), so the values and the generator state after them are the
+        same, and no Fraction is built."""
+        rows = _small_pairs(span)
+        getrandbits = rng.getrandbits
+        height, k = len(rows), len(rows).bit_length()
+        out = []
+        for unit in units:
+            while True:
+                r = getrandbits(k)
+                while r >= height:
+                    r = getrandbits(k)
+                c = getrandbits(3)  # 3 = (4).bit_length(), four columns
+                while c >= 4:
+                    c = getrandbits(3)
+                if r != span or not unit:
+                    break
+            out.append(rows[r][c])
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -181,12 +218,13 @@ class Rationals(Ring):
 
 
 @functools.cache
-def _small_rationals(span: int) -> tuple:
-    """The values of `Rationals.rand`: one row per numerator n in
-    -span..span, each row the fractions n/d for d in 1..4.  Every sampler in
-    the package passes span 2, 3 or the default 6, so the cache holds at most
-    three tables of 20 to 52 fractions."""
-    return tuple(tuple(Fraction(n, d) for d in range(1, 5))
+def _small_pairs(span: int) -> tuple:
+    """The values of `Rationals.draw`: one row per numerator n in
+    -span..span, each row the canonical pairs of n/d for d in 1..4 (row
+    span, n = 0, is (0, 1) four times).  Every sampler in the package passes
+    span 2, 3 or the default 6, so the cache holds at most three tables of
+    20 to 52 pairs; each is built on first use."""
+    return tuple(tuple((n // gcd(n, d), d // gcd(n, d)) for d in range(1, 5))
                  for n in range(-span, span + 1))
 
 
@@ -248,8 +286,25 @@ class IntegersMod(Ring):
             raise RingError(f"not an integer mod {self.m}: {c!r}")
         return c % self.m, 1
 
-    def rand(self, rng, span: int = 6):
-        return rng.randrange(self.m)
+    def content(self, num, den):
+        return self.from_ratio(num, den), 1
+
+    def draw(self, rng, units, span: int = 6):
+        """The pairs (x, 1) of x = rng.randrange(m), a unit drawn again while
+        gcd(x, m) is not 1, with the generator calls of `randrange`
+        (`Random._randbelow`)."""
+        m = self.m
+        getrandbits, k = rng.getrandbits, m.bit_length()
+        out = []
+        for unit in units:
+            while True:
+                x = getrandbits(k)
+                while x >= m:
+                    x = getrandbits(k)
+                if not unit or gcd(x, m) == 1:
+                    break
+            out.append((x, 1))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, IntegersMod) and other.m == self.m

@@ -7,9 +7,10 @@ packed-key kernels of `polymap`; the symmetric law built factorizer by
 factorizer for every (alpha, beta) pair, the reference of
 `laws.derive_law_sym`;
 the symmetry check by composing relabelling maps, the reference of
-`laws.check_symmetry`; and the dense double loop over coefficient pairs,
+`laws.check_symmetry`; the dense double loop over coefficient pairs,
 the reference of `extension.ext_mul`, which multiplies in split
-coordinates.
+coordinates; and the power-table evaluator on scalars, the reference of the
+integer kernel of `polymap` (`reference_eval`).
 
 A point here is a dict from coordinate label to value, and every evaluation
 looks its inputs up by label, so these checkers depend on no label order.
@@ -37,6 +38,26 @@ from cubicalc.presentation import SamplingError, attach_generic_params
 def _fmt_point(point: dict, ring) -> dict:
     return {display_label(l): ring.fmt(v) for l, v in sorted(
         point.items(), key=lambda kv: display_label(kv[0]))}
+
+
+def reference_eval(poly: Poly, values) -> object:
+    """The evaluator the integer kernel replaced: a power table per variable
+    and one ring operation per multiply and add, on scalars."""
+    r = poly.ring
+    powers = []
+    for x in values:
+        row = [r.one()]
+        for _ in range(max((e[len(powers)] for e in poly.terms), default=0)):
+            row.append(r.mul(row[-1], x))
+        powers.append(row)
+    acc = r.zero()
+    for e, c in poly.terms.items():
+        m = c
+        for i, k in enumerate(e):
+            if k:
+                m = r.mul(m, powers[i][k])
+        acc = r.add(acc, m)
+    return acc
 
 
 def eval_labeled(m, values: dict) -> dict:

@@ -213,6 +213,26 @@ def test_finite_law_non_polynomial_abs():
     assert reports_ok(check_finite_law(plaw, samples=12))
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_finite_law_refuses_no_samples(samples):
+    # no sample would report two vacuous passes
+    plaw = finite_law_from_map(lambda p: (abs(p[0]),), 1, [1])
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        check_finite_law(plaw, samples=samples)
+
+
+def test_finite_law_over_z_mod_m():
+    # the black box reads the sampled points as residues, not pairs
+    seen = []
+
+    def f(p):
+        seen.append(p[0])
+        return (p[0] * p[0] + (p[0] > 3),)
+    plaw = finite_law_from_map(f, 2, [1, 3], IntegersMod(7))
+    assert reports_ok(check_finite_law(plaw, samples=6))
+    assert seen and all(type(x) is int and 0 <= x < 7 for x in seen)
+
+
 def test_finite_law_difference_at_t_one():
     plaw = finite_law_from_map(lambda p: (p[0] ** 3 - p[0],), 1, [F(1)])
     v0, v1 = F(2), F(5)

@@ -11,8 +11,9 @@ from cubicalc.polymap import Poly, PolyError, PolyMap, PolyRing, _shift_quotient
 from cubicalc.rings import QQ, IntegersMod
 
 from conftest import random_polymap
-from reference_checks import (_extend_by_subst, reference_fmt, reference_mul,
-                              reference_mul_terms, reference_pow_terms,
+from reference_checks import (_extend_by_subst, reference_eval, reference_fmt,
+                              reference_mul, reference_mul_terms,
+                              reference_pow_terms,
                               reference_reindexed_terms,
                               reference_shift_quotient,
                               reference_shift_quotient_terms,
@@ -133,26 +134,6 @@ def test_polymap_add_scale():
     g = parse("g(x) = x")
     s = f.add(g).scale(Fraction(2))
     assert s.eval([Fraction(3)]) == [24]
-
-
-def reference_eval(poly: Poly, values) -> object:
-    """The evaluator the integer kernel replaced: a power table per variable
-    and one ring operation per multiply and add."""
-    r = poly.ring
-    powers = []
-    for x in values:
-        row = [r.one()]
-        for _ in range(max((e[len(powers)] for e in poly.terms), default=0)):
-            row.append(r.mul(row[-1], x))
-        powers.append(row)
-    acc = r.zero()
-    for e, c in poly.terms.items():
-        m = c
-        for i, k in enumerate(e):
-            if k:
-                m = r.mul(m, powers[i][k])
-        acc = r.add(acc, m)
-    return acc
 
 
 KERNEL_RINGS = (QQ, IntegersMod(2 ** 31 - 1), IntegersMod(6))
@@ -286,8 +267,12 @@ def test_kernel_copies_bare_variables(ring):
     if ring is QQ:
         a, b = Fraction(-1, 3), 2
         got = mixed.eval([b, a, Fraction(7, 4)])
-        assert got[0] is a
+        assert type(got[0]) is Fraction and got[0] == a
         assert type(got[2]) is Fraction and got[2] == b
+        # on content points the copy is the input pair itself
+        pairs = [(2, 1), (-1, 3), (7, 4)]
+        got = mixed._kernel(ring, pairs)
+        assert got[0] is pairs[1] and got[2] is pairs[0]
     else:
         assert bare.eval([-1, -ring.m - 2, 3 * ring.m + 1]) == [
             1, ring.m - 1, 1]
@@ -334,17 +319,41 @@ def positioned_cases(draw):
     return ring, f, gather, perm, point
 
 
+def assert_canonical(ring, pairs: list) -> None:
+    """Every pair is its value's canonical (num, den): ints, den > 0, and
+    coprime over Q; den = 1 and num reduced over Z/m."""
+    for num, den in pairs:
+        assert type(num) is int and type(den) is int and den > 0
+        if ring is QQ:
+            assert gcd(num, den) == 1
+        else:
+            assert den == 1 and 0 <= num < ring.m
+
+
 @given(positioned_cases())
 @settings(max_examples=300, deadline=None)
 def test_positioned_kernel_matches_gathered_eval(case):
+    """`PolyMap.eval` and the positioned kernel give the values of the
+    reference evaluator, the kernel as canonical pairs, and a copied
+    component is the pair it copies."""
     ring, f, gather, perm, point = case
     inputs = [point[i] for i in gather]
-    value = f.eval(inputs)
-    for got, want in ((f._kernel.at(ring, gather, perm)(ring, point),
-                       [value[j] for j in perm]),
-                      (f._kernel.at(ring)(ring, inputs), value)):
-        assert got == want
-        assert [type(x) for x in got] == [type(x) for x in want]
+    want = [reference_eval(c, inputs) for c in f.comps]
+    got = f.eval(inputs)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    pairs = [ring.content(x.numerator, x.denominator) for x in point]
+    at_inputs = [pairs[i] for i in gather]
+    for run, values, order in ((f._kernel.at(ring, gather, perm), pairs, perm),
+                               (f._kernel.at(ring), at_inputs,
+                                range(len(f.comps)))):
+        out = run(values)
+        assert out == [ring.split(want[j]) for j in order]
+        assert_canonical(ring, out)
+        for pair, j in zip(out, order):
+            i = polymap._bare_var(f.comps[j])
+            if i is not None:
+                assert pair is at_inputs[i]
 
 
 @pytest.mark.parametrize("ring", POSITIONED_RINGS)
@@ -357,15 +366,28 @@ def test_positioned_kernel_holds_constants_and_shares_terms(ring):
     # the flat rows hold powers 1..3 of x and power 1 of y, no power 0
     assert k.tops == ((0, 3), (1, 1))
     assert sorted(idx for _, idx in k.comps[0][2]) == [(2, 3), (3,)]
+    # positioned and bound to the ring
     moved = k.at(ring, [4, 1], [3, 2, 1, 0])
-    assert moved.tops == ((4, 3), (1, 1))
-    assert moved.comps[0] == (1, 0, ())
-    assert moved.comps[1] == (None, None, ring.zero())
-    assert moved.comps[2] == (None, None, three)
-    assert moved.comps[3][2] is k.comps[0][2]
-    point = [7, 2, 0, 0, 5]
-    assert moved(ring, point) == [
-        ring.from_int(2), ring.zero(), three, ring.from_int(5 ** 3 * 2 + 2)]
+    assert moved.args == (ring,)
+    assert moved.func.tops == ((4, 3), (1, 1))
+    assert moved.func.comps[0] == (1, 0, ())
+    assert moved.func.comps[1] == (None, None, (0, 1))
+    assert moved.func.comps[2] == (None, None, ring.split(three))
+    assert moved.func.comps[3][2] is k.comps[0][2]
+    point = [ring.content(v, 1) for v in (7, 2, 0, 0, 5)]
+    assert moved(point) == [point[1], (0, 1), ring.split(three),
+                            ring.content(5 ** 3 * 2 + 2, 1)]
+    assert moved(point)[0] is point[1]
+    # with no powers, copies and constants are a gather from the point
+    g = PolyMap(ring, ("x", "y"), (y, Poly.const(ring, 2, three),
+                                   Poly.zero(ring, 2), x))
+    assert g._kernel.tops == ()
+    gathered = g._kernel.at(ring, [4, 1], [3, 2, 0, 1, 2])
+    out = gathered(point)
+    assert out == [point[4], (0, 1), point[1], ring.split(three), (0, 1)]
+    assert out[0] is point[4] and out[2] is point[1]
+    assert g._kernel.at(ring)([(1, 1), (2, 1)]) == [
+        (2, 1), ring.split(three), (0, 1), (1, 1)]
 
 
 def test_coords_hand_out_a_new_variable_per_read():
@@ -1221,10 +1243,10 @@ def test_wide_keys_match_tuple_references(case, data):
             tuple(offset[i] + k for i, k in enumerate(e) if k): n
             for e, n in content(p)[0].items()}
     point = [data.draw(st.integers(0, 1)) for _ in labels]
-    assert kernel(ring, [ring.from_int(x) for x in point]) == [
-        ring.from_rational(Fraction(sum(
-            n * prod(x ** k for x, k in zip(point, e))
-            for e, n in content(p)[0].items()), p.den)) for p in polys]
+    assert kernel(ring, [ring.content(x, 1) for x in point]) == [
+        ring.content(sum(n * prod(x ** k for x, k in zip(point, e))
+                         for e, n in content(p)[0].items()), p.den)
+        for p in polys]
 
 
 @pytest.mark.parametrize("ring", WIDE_RINGS)

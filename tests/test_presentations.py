@@ -6,13 +6,13 @@ import pytest
 from cubicalc.checks import (check_edge_category, check_face, check_morphism,
                              check_presentation, first_failure,
                              generic_quad_param, reports_ok)
-from cubicalc.constructions import (anchor_maps, gfull, gsy, pair_groupoid,
-                                    scaled_action, tangent)
+from cubicalc.constructions import (ConstructionError, anchor_maps, gfull,
+                                    gsy, pair_groupoid, scaled_action, tangent)
 from cubicalc.derive import vlab
 from cubicalc.hypercube import subsets
 from cubicalc.presentation import SamplingError, sample
 from cubicalc.polymap import Poly, PolyMap
-from cubicalc.rings import QQ
+from cubicalc.rings import QQ, IntegersMod
 
 from reference_checks import eval_labeled
 
@@ -55,6 +55,28 @@ def test_gsy_constrained_box_sampling():
         v0 = pt[vlab((), 0)]
         v1 = pt[vlab({1}, 0)]
         assert 0 <= v0 <= 1 and 0 <= v0 + v1 <= 1
+
+
+def test_gsy_refuses_a_box_without_meaning():
+    # residues have no order, so a box over Z/m would compare their ints
+    with pytest.raises(ConstructionError, match="ordered"):
+        gsy(1, [3], ring=IntegersMod(7), box=(1, 3))
+    # an empty box would reject every draw until the sampler gives up
+    with pytest.raises(ConstructionError, match="empty box"):
+        gsy(1, [F(1)], box=(F(1), F(0)))
+    assert gsy(1, [F(1)], box=(F(1), F(1))).schemas[fs()].constraints
+
+
+def test_schema_draws_are_canonical_pairs_of_sample():
+    for p in (gsy(2, [F(1), F(-1, 2)], box=(F(-1), F(1))),
+              gsy(2, [3, 1], ring=IntegersMod(6))):
+        sch = p.schemas[fs({1, 2})]
+        drawn = sch.draw(random.Random(5), 8)
+        assert [[p.ring.join(*v) for v in pt] for pt in drawn] == \
+            sch.sample(random.Random(5), 8)
+        for pt in drawn:
+            assert sch.satisfies(pt)
+            assert [p.ring.split(p.ring.join(*v)) for v in pt] == pt
 
 
 def test_schema_sampling_deterministic():

@@ -50,6 +50,54 @@ def test_rational_draws_keep_the_randint_stream(span):
         assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(2 ** 31 - 1), IntegersMod(7),
+                                  IntegersMod(6)], ids=str)
+@pytest.mark.parametrize("span", (2, 3, 6))
+def test_draw_gives_the_pairs_of_per_value_draws(ring, span):
+    """Ring.draw gives, value by value, the canonical pairs of the per-value
+    draws (two randints over Q, randrange(m) over Z/m, drawn again while a
+    unit is asked for and the value is none), and leaves the generator where
+    they leave it; rand and rand_unit are its values as scalars."""
+    def reference(rng):
+        if ring is QQ:
+            return Fraction(rng.randint(-span, span), rng.randint(1, 4))
+        return rng.randrange(ring.m)
+
+    def reference_unit(rng):
+        x = reference(rng)
+        while not ring.is_unit(x):
+            x = reference(rng)
+        return x
+
+    for seed in range(10):
+        flags = random.Random(-seed)
+        units = [flags.random() < 0.5 for _ in range(100)]
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = ring.draw(rng, units, span)
+        want = [reference_unit(ref) if u else reference(ref) for u in units]
+        assert got == [ring.split(x) for x in want]
+        assert rng.getstate() == ref.getstate()
+        for num, den in got:
+            assert type(num) is int and type(den) is int and den > 0
+            assert ring.content(num, den) == (num, den)
+        for u in units[:20]:
+            x = ring.rand_unit(rng, span) if u else ring.rand(rng, span)
+            assert x == (reference_unit(ref) if u else reference(ref))
+            assert type(x) is (Fraction if ring is QQ else int)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_content_is_the_pair_of_the_ratio():
+    for num, den in ((0, 5), (6, 4), (-9, 6), (7, 1), (12, 18)):
+        assert QQ.content(num, den) == QQ.split(Fraction(num, den))
+    assert QQ.content(0, 7) == (0, 1)
+    z6, z7 = IntegersMod(6), IntegersMod(7)
+    assert z7.content(3, 2) == (5, 1) and z7.content(-1, 1) == (6, 1)
+    assert z6.content(13, 5) == (5, 1)
+    with pytest.raises(RingError):
+        z6.content(1, 2)
+
+
 def _elem(rng, alpha, t, span=4):
     coeffs = tuple(Fraction(rng.randint(-span, span), rng.randint(1, 3))
                    for _ in range(1 << len(alpha)))

@@ -118,9 +118,13 @@ def planted_corruptions() -> list:
 
 def point_recorder(satisfies, sink):
     """`CoordSchema.satisfies` wrapped so that it first writes the point it
-    is passed to `sink`, a hashlib object, as one line of values."""
+    is passed, a list of canonical (numerator, denominator) pairs, to
+    `sink`, a hashlib object, as one line of values formatted by the
+    schema's ring."""
     def recorded(schema, point):
-        sink.update((" ".join(map(str, point)) + "\n").encode())
+        ring = schema.ring
+        sink.update((" ".join(ring.fmt(ring.join(*v)) for v in point)
+                     + "\n").encode())
         return satisfies(schema, point)
     return recorded
 
