@@ -4,16 +4,17 @@ Each law is written once, as a record (`_Law`): a name, witness keys, and
 clauses that pair a space with a body, a plain function over lifted maps
 that returns the truth of the law at one point.  `_edge_laws`, `_face_laws`
 and `_morphism_laws` list the laws of one structure in report order, and
-`_run` checks them on a back-end: `_Sampled` evaluates exact ring arithmetic
-at seeded random points (a pass is an identity on the sampled set, never an
-approximation), `_Symbolic` composes polynomial maps (a pass is a polynomial
-identity).  Sampled points are positional and in content form: a point
-lists the canonical (numerator, denominator) pairs of its values
-(`Ring.content`) in its schema's `labels` order, from the draw
-(`Ring.draw`) through every map to the `==` that compares them, and each map
-is resolved to positions once (`_plan`).  Labels and scalars come back only
-in witnesses.  Reports are JSON-able: law, location, status, witness,
-samples, seed.
+`_run`, the one maker of `CheckReport`s, checks them on a back-end, for the
+law checks of `laws` too (`_run_morphism` runs the morphism table on every
+edge).  `_Sampled` evaluates exact ring arithmetic at seeded random points
+(a pass is an identity on the sampled set, never an approximation),
+`_Symbolic` composes polynomial maps (a pass is a polynomial identity).
+Sampled points are positional and in content form: a point lists the
+canonical (numerator, denominator) pairs of its values (`Ring.content`) in
+its schema's `labels` order, from the draw (`Ring.draw`) through every map
+to the `==` that compares them, and each map is resolved to positions once
+(`_plan`).  Labels and scalars come back only in witnesses.  Reports are
+JSON-able: law, location, status, witness, samples, seed.
 """
 from __future__ import annotations
 
@@ -442,6 +443,15 @@ def _morphism_laws(B, src: NFoldPresentation, dst: NFoldPresentation, key,
                      ((_Space(e.cod), _commutes(eq, [unit_square])),)), comp]
 
 
+def _run_morphism(B, src: NFoldPresentation, dst: NFoldPresentation, lift,
+                  prefix: str, order, location, finite: bool = False) -> list:
+    """`_morphism_laws` run on B at every edge key of `src`, sorted by
+    `order`, each edge's reports at `location(key)`."""
+    return [r for key in sorted(src.edges, key=order)
+            for r in _run(B, location(key), _morphism_laws(
+                B, src, dst, key, lift, prefix, finite))]
+
+
 def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
                    vertex_maps: dict, seed: int = 0,
                    samples: int = 50) -> list[CheckReport]:
@@ -449,12 +459,9 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
     and composition on every edge (sampled, exact)."""
     _require_samples(samples)
     B = _Sampled(src.ring, seed, samples)
-
-    def lift(vertex, frm, to):
-        return B.map(vertex_maps[vertex], frm, to)
-    return [r for key in sorted(src.edges, key=_edge_sort_key)
-            for r in _run(B, _edge_loc(src.edges[key]),
-                          _morphism_laws(B, src, dst, key, lift, "morphism-"))]
+    return _run_morphism(B, src, dst, lambda v, frm, to: B.map(
+        vertex_maps[v], frm, to), "morphism-", _edge_sort_key,
+        lambda key: _edge_loc(src.edges[key]))
 
 
 def _edge_sort_key(key):

@@ -4,18 +4,19 @@ full_vertex_map builds the vertex map at one vertex of the full cubic law
 of a polynomial map by the stage iteration that builds the vertex sets
 (`derive._staged`), and derive_law_full collects it over every vertex;
 derive_law_sym builds the symmetric law at fixed scales from the higher order
-difference factorizers.  The morphism laws are the one morphism table of
-`checks`: check_law_compatibility runs it through the symbolic back-end, a
-proof, and check_finite_law through the sampled back-end, for the finite
-part that finite_law_from_map builds from an arbitrary (black-box) base
-map.  Homogeneity and symmetry are checked as identities of vertex maps.
+difference factorizers.  Every check is a law table run by `checks`: the
+morphism table (`_run_morphism`) symbolically in check_law_compatibility, a
+proof, and sampled in check_finite_law, for the finite part that
+finite_law_from_map builds from a black-box base map; bottom-is-base,
+homogeneity (a commuting square) and symmetry (renamed maps, nothing
+composed) as symbolic `_Law`s over a free point of each vertex schema.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import (CheckReport, _morphism_laws, _require_samples, _run,
-                     _Sampled, _Symbolic, check_morphism)
+from .checks import (_commutes, _Law, _require_samples, _run, _run_morphism,
+                     _Sampled, _Space, _Symbolic, check_morphism)
 from .constructions import (gfull, gsy, _full_labels, _generic_point,
                             _scalar_action_maps)
 # derive_polymap stays bound here: perfbench/tests checks that the tracer
@@ -152,19 +153,6 @@ def _sym_vertex_maps(slopes: list, t, ring: Ring) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _symbolic_morphism_reports(src: NFoldPresentation, dst: NFoldPresentation,
-                               maps: dict) -> list:
-    """The morphism table run symbolically on every edge: source, target,
-    unit and composition along the composable-pair parameterization."""
-    B = _Symbolic(src.ring)
-
-    def lift(vertex, frm, to):
-        return B.map(maps[vertex], frm, to)
-    return [r for key in sorted(src.edges, key=edge_order)
-            for r in _run(B, _edge_location(key),
-                          _morphism_laws(B, src, dst, key, lift, "law-"))]
-
-
 def _edge_location(key) -> str:
     lo, hi = key
     return f"edge {sorted(lo)}>{sorted(hi)}"
@@ -173,20 +161,31 @@ def _edge_location(key) -> str:
 def check_law_compatibility(law: Law) -> list:
     """The compatibility diagram: every edge projection, unit and composition
     commutes with the vertex maps, and the bottom map is base x id."""
-    reports = _symbolic_morphism_reports(law.src, law.dst, law.vertex_maps)
-    bottom = law.vertex_maps[frozenset()]
-    base = _cubic_base(law.base)
-    ok = all(bottom.component(vlab((), c)) ==
-             base.extend_inputs(bottom.in_labels).comps[c]
-             for c in range(law.base.out_arity))
-    if law.kind == "full":
-        x = Poly.coords(law.base.ring, bottom.in_labels)
-        for l in bottom.in_labels:
-            if isinstance(l, CoordLabel) and l.kind == "t":
-                ok = ok and bottom.component(l) == x(l)
-    reports.append(CheckReport("law-bottom-is-base", "vertex 0",
-                               "pass" if ok else "fail", 0))
-    return reports
+    B, maps = _Symbolic(law.base.ring), law.vertex_maps
+    reports = _run_morphism(B, law.src, law.dst, lambda v, frm, to: B.map(
+        maps[v], frm, to), "law-", edge_order, _edge_location)
+    frm, to = law.src.schema(frozenset()), law.dst.schema(frozenset())
+    # base x id: the base map on the v coordinates, the scales t kept
+    base = _cubic_base(law.base).extend_inputs(frm.labels)
+    ts = PolyMap.projection(base.ring, frm.labels,
+                            [l for l in frm.labels if l.kind == "t"])
+    lhs = B.map(maps[frozenset()], frm, to)
+    rhs = B.map(PolyMap(base.ring, frm.labels, base.comps + ts.comps,
+                        base.out_labels + ts.out_labels), frm, to)
+    return reports + _run(B, "vertex 0", [_Law(
+        "law-bottom-is-base", ("point",),
+        ((_Space(frm), lambda x: B.eq(lhs(x), rhs(x))),))])
+
+
+def _vertex_reports(law: Law, name: str, body_at) -> list:
+    """The law `name` at every vertex alpha of `law`, in vertex order: a
+    symbolic `_Law` over a free point of the source schema at alpha, whose
+    body `body_at(B, alpha)` states it."""
+    B = _Symbolic(law.base.ring)
+    return [r for alpha in law.src.vertices
+            for r in _run(B, f"vertex {sorted(alpha)}", [_Law(
+                name, ("point",),
+                ((_Space(law.src.schema(alpha)), body_at(B, alpha)),))])]
 
 
 def check_homogeneity(law: Law, s) -> list:
@@ -202,28 +201,21 @@ def check_homogeneity(law: Law, s) -> list:
         lambda vdim: _scalar_action_maps(n, s, vdim, ring))
     st = [ring.mul(sv, tv) for sv, tv in zip(s, law.t)]
     maps_st = _sym_vertex_maps(law.sym_slopes(), st, ring)
-    out = []
-    for alpha in law.src.vertices:
-        lhs = law.vertex_maps[alpha].compose(phi_p[alpha])
-        rhs = phi_q[alpha].compose(maps_st[alpha])
-        out.append(CheckReport("law-homogeneity", f"vertex {sorted(alpha)}",
-                               "pass" if lhs.equals(rhs) else "fail", 0))
-    return out
+
+    def body_at(B, alpha):
+        frm, to = law.src.schema(alpha), law.dst.schema(alpha)
+        return _commutes(B.eq, [(B.map(phi_p[alpha], frm, frm),
+                                 B.map(law.vertex_maps[alpha], frm, to),
+                                 B.map(maps_st[alpha], frm, to),
+                                 B.map(phi_q[alpha], to, to))])
+    return _vertex_reports(law, "law-homogeneity", body_at)
 
 
-def _relabel_maps(n: int, sigma: dict, vdim: int, ring: Ring,
-                  vertices) -> dict:
+def _relabel_maps(sigma: dict, vdim: int, ring: Ring, vertices) -> dict:
     """Vertex maps of the S_n relabelling Gsy_t -> Gsy_{t sigma}: the slot at
     gamma reads the input at sigma^{-1}(gamma), landing at vertex sigma(alpha)."""
-    back = _moved({v: k for k, v in sigma.items()})
-    maps = {}
-    for alpha in vertices:
-        in_labels = _v_labels(alpha, vdim)
-        x = Poly.coords(ring, in_labels)
-        maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, {
-            vlab(g, c): x(back(vlab(g, c)))
-            for g in subsets(sigma[e] for e in alpha) for c in range(vdim)})
-    return maps
+    return {alpha: PolyMap.identity(ring, _v_labels(alpha, vdim)).rename(
+        None, _moved(sigma)) for alpha in vertices}
 
 
 def check_symmetry(law: Law, sigma: dict) -> list:
@@ -237,34 +229,35 @@ def check_symmetry(law: Law, sigma: dict) -> list:
     """
     if law.kind != "sym":
         raise LawError("symmetry is a property of symmetric laws")
-    ring = law.base.ring
     n = len(law.t)
     directions = set(range(1, n + 1))
     if set(sigma) != directions or set(sigma.values()) != directions:
         raise LawError(f"sigma {sigma} is not a permutation of 1..{n}")
     inv = {v: k for k, v in sigma.items()}
     t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
-    maps_perm = _sym_vertex_maps(law.sym_slopes(), t_perm, ring)
-    out = []
-    for alpha in law.src.vertices:
-        lhs = law.vertex_maps[alpha].rename(None, _moved(sigma))
-        rhs = maps_perm[frozenset(sigma[e] for e in alpha)].rename(_moved(inv))
-        out.append(CheckReport("law-symmetry", f"vertex {sorted(alpha)}",
-                               "pass" if lhs.equals(rhs) else "fail", 0))
-    return out
+    maps_perm = _sym_vertex_maps(law.sym_slopes(), t_perm, law.base.ring)
+    move, back = _moved(sigma), _moved(inv)
+
+    def body_at(B, alpha):
+        image = frozenset(sigma[e] for e in alpha)
+        frm = law.src.schema(alpha)
+        lhs = B.map(law.vertex_maps[alpha], frm, law.dst.schema(alpha))
+        rhs = B.map(maps_perm[image].rename(back), frm, law.dst.schema(image))
+        return lambda x: B.eq(lhs(x).rename(None, move), rhs(x))
+    return _vertex_reports(law, "law-symmetry", body_at)
 
 
 def flip_isomorphism_reports(n: int, t, vdim: int = 1, ring: Ring = QQ,
                              seed: int = 0, samples: int = 40) -> list:
     """The exchange map as a verified isomorphism Gsy_t -> Gsy_{t sigma}
     (checked as a morphism after transposing the destination)."""
-    sigma = {i: i for i in range(1, n + 1)}
-    sigma[1], sigma[2] = 2, 1
-    src = gsy(n, list(t), vdim, ring)
-    inv = {v: k for k, v in sigma.items()}
-    t_perm = [t[inv[i + 1] - 1] for i in range(n)]
-    dst = gsy(n, t_perm, vdim, ring).transpose(sigma)
-    maps = _relabel_maps(n, sigma, vdim, ring, src.vertices)
+    if n < 2:
+        raise LawError(f"the exchange of directions 1, 2 needs n >= 2, got {n}")
+    sigma = {1: 2, 2: 1, **{i: i for i in range(3, n + 1)}}
+    t = list(t)
+    src = gsy(n, t, vdim, ring)
+    dst = gsy(n, [t[1], t[0]] + t[2:], vdim, ring).transpose(sigma)
+    maps = _relabel_maps(sigma, vdim, ring, src.vertices)
     return check_morphism(src, dst, maps, seed=seed, samples=samples)
 
 
@@ -341,10 +334,8 @@ def check_finite_law(plaw: PartialLaw, in_dim: int = 1, seed: int = 0,
                                                   for l in to.labels]
             return hit[1]
         return law_at
-    return [r for key in sorted(src.edges, key=edge_order)
-            for r in _run(B, _edge_location(key),
-                          _morphism_laws(B, src, dst, key, lift, "finite-law-",
-                                         finite=True))]
+    return _run_morphism(B, src, dst, lift, "finite-law-", edge_order,
+                         _edge_location, finite=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ printing on exponent tuples and ring coefficients, the references of the
 packed-key kernels of `polymap`; the symmetric law built factorizer by
 factorizer for every (alpha, beta) pair, the reference of
 `laws.derive_law_sym`;
-the symmetry check by composing relabelling maps, the reference of
-`laws.check_symmetry`; the dense double loop over coefficient pairs,
+the symmetry check by composing relabelling maps built slot by slot, the
+reference of `laws.check_symmetry` and of `laws._relabel_maps`; the
+homogeneity check by composing both sides at every vertex in its own loop,
+the reference of `laws.check_homogeneity`, which runs as a law table
+(`checks._run`); the dense double loop over coefficient pairs,
 the reference of `extension.ext_mul`, which multiplies in split
 coordinates; and the power-table evaluator on scalars, the reference of the
 integer kernel of `polymap` (`reference_eval`).
@@ -29,7 +32,8 @@ from operator import add as _add_ints
 from cubicalc.checks import (CheckReport, _edge_loc, _edge_sort_key,
                              _require_samples, generic_quad_param)
 from cubicalc.constructions import gsy
-from cubicalc.derive import CoordLabel, display_label, tag_of, vlab
+from cubicalc.derive import (CoordLabel, _v_labels, display_label, tag_of,
+                             vlab)
 from cubicalc.hypercube import subset_label, subsets
 from cubicalc.polymap import ExactDivisionError, Poly, PolyMap
 from cubicalc.presentation import SamplingError, attach_generic_params
@@ -545,24 +549,63 @@ def reference_derive_law_sym(f: PolyMap, n: int, t, ring=None) -> dict:
     return maps
 
 
+def reference_relabel_maps(sigma: dict, vdim: int, ring, vertices) -> dict:
+    """The vertex maps of the S_n relabelling built slot by slot, the
+    reference of `laws._relabel_maps`: the output at gamma, within
+    sigma(alpha), is the input at sigma^{-1}(gamma)."""
+    back = {v: k for k, v in sigma.items()}
+    maps = {}
+    for alpha in vertices:
+        in_labels = _v_labels(alpha, vdim)
+        x = Poly.coords(ring, in_labels)
+        maps[alpha] = PolyMap.from_label_exprs(ring, in_labels, {
+            vlab(g, c): x(vlab(frozenset(back[e] for e in g), c))
+            for g in subsets(sigma[e] for e in alpha) for c in range(vdim)})
+    return maps
+
+
 def reference_check_symmetry(law, sigma: dict) -> list:
     """`laws.check_symmetry` by composition, as it was before it renamed:
     the relabelling maps R_p, R_q of every vertex are built as polynomial
     maps and R_q . F_t is compared with F_{t sigma} . R_p."""
-    from cubicalc.laws import _relabel_maps, _sym_vertex_maps
+    from cubicalc.laws import _sym_vertex_maps
     from cubicalc.slopes import _sym_slopes
 
     ring, n = law.base.ring, len(law.t)
     inv = {v: k for k, v in sigma.items()}
     t_perm = [law.t[inv[i + 1] - 1] for i in range(n)]
     maps_perm = _sym_vertex_maps(_sym_slopes(law.base, n), t_perm, ring)
-    r_p = _relabel_maps(n, sigma, law.base.in_arity, ring, law.src.vertices)
-    r_q = _relabel_maps(n, sigma, law.base.out_arity, ring, law.src.vertices)
+    r_p = reference_relabel_maps(sigma, law.base.in_arity, ring,
+                                 law.src.vertices)
+    r_q = reference_relabel_maps(sigma, law.base.out_arity, ring,
+                                 law.src.vertices)
     out = []
     for alpha in law.src.vertices:
         lhs = r_q[alpha].compose(law.vertex_maps[alpha])
         rhs = maps_perm[frozenset(sigma[e] for e in alpha)].compose(r_p[alpha])
         out.append(CheckReport("law-symmetry", f"vertex {sorted(alpha)}",
+                               "pass" if lhs.equals(rhs) else "fail", 0))
+    return out
+
+
+def reference_check_homogeneity(law, s) -> list:
+    """`laws.check_homogeneity` by hand, as it was before it ran as a law
+    table: at every vertex, F_t . Phi_s^p is composed and compared with
+    Phi_s^q . F_{s t}."""
+    from cubicalc.constructions import _scalar_action_maps
+    from cubicalc.laws import _sym_vertex_maps
+    from cubicalc.slopes import _sym_slopes
+
+    ring, n = law.base.ring, len(law.t)
+    phi_p = _scalar_action_maps(n, s, law.base.in_arity, ring)
+    phi_q = _scalar_action_maps(n, s, law.base.out_arity, ring)
+    st = [ring.mul(sv, tv) for sv, tv in zip(s, law.t)]
+    maps_st = _sym_vertex_maps(_sym_slopes(law.base, n), st, ring)
+    out = []
+    for alpha in law.src.vertices:
+        lhs = law.vertex_maps[alpha].compose(phi_p[alpha])
+        rhs = phi_q[alpha].compose(maps_st[alpha])
+        out.append(CheckReport("law-homogeneity", f"vertex {sorted(alpha)}",
                                "pass" if lhs.equals(rhs) else "fail", 0))
     return out
 

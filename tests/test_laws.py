@@ -19,8 +19,9 @@ from cubicalc.polymap import Poly, PolyMap
 from cubicalc.rings import QQ, IntegersMod, RingError
 
 from conftest import mixed_partial_map, rand_fraction, random_polymap
-from reference_checks import (eval_labeled, reference_check_symmetry,
-                              reference_derive_law_sym)
+from reference_checks import (eval_labeled, reference_check_homogeneity,
+                              reference_check_symmetry,
+                              reference_derive_law_sym, reference_relabel_maps)
 
 F = Fraction
 fs = frozenset
@@ -120,6 +121,12 @@ def test_homogeneity_mutation_detected():
 
 def test_flip_isomorphism():
     assert reports_ok(flip_isomorphism_reports(2, [F(2), F(5)]))
+
+
+@pytest.mark.parametrize("n, t", [(1, [F(2)]), (0, [])])
+def test_flip_isomorphism_needs_two_directions(n, t):
+    with pytest.raises(LawError):
+        flip_isomorphism_reports(n, t)
 
 
 def test_sym_law_at_zero_equals_mixed_partial(rng):
@@ -372,6 +379,44 @@ def test_symmetry_by_renaming_matches_the_composed_check(ring, text):
                 if planted is law:
                     assert all(r["status"] == "pass" for r in got)
     assert failed
+
+
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(7)], ids=["QQ", "Z7"])
+@pytest.mark.parametrize("text", [
+    "f(x,y) = (x^3*y + 2*x*y^2 - y^4, x^2 - 3/2*y^3)",
+    "f(x) = 2*x^3 - x^2 + 3"])
+def test_homogeneity_law_table_matches_the_composed_check(ring, text):
+    f = parse(text, ring)
+    failed = 0
+    for n in (1, 2, 3):
+        t = [ring.from_int(k) for k in (2, -3, 5)[:n]]
+        law = derive_law_sym(f, n, t)
+        for planted in (law, _planted(law, fs(range(1, n + 1))),
+                        _planted(law, fs({1}))):
+            # a unit scalar vector, and one with a zero
+            for s in ((3, -1, 2), (0, 4, 1)):
+                s = [ring.from_int(k) for k in s[:n]]
+                got = [r.to_json() for r in check_homogeneity(planted, s)]
+                assert got == [r.to_json() for r in
+                               reference_check_homogeneity(planted, s)]
+                failed += sum(r["status"] == "fail" for r in got)
+                if planted is law:
+                    assert all(r["status"] == "pass" for r in got)
+    assert failed
+
+
+@pytest.mark.parametrize("ring", [QQ, IntegersMod(7)], ids=["QQ", "Z7"])
+def test_relabel_maps_match_the_slot_by_slot_reference(ring):
+    for n in (1, 2, 3):
+        vertices = gsy(n, [ring.one()] * n, ring=ring).vertices
+        for perm in itertools.permutations(range(1, n + 1)):
+            sigma = {i + 1: perm[i] for i in range(n)}
+            for vdim in (1, 2):
+                got = laws._relabel_maps(sigma, vdim, ring, vertices)
+                want = reference_relabel_maps(sigma, vdim, ring, vertices)
+                for alpha in vertices:
+                    assert got[alpha].in_labels == want[alpha].in_labels
+                    assert got[alpha].equals(want[alpha])
 
 
 def test_symmetry_composes_no_maps(monkeypatch):

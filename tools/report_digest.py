@@ -36,11 +36,22 @@ line.  It prints:
   (two scalar vectors) and `check_symmetry` (every permutation) on each
   symmetric law; then the same checks of the n = 2 symmetric law with an
   extra term v_0 * v_12 in the first component of its top vertex map.
-  These are proofs, so a report holds only its verdict.
+  These are proofs, so a report holds only its verdict;
+- one line per sampled morphism check (seed 42, S samples): the SHA-256 of
+  every point the check passes to `CoordSchema.satisfies`, recorded as for
+  the draws above, then of the JSON of its reports: `check_morphism` on `gsy_scalar_action(n, s, t)` (what
+  `cubicalc check --construction gsy --s` runs) for n = 1..3, over Q and
+  Z/7, vdim 1 and 2, and on the n = 2 action with an extra square term in
+  the first component of its top vertex map; of `flip_isomorphism_reports`
+  for n = 2, 3 over Q and Z/7, vdim 1 and 2; and of `check_finite_law` on
+  the `abs` and `max` black boxes of the acceptance suite's c09 and on the
+  `abs` law with 1 added to its second factorizer.  The two planted checks
+  fail, with witnesses.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -129,19 +140,26 @@ def point_recorder(satisfies, sink):
     return recorded
 
 
+def recorded(check, sink):
+    """`check()`, with every point it passes to `CoordSchema.satisfies`
+    written to `sink` (`point_recorder`)."""
+    from cubicalc.presentation import CoordSchema
+
+    satisfies = CoordSchema.satisfies
+    CoordSchema.satisfies = point_recorder(satisfies, sink)
+    try:
+        return check()
+    finally:
+        CoordSchema.satisfies = satisfies
+
+
 def draw_digest(p, samples: int, seed: int = SEED) -> str:
     """SHA-256 of every point `check_presentation(p, seed, samples)` passes
     to `CoordSchema.satisfies`."""
     from cubicalc.checks import check_presentation
-    from cubicalc.presentation import CoordSchema
 
     sink = hashlib.sha256()
-    satisfies = CoordSchema.satisfies
-    CoordSchema.satisfies = point_recorder(satisfies, sink)
-    try:
-        check_presentation(p, seed=seed, samples=samples)
-    finally:
-        CoordSchema.satisfies = satisfies
+    recorded(lambda: check_presentation(p, seed=seed, samples=samples), sink)
     return sink.hexdigest()
 
 
@@ -185,9 +203,82 @@ def law_reports() -> list:
     return out + _sym_law_checks("planted sym n=2", law, 2)
 
 
-def digest(reports) -> str:
-    text = json.dumps([r.to_json() for r in reports], sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+class _OffSecondFactorizer:
+    """A finite-part law that adds 1 to the first value of every second
+    factorizer of the law it wraps."""
+
+    def __init__(self, plaw):
+        self.plaw = plaw
+
+    def __getattr__(self, name):
+        return getattr(self.plaw, name)
+
+    def vertex_value(self, alpha, point: dict) -> dict:
+        from cubicalc.derive import vlab
+        from cubicalc.hypercube import subsets
+
+        out = self.plaw.vertex_value(alpha, point)
+        for beta in subsets(alpha):
+            if len(beta) == 2:
+                out[vlab(beta, 0)] += 1
+        return out
+
+
+def morphism_checks(samples: int) -> list:
+    """(name, check) of every sampled morphism check, a check being a
+    function of no arguments that returns its reports: scalar actions,
+    exchange isomorphisms, the planted scalar action and finite-part laws."""
+    from cubicalc.checks import check_morphism
+    from cubicalc.constructions import gsy_scalar_action
+    from cubicalc.laws import (check_finite_law, finite_law_from_map,
+                               flip_isomorphism_reports)
+    from cubicalc.polymap import PolyMap
+    from cubicalc.rings import QQ, IntegersMod
+
+    out = []
+    for ring in (QQ, IntegersMod(7)):
+        for n in (1, 2, 3):
+            s = [ring.from_int(k) for k in (3, -2, 5)[:n]]
+            t = [ring.from_int(k) for k in (2, 1, -3)[:n]]
+            for vdim in (1, 2):
+                out.append((f"{ring} scalar action n={n} vdim={vdim}",
+                            functools.partial(
+                                check_morphism,
+                                *gsy_scalar_action(n, s, t, vdim, ring),
+                                seed=SEED, samples=samples)))
+        for n in (2, 3):
+            t = [ring.from_int(k) for k in (2, -1, 3)[:n]]
+            for vdim in (1, 2):
+                out.append((f"{ring} flip n={n} vdim={vdim}",
+                            functools.partial(
+                                flip_isomorphism_reports, n, t, vdim, ring,
+                                seed=SEED, samples=samples)))
+    src, dst, maps = gsy_scalar_action(2, [Fraction(3), Fraction(-1, 2)],
+                                       [Fraction(2), Fraction(1, 3)])
+    top = frozenset({1, 2})
+    m = maps[top]
+    maps[top] = PolyMap(m.ring, m.in_labels, (
+        m.comps[0] + m.var(m.in_labels[0]) ** 2,) + m.comps[1:], m.out_labels)
+    out.append(("planted scalar action n=2",
+                functools.partial(check_morphism, src, dst, maps, seed=SEED,
+                                  samples=samples)))
+    black_abs = finite_law_from_map(lambda p: (abs(p[0]),), 2,
+                                    [Fraction(1), Fraction(1, 3)])
+    black_max = finite_law_from_map(lambda p: (max(p[0], Fraction(0)),), 1,
+                                    [Fraction(2)])
+    for name, plaw in (("abs", black_abs), ("max", black_max),
+                       ("planted abs", _OffSecondFactorizer(black_abs))):
+        out.append((f"finite law {name}",
+                    functools.partial(check_finite_law, plaw, seed=SEED,
+                                      samples=samples)))
+    return out
+
+
+def digest(reports, sink=None) -> str:
+    sink = sink or hashlib.sha256()
+    sink.update(json.dumps([r.to_json() for r in reports],
+                           sort_keys=True).encode())
+    return sink.hexdigest()
 
 
 def main() -> int:
@@ -214,6 +305,10 @@ def main() -> int:
     print(f"symbolic law checks of {AIM1}")
     for name, reports in law_reports():
         print(f"{digest(reports)}  {name}")
+    print(f"sampled morphism checks seed={SEED} samples={args.samples}")
+    for name, check in morphism_checks(args.samples):
+        sink = hashlib.sha256()
+        print(f"{digest(recorded(check, sink), sink)}  {name}")
     return 0
 
 
