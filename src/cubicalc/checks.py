@@ -185,23 +185,21 @@ class _Sampled:
 
 class _Symbolic:
     """Polynomial identities: a point is a `PolyMap` from the parameters of
-    its space, a map acts by `compose`, and equality is `PolyMap.equals`."""
+    its space, a map acts by `compose`, and equality is `PolyMap.equals`.
+    The point of a schema alone is its free point, `CoordSchema.free`."""
 
     def __init__(self, ring):
         self.ring = ring
-        # each free point drawn, by id; holding it keeps its id from reuse
-        self._free: dict = {}
 
     @staticmethod
     def eq(x: PolyMap, y: PolyMap) -> bool:
         return x.equals(y)
 
-    def map(self, m: PolyMap, frm, to):
-        free = self._free
-
+    @staticmethod
+    def map(m: PolyMap, frm, to):
         def run(x):
             # at the free point, an identity, m is m over the point's inputs
-            if free.get(id(x)) is x:
+            if x is frm.free:
                 return m.extend_inputs(x.in_labels)
             return m.compose(x)
         return run
@@ -216,9 +214,7 @@ class _Symbolic:
     def draw(self, space: _Space) -> list:
         labels = space.schema.labels
         if space.param is None:
-            x = PolyMap.identity(self.ring, labels)
-            self._free[id(x)] = x
-            return [(x,)]
+            return [(space.schema.free,)]
         comps = dict(zip(space.param.out_labels, space.param.comps))
         return [tuple(PolyMap(self.ring, space.param.in_labels,
                               tuple(comps[l] for l in tagged(tag, labels)), labels)

@@ -53,9 +53,6 @@ class Law:
     t: tuple | None = None
     slopes: list | None = None
 
-    def vertex_map(self, alpha) -> PolyMap:
-        return self.vertex_maps[frozenset(alpha)]
-
     def sym_slopes(self) -> list:
         """f^[0..n] of a symmetric law over its n scales."""
         if self.slopes is not None:

@@ -12,6 +12,7 @@ so every generated tuple is exactly composable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .derive import tag_of, with_tag
 from .hypercube import direction_key, kcubes, vertices as cube_vertices
@@ -57,6 +58,11 @@ class CoordSchema:
 
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def free(self) -> PolyMap:
+        """The identity of the labels: the schema's free point, made once."""
+        return PolyMap.identity(self.ring, self.labels)
 
     def satisfies(self, point: list) -> bool:
         """`point` lists the canonical pairs of its values (`Ring.content`)

@@ -39,14 +39,15 @@ line.  It prints:
   These are proofs, so a report holds only its verdict;
 - one line per sampled morphism check (seed 42, S samples): the SHA-256 of
   every point the check passes to `CoordSchema.satisfies`, recorded as for
-  the draws above, then of the JSON of its reports: `check_morphism` on `gsy_scalar_action(n, s, t)` (what
+  the draws above, then of the JSON of its reports.  The checks are
+  `check_morphism` on `gsy_scalar_action(n, s, t)` (what
   `cubicalc check --construction gsy --s` runs) for n = 1..3, over Q and
   Z/7, vdim 1 and 2, and on the n = 2 action with an extra square term in
-  the first component of its top vertex map; of `flip_isomorphism_reports`
-  for n = 2, 3 over Q and Z/7, vdim 1 and 2; and of `check_finite_law` on
-  the `abs` and `max` black boxes of the acceptance suite's c09 and on the
-  `abs` law with 1 added to its second factorizer.  The two planted checks
-  fail, with witnesses.
+  the first component of its top vertex map; `flip_isomorphism_reports`
+  for n = 2, 3 over Q and Z/7, vdim 1 and 2; and `check_finite_law` on the
+  `abs` and `max` black boxes of the acceptance suite's c09, and on the
+  `abs` law with 1 added to the first value of each factorizer over two
+  directions.  The two planted checks fail, with witnesses.
 """
 from __future__ import annotations
 
@@ -204,8 +205,8 @@ def law_reports() -> list:
 
 
 class _OffSecondFactorizer:
-    """A finite-part law that adds 1 to the first value of every second
-    factorizer of the law it wraps."""
+    """The finite-part law it wraps, with 1 added to the first value of
+    every factorizer over two directions."""
 
     def __init__(self, plaw):
         self.plaw = plaw
