@@ -455,9 +455,9 @@ def check_morphism(src: NFoldPresentation, dst: NFoldPresentation,
     and composition on every edge (sampled, exact)."""
     _require_samples(samples)
     B = _Sampled(src.ring, seed, samples)
-    return _run_morphism(B, src, dst, lambda v, frm, to: B.map(
-        vertex_maps[v], frm, to), "morphism-", _edge_sort_key,
-        lambda key: _edge_loc(src.edges[key]))
+    return _run_morphism(
+        B, src, dst, lambda v, frm, to: B.map(vertex_maps[v], frm, to),
+        "morphism-", _edge_sort_key, lambda key: _edge_loc(src.edges[key]))
 
 
 def _edge_sort_key(key):

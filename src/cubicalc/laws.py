@@ -159,8 +159,9 @@ def check_law_compatibility(law: Law) -> list:
     """The compatibility diagram: every edge projection, unit and composition
     commutes with the vertex maps, and the bottom map is base x id."""
     B, maps = _Symbolic(law.base.ring), law.vertex_maps
-    reports = _run_morphism(B, law.src, law.dst, lambda v, frm, to: B.map(
-        maps[v], frm, to), "law-", edge_order, _edge_location)
+    reports = _run_morphism(
+        B, law.src, law.dst, lambda v, frm, to: B.map(maps[v], frm, to),
+        "law-", edge_order, _edge_location)
     frm, to = law.src.schema(frozenset()), law.dst.schema(frozenset())
     # base x id: the base map on the v coordinates, the scales t kept
     base = _cubic_base(law.base).extend_inputs(frm.labels)
@@ -249,7 +250,7 @@ def flip_isomorphism_reports(n: int, t, vdim: int = 1, ring: Ring = QQ,
     """The exchange map as a verified isomorphism Gsy_t -> Gsy_{t sigma}
     (checked as a morphism after transposing the destination)."""
     if n < 2:
-        raise LawError(f"the exchange of directions 1, 2 needs n >= 2, got {n}")
+        raise LawError(f"the exchange of 1 and 2 needs n >= 2, got {n}")
     sigma = {1: 2, 2: 1, **{i: i for i in range(3, n + 1)}}
     t = list(t)
     src = gsy(n, t, vdim, ring)
